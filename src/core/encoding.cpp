@@ -117,7 +117,7 @@ ProcQueues ScheduleCodec::decode(const ga::Chromosome& c) const {
   return queues;
 }
 
-void ScheduleCodec::decode_into(const ga::Chromosome& c,
+void ScheduleCodec::decode_into(std::span<const ga::Gene> c,
                                 FlatSchedule& out) const {
   out.slots_.clear();
   out.slots_.reserve(num_tasks_);

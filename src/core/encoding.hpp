@@ -51,6 +51,9 @@ class FlatSchedule {
 
   /// All slots in processor-grouped order.
   std::span<const std::size_t> slots() const noexcept { return slots_; }
+  /// The M+1 queue offsets into slots(): queue j is [offsets()[j],
+  /// offsets()[j+1]).
+  std::span<const std::size_t> offsets() const noexcept { return offsets_; }
 
   /// Rebuilds from per-processor queues (adapter for the legacy path).
   void assign(const ProcQueues& queues);
@@ -112,6 +115,15 @@ class ScheduleCodec {
     return -static_cast<ga::Gene>(k) - 1;
   }
 
+  /// Chromosome position of queue j's first task, given the number of
+  /// tasks in queues 0..j−1 (its decoded slot offset): queues appear in
+  /// order, each after its j delimiters — decode(c)[j][i] is the slot of
+  /// c[queue_key_begin(offset_j, j) + i].
+  static std::size_t queue_key_begin(std::size_t slot_offset,
+                                     std::size_t j) noexcept {
+    return slot_offset + j;
+  }
+
   /// Encodes per-processor queues into a chromosome. `queues` must have
   /// exactly num_procs entries covering every batch slot exactly once.
   ga::Chromosome encode(const ProcQueues& queues) const;
@@ -127,7 +139,7 @@ class ScheduleCodec {
   /// Decodes into a caller-owned flat schedule, reusing its buffers:
   /// allocation-free once `out` has reached the batch size. Produces the
   /// same queues (content and order) as decode().
-  void decode_into(const ga::Chromosome& c, FlatSchedule& out) const;
+  void decode_into(std::span<const ga::Gene> c, FlatSchedule& out) const;
 
   /// Validates that `c` is a permutation of the expected symbol set.
   bool valid(const ga::Chromosome& c) const;

@@ -1,7 +1,9 @@
 #include "core/fitness.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
+#include <cstring>
 #include <stdexcept>
 
 #include "core/kernels.hpp"
@@ -9,13 +11,20 @@
 
 namespace gasched::core {
 
+namespace {
+
+std::atomic<std::uint64_t> g_next_evaluator_id{1};
+
+}  // namespace
+
 ScheduleEvaluator::ScheduleEvaluator(std::vector<double> task_sizes,
                                      const sim::SystemView& view,
                                      bool use_comm, NumericMode mode)
     : size_(std::move(task_sizes)),
       mode_(mode),
       audit_(mode == NumericMode::kFast ? ToleranceAudit::current()
-                                        : nullptr) {
+                                        : nullptr),
+      id_(g_next_evaluator_id.fetch_add(1, std::memory_order_relaxed)) {
   if (view.procs.empty()) {
     throw std::invalid_argument("ScheduleEvaluator: empty system view");
   }
@@ -196,7 +205,7 @@ void ScheduleEvaluator::maybe_audit(const FlatSchedule& schedule,
 }
 
 void ScheduleEvaluator::audit_batched(const ScheduleCodec& codec,
-                                      const ga::Chromosome& c,
+                                      std::span<const ga::Gene> c,
                                       const BatchEvaluation& fast,
                                       FlatSchedule& scratch,
                                       std::uint64_t& tick) const {
@@ -253,10 +262,10 @@ BatchEvaluation ScheduleEvaluator::reduce(QueueLoads& loads) const {
   return loads.eval;
 }
 
-void ScheduleEvaluator::reprice_queue(const FlatSchedule& schedule,
-                                      QueueLoads& loads,
-                                      std::size_t j) const {
-  const double cj = completion_time(j, schedule.queue(j));
+void ScheduleEvaluator::reprice_queue(
+    QueueLoads& loads, std::size_t j,
+    std::span<const std::size_t> queue) const {
+  const double cj = completion_time(j, queue);
   loads.completion[j] = cj;
   const double dev = psi_ - cj;
   loads.dev_sq[j] = dev * dev;
@@ -297,7 +306,7 @@ BatchEvaluation ScheduleEvaluator::load(const FlatSchedule& schedule,
   out.completion.resize(M);
   out.dev_sq.resize(M);
   for (std::size_t j = 0; j < M; ++j) {
-    reprice_queue(schedule, out, j);
+    reprice_queue(out, j, schedule.queue(j));
   }
   return reduce(out);
 }
@@ -367,22 +376,27 @@ BatchEvaluation ScheduleEvaluator::load_decoded(const ScheduleCodec& codec,
   return reduce(out);
 }
 
+BatchEvaluation ScheduleEvaluator::reprice_pair(
+    QueueLoads& loads, std::size_t qa, std::span<const std::size_t> a,
+    std::size_t qb, std::span<const std::size_t> b) const {
+  if (mode_ == NumericMode::kFast) {
+    loads.completion[qa] = fast_completion(qa, a);
+    if (qb != qa) loads.completion[qb] = fast_completion(qb, b);
+    return reduce_fast(loads);
+  }
+  reprice_queue(loads, qa, a);
+  if (qb != qa) reprice_queue(loads, qb, b);
+  return reduce(loads);
+}
+
 BatchEvaluation ScheduleEvaluator::evaluate_swap(const FlatSchedule& schedule,
                                                  QueueLoads& loads,
                                                  std::size_t qa,
                                                  std::size_t qb) const {
-  if (mode_ == NumericMode::kFast) {
-    loads.completion[qa] = fast_completion(qa, schedule.queue(qa));
-    if (qb != qa) {
-      loads.completion[qb] = fast_completion(qb, schedule.queue(qb));
-    }
-    const BatchEvaluation fast = reduce_fast(loads);
-    maybe_audit(schedule, fast, loads.audit_tick);
-    return fast;
-  }
-  reprice_queue(schedule, loads, qa);
-  if (qb != qa) reprice_queue(schedule, loads, qb);
-  return reduce(loads);
+  const BatchEvaluation e =
+      reprice_pair(loads, qa, schedule.queue(qa), qb, schedule.queue(qb));
+  maybe_audit(schedule, e, loads.audit_tick);
+  return e;
 }
 
 BatchEvaluation ScheduleEvaluator::evaluate_move(const FlatSchedule& schedule,
@@ -390,6 +404,186 @@ BatchEvaluation ScheduleEvaluator::evaluate_move(const FlatSchedule& schedule,
                                                  std::size_t from,
                                                  std::size_t to) const {
   return evaluate_swap(schedule, loads, from, to);
+}
+
+std::size_t ScheduleEvaluator::load_memo(const ScheduleCodec& codec,
+                                         const ga::Chromosome& c,
+                                         EvalWorkspace& ws) const {
+  PricingMemo& memo = ws.memo;
+  memo.bind(*this);
+  if (c.size() != memo.genes_) {
+    throw std::invalid_argument(
+        "ScheduleEvaluator::load_memo: chromosome length does not match the "
+        "batch");
+  }
+  const std::uint64_t h = PricingMemo::hash(c);
+  const std::size_t e = memo.find(c, h);
+  if (e != PricingMemo::kCapacity) {
+    // A hit stands in for one full pricing, so it takes that pricing's
+    // place in the kFast audit stream too.
+    audit_batched(codec, c, memo.evaluation(e), ws.schedule,
+                  ws.loads.audit_tick);
+    return e;
+  }
+  load_decoded(codec, c, ws.schedule, ws.loads);
+  return memo.insert(c, h, ws.schedule, ws.loads);
+}
+
+void ScheduleEvaluator::unpack(const PricingMemo& memo, std::size_t e,
+                               QueueLoads& out) const {
+  const std::size_t M = num_procs();
+  const PricingMemo::Meta& meta = memo.meta_[e];
+  const double* lane = memo.completion_.data() + e * memo.lanes_;
+  out.completion.resize(M);
+  for (std::size_t j = 0; j < M; ++j) {
+    out.completion[j] = memo.queue_size(e, j) == 0 ? delta_[j] : *lane++;
+  }
+  if (mode_ != NumericMode::kFast) {
+    out.dev_sq.resize(M);
+    for (std::size_t j = 0; j < M; ++j) {
+      const double dev = psi_ - out.completion[j];
+      out.dev_sq[j] = dev * dev;
+    }
+  }
+  out.sum_sq = meta.sum_sq;
+  out.max_completion = meta.eval.makespan;
+  out.heaviest = meta.heaviest;
+  out.eval = meta.eval;
+}
+
+PricingMemoCandidate ScheduleEvaluator::evaluate_memo_swap(
+    const ScheduleCodec& codec, EvalWorkspace& ws, std::size_t e,
+    std::size_t qa, std::size_t qb) const {
+  PricingMemo& memo = ws.memo;
+  QueueLoads& loads = ws.loads;
+  unpack(memo, e, loads);
+  // Slots of the two queues in key order — the spans evaluate_swap()
+  // would take from the decoded swapped key.
+  const auto key = memo.key(e);
+  std::size_t* slots = memo.probe_slots_.data();
+  auto queue_slots = [&](std::size_t j) {
+    const std::size_t begin = memo.queue_begin(e, j);
+    const std::size_t n = memo.queue_size(e, j);
+    for (std::size_t i = 0; i < n; ++i) {
+      slots[i] = ScheduleCodec::task_slot(key[begin + i]);
+    }
+    const std::span<const std::size_t> queue(slots, n);
+    slots += n;
+    return queue;
+  };
+  const auto a = queue_slots(qa);
+  const auto b = qb == qa ? a : queue_slots(qb);
+  PricingMemoCandidate cand;
+  cand.qa = qa;
+  cand.qb = qb;
+  cand.eval = reprice_pair(loads, qa, a, qb, b);
+  // Stands in for evaluate_swap's audit: the sampled shadow pricing
+  // decodes the swapped key.
+  audit_batched(codec, key, cand.eval, ws.schedule, loads.audit_tick);
+  cand.sum_sq = loads.sum_sq;
+  cand.heaviest = loads.heaviest;
+  cand.completion_a = loads.completion[qa];
+  cand.completion_b = loads.completion[qb];
+  return cand;
+}
+
+std::size_t PricingMemo::size() const noexcept {
+  std::size_t n = 0;
+  for (const Meta& m : meta_) n += m.used != 0;
+  return n;
+}
+
+void PricingMemo::clear() noexcept {
+  for (Meta& m : meta_) m.used = 0;
+}
+
+std::uint64_t PricingMemo::hash(std::span<const ga::Gene> c) noexcept {
+  // Two independent multiply-xor lanes over 64-bit words (two genes
+  // each) halve the dependency chain; the full compare in find() makes
+  // collisions harmless, so speed beats avalanche quality here.
+  constexpr std::uint64_t kMul = 0x9E3779B97F4A7C15ull;
+  std::uint64_t h0 = 0x243F6A8885A308D3ull ^ c.size();
+  std::uint64_t h1 = 0x13198A2E03707344ull;
+  std::size_t i = 0;
+  for (; i + 4 <= c.size(); i += 4) {
+    std::uint64_t w0;
+    std::uint64_t w1;
+    std::memcpy(&w0, c.data() + i, sizeof w0);
+    std::memcpy(&w1, c.data() + i + 2, sizeof w1);
+    h0 = (h0 ^ w0) * kMul;
+    h1 = (h1 ^ w1) * kMul;
+  }
+  for (; i < c.size(); ++i) {
+    h0 = (h0 ^ static_cast<std::uint32_t>(c[i])) * kMul;
+  }
+  const std::uint64_t h = h0 ^ ((h1 << 31) | (h1 >> 33));
+  return h ^ (h >> 32);
+}
+
+void PricingMemo::bind(const ScheduleEvaluator& eval) {
+  if (owner_ == eval.id()) return;
+  clear();
+  owner_ = eval.id();
+  const std::size_t N = eval.num_tasks();
+  procs_ = eval.num_procs();
+  genes_ = N + procs_ - 1;
+  lanes_ = std::min(N, procs_);
+  keys_.resize(kCapacity * genes_);
+  offsets_.resize(kCapacity * (procs_ + 1));
+  completion_.resize(kCapacity * lanes_);
+  probe_slots_.resize(N);
+}
+
+std::size_t PricingMemo::find(std::span<const ga::Gene> c,
+                              std::uint64_t h) noexcept {
+  for (std::size_t e = 0; e < kCapacity; ++e) {
+    Meta& m = meta_[e];
+    if (m.used == 0 || m.hash != h) continue;
+    const std::span<const ga::Gene> k = key(e);
+    if (!std::equal(k.begin(), k.end(), c.begin())) continue;
+    m.used = ++clock_;
+    return e;
+  }
+  return kCapacity;
+}
+
+std::size_t PricingMemo::insert(std::span<const ga::Gene> c, std::uint64_t h,
+                                const FlatSchedule& schedule,
+                                const QueueLoads& loads) {
+  std::size_t e = 0;
+  for (std::size_t i = 1; i < kCapacity; ++i) {
+    if (meta_[i].used < meta_[e].used) e = i;
+  }
+  std::copy(c.begin(), c.end(), keys_.begin() + e * genes_);
+  const auto from = schedule.offsets();
+  std::uint32_t* off = offsets_.data() + e * (procs_ + 1);
+  for (std::size_t j = 0; j <= procs_; ++j) {
+    off[j] = static_cast<std::uint32_t>(from[j]);
+  }
+  double* lane = completion_.data() + e * lanes_;
+  for (std::size_t j = 0; j < procs_; ++j) {
+    if (off[j] != off[j + 1]) *lane++ = loads.completion[j];
+  }
+  meta_[e] = {h, ++clock_, loads.eval, loads.sum_sq, loads.heaviest};
+  return e;
+}
+
+double& PricingMemo::completion(std::size_t e, std::size_t j) noexcept {
+  std::size_t rank = 0;
+  for (std::size_t i = 0; i < j; ++i) rank += queue_size(e, i) != 0;
+  return completion_[e * lanes_ + rank];
+}
+
+void PricingMemo::swap_genes(std::size_t e, std::size_t p,
+                             std::size_t q) noexcept {
+  ga::Gene* k = keys_.data() + e * genes_;
+  std::swap(k[p], k[q]);
+}
+
+void PricingMemo::commit(std::size_t e, const PricingMemoCandidate& cand) {
+  completion(e, cand.qa) = cand.completion_a;
+  completion(e, cand.qb) = cand.completion_b;
+  meta_[e] = {hash(key(e)), ++clock_, cand.eval, cand.sum_sq, cand.heaviest};
 }
 
 BatchEvaluation ScheduleEvaluator::reduce_completion_fast(
@@ -416,12 +610,14 @@ double ScheduleProblem::objective(const ga::Chromosome& c) const {
 ga::GaProblem::Evaluation ScheduleProblem::evaluate(const ga::Chromosome& c,
                                                     Workspace* ws) const {
   if (ws == nullptr) {
-    EvalWorkspace local;
-    return evaluate(c, &local);
+    FlatSchedule schedule;
+    QueueLoads loads;
+    const BatchEvaluation e = eval_.load_decoded(codec_, c, schedule, loads);
+    return {e.fitness, e.makespan};
   }
   auto& w = static_cast<EvalWorkspace&>(*ws);
-  const BatchEvaluation e =
-      eval_.load_decoded(codec_, c, w.schedule, w.loads);
+  const BatchEvaluation& e =
+      w.memo.evaluation(eval_.load_memo(codec_, c, w));
   return {e.fitness, e.makespan};
 }
 

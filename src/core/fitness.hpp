@@ -15,6 +15,7 @@
 // (use_comm = false). Units follow DESIGN.md's documented correction: all
 // summands of C_j are seconds.
 
+#include <array>
 #include <cstdint>
 #include <memory>
 #include <span>
@@ -27,12 +28,28 @@
 
 namespace gasched::core {
 
+class PricingMemo;
+struct EvalWorkspace;
+
 /// Combined metrics of one schedule, computed in a single pass over the
 /// per-processor completion times.
 struct BatchEvaluation {
   double fitness = 0.0;         ///< F = min(1, 1/E)
   double makespan = 0.0;        ///< max_j C_j
   double relative_error = 0.0;  ///< E
+};
+
+/// A re-balance candidate of a PricingMemo entry
+/// (ScheduleEvaluator::evaluate_memo_swap): its metrics plus the two
+/// re-priced completions and reductions PricingMemo::commit() adopts.
+struct PricingMemoCandidate {
+  BatchEvaluation eval;
+  double sum_sq = 0.0;
+  std::size_t heaviest = 0;
+  std::size_t qa = 0;
+  std::size_t qb = 0;
+  double completion_a = 0.0;  ///< new C_qa
+  double completion_b = 0.0;  ///< new C_qb
 };
 
 /// Cached per-queue load state of one priced schedule: every C_j, its
@@ -45,8 +62,9 @@ struct BatchEvaluation {
 /// valid only for (evaluator, schedule) pairs the caller controls — it
 /// holds no back-references, so any edit to the schedule outside the
 /// delta APIs, or pricing through a different evaluator, silently stales
-/// it. The cache lives in EvalWorkspace next to the decode target and is
-/// rebuilt from scratch by every full pricing.
+/// it. The workspace copy next to the decode target is the miss target
+/// of the pricing memo and the candidate state of re-balance probes;
+/// what outlives a pricing is the memo entry (see PricingMemo).
 struct QueueLoads {
   std::vector<double> completion;  ///< C_j per processor
   std::vector<double> dev_sq;      ///< (ψ − C_j)² per processor (exact mode)
@@ -167,6 +185,38 @@ class ScheduleEvaluator {
                                 QueueLoads& loads, std::size_t from,
                                 std::size_t to) const;
 
+  /// Memoized load_decoded: the index of the `ws.memo` entry holding `c`
+  /// as this evaluator prices it — a lookup when `c` is one of the
+  /// memo's recent chromosomes, otherwise load_decoded into
+  /// ws.schedule/ws.loads and an insert. Either way the entry's metrics
+  /// are bit-identical to load_decoded(c), and under kFast the call
+  /// advances ws.loads.audit_tick exactly once (a hit is shadow-priced
+  /// on the sampled period like any other pricing). `c` must have
+  /// num_tasks() + num_procs() − 1 genes.
+  std::size_t load_memo(const ScheduleCodec& codec, const ga::Chromosome& c,
+                        EvalWorkspace& ws) const;
+
+  /// evaluate_swap() for a memo entry: entry `e` of ws.memo has had one
+  /// task of queue `qa` exchanged with one of queue `qb` in its key
+  /// (PricingMemo::swap_genes) and is otherwise current. Re-prices the
+  /// two queues and the reductions — bit-identical to load_decoded of
+  /// the swapped key, audit tick included — without touching the entry:
+  /// PricingMemo::commit() adopts the candidate, or swapping the genes
+  /// back drops it. Unpacks the entry into ws.loads and re-prices the
+  /// two queues, read straight off the swapped key, through the pricing
+  /// core evaluate_swap() uses; a sampled kFast audit decodes the key
+  /// into ws.schedule.
+  PricingMemoCandidate evaluate_memo_swap(const ScheduleCodec& codec,
+                                          EvalWorkspace& ws, std::size_t e,
+                                          std::size_t qa,
+                                          std::size_t qb) const;
+
+  /// Rebuilds into `out` the load cache a full pricing of entry `e` of
+  /// `memo` produces: every C_j (δ_j for empty queues), the squared
+  /// deviations under kExact, and the cached reductions. The audit tick
+  /// is left alone.
+  void unpack(const PricingMemo& memo, std::size_t e, QueueLoads& out) const;
+
   /// Vectorizable bulk kernel: C_j as a contiguous slot-size sum followed
   /// by one divide — Σ t_y / P_j + n·Γc_j + δ_j. Mathematically equal to
   /// completion_time() but NOT bitwise (different FP association), so the
@@ -200,7 +250,8 @@ class ScheduleEvaluator {
   /// Tolerance-audit sampling hook of the batched path: bumps `tick`
   /// and, on the sampled period, re-decodes `c` into `scratch` and
   /// shadow-prices it exactly against `fast` (hard error on violation).
-  void audit_batched(const ScheduleCodec& codec, const ga::Chromosome& c,
+  void audit_batched(const ScheduleCodec& codec,
+                     std::span<const ga::Gene> c,
                      const BatchEvaluation& fast, FlatSchedule& scratch,
                      std::uint64_t& tick) const;
   /// Existing drain time δ_j of processor j (seconds).
@@ -209,15 +260,26 @@ class ScheduleEvaluator {
   double rate(std::size_t j) const { return rate_.at(j); }
   /// Communication estimate used for processor j (0 when comm disabled).
   double comm(std::size_t j) const { return comm_.at(j); }
+  /// Process-unique identity of this evaluator's pricing (copies share
+  /// it): the owner tag of PricingMemo entries.
+  std::uint64_t id() const noexcept { return id_; }
 
  private:
   /// Recomputes the j-ascending reductions (sum_sq/max/argmax/eval) of
   /// `loads` from its cached completion/dev_sq arrays.
   BatchEvaluation reduce(QueueLoads& loads) const;
-  /// Re-prices exactly queue `j` of `schedule` into `loads` (canonical
-  /// left-to-right summation), without touching the reductions.
-  void reprice_queue(const FlatSchedule& schedule, QueueLoads& loads,
-                     std::size_t j) const;
+  /// Re-prices exactly queue `j` (its slots in queue order) into `loads`
+  /// (canonical left-to-right summation), without touching the
+  /// reductions.
+  void reprice_queue(QueueLoads& loads, std::size_t j,
+                     std::span<const std::size_t> queue) const;
+  /// Pricing core of the delta paths, without the audit: re-prices
+  /// queues `qa` and `qb` (slots `a` and `b`) into `loads` in the
+  /// numeric mode's arithmetic and reduces.
+  BatchEvaluation reprice_pair(QueueLoads& loads, std::size_t qa,
+                               std::span<const std::size_t> a,
+                               std::size_t qb,
+                               std::span<const std::size_t> b) const;
 
   /// The canonical single-pass evaluation (always exact) — the shadow
   /// path the tolerance audit compares against.
@@ -263,6 +325,7 @@ class ScheduleEvaluator {
   NumericMode mode_ = NumericMode::kExact;
   bool gather_shape_ = false;        // see gather_shape()
   ToleranceAudit* audit_ = nullptr;  // captured at construction (kFast)
+  std::uint64_t id_ = 0;             // see id()
 };
 
 /// Mean slots-per-queue (N/M) at which kFast switches from the fused
@@ -270,13 +333,112 @@ class ScheduleEvaluator {
 /// dominates ~4-slot queues (see ScheduleEvaluator::gather_shape()).
 inline constexpr std::size_t kGatherShapeMinSlotsPerQueue = 8;
 
-/// Caller-owned, reusable evaluation scratch: the flat decode target plus
-/// the per-queue load cache the delta-pricing paths maintain. One
-/// workspace per evaluating thread; the GA engine obtains them via
-/// ScheduleProblem::make_workspace().
+/// Pricing memo (docs/evaluation.md "Pricing memo"): the kCapacity
+/// chromosomes a workspace priced most recently, each with the queue
+/// offsets and per-queue completion times its full pricing produced. A
+/// converging GA prices the same few chromosomes over and over; a hit
+/// costs a hash and a compare instead of a decode and a full pricing,
+/// and is bit-identical to it because the entry holds the very doubles
+/// that pricing produced.
+///
+/// The key is the chromosome itself: a 64-bit hash selects the
+/// candidate entry and a full compare is required before reuse. Entries
+/// are tagged with the evaluator that priced them (ScheduleEvaluator::
+/// id()); pricing through another evaluator clears the memo. A key
+/// doubles as its entry's decoded schedule — queue j's tasks are the
+/// key genes [queue_begin(e, j), queue_begin(e, j) + queue_size(e, j))
+/// — so re-balancing edits a hit entry in place: swap_genes() applies a
+/// candidate swap, commit() rekeys the entry to it, and a second
+/// swap_genes() undoes it. Storage is one arena per array, sized once
+/// per (evaluator shape, workspace): genes, uint32 queue offsets, and
+/// completions of non-empty queues only (an empty queue's C_j is δ_j),
+/// plus an N-slot scratch for the two queues a probe re-prices.
+class PricingMemo {
+ public:
+  /// Entries kept, least recently used evicted first. On PN's streaming
+  /// workload, 71% of re-balance pricings repeat one of the last 4
+  /// distinct chromosomes, 87% one of the last 8, and 92% one of the last
+  /// 20; 8 keeps most of the hits at a fraction of the heap.
+  static constexpr std::size_t kCapacity = 8;
+
+  /// Live entries.
+  std::size_t size() const noexcept;
+
+  /// Entry `e`'s key: the chromosome it was priced for.
+  std::span<const ga::Gene> key(std::size_t e) const noexcept {
+    return {keys_.data() + e * genes_, genes_};
+  }
+  /// Reduced metrics of entry `e`.
+  const BatchEvaluation& evaluation(std::size_t e) const noexcept {
+    return meta_[e].eval;
+  }
+  /// First argmax_j C_j of entry `e`.
+  std::size_t heaviest(std::size_t e) const noexcept {
+    return meta_[e].heaviest;
+  }
+  /// Key position of queue j's first task in entry `e`.
+  std::size_t queue_begin(std::size_t e, std::size_t j) const noexcept {
+    return ScheduleCodec::queue_key_begin(offsets_[e * (procs_ + 1) + j], j);
+  }
+  /// Number of tasks in queue j of entry `e`.
+  std::size_t queue_size(std::size_t e, std::size_t j) const noexcept {
+    const std::uint32_t* off = offsets_.data() + e * (procs_ + 1);
+    return off[j + 1] - off[j];
+  }
+
+  /// Exchanges key genes p and q of entry `e` — the in-place schedule
+  /// edit of a re-balance probe. The cached loads are not touched:
+  /// either commit() the candidate priced by
+  /// ScheduleEvaluator::evaluate_memo_swap() or call swap_genes() again.
+  void swap_genes(std::size_t e, std::size_t p, std::size_t q) noexcept;
+  /// Adopts `cand` as entry `e`'s loads and rekeys the entry to its
+  /// swapped key.
+  void commit(std::size_t e, const PricingMemoCandidate& cand);
+
+ private:
+  friend class ScheduleEvaluator;
+
+  struct Meta {
+    std::uint64_t hash = 0;
+    std::uint64_t used = 0;  // LRU stamp; 0 = empty
+    BatchEvaluation eval;
+    double sum_sq = 0.0;
+    std::size_t heaviest = 0;
+  };
+
+  static std::uint64_t hash(std::span<const ga::Gene> c) noexcept;
+  /// Drops every entry; the arenas are kept.
+  void clear() noexcept;
+  /// Clears the memo and shapes the arenas when `eval` is not the owner.
+  void bind(const ScheduleEvaluator& eval);
+  /// Entry holding `c` (hash `h`), or kCapacity; refreshes its LRU stamp.
+  std::size_t find(std::span<const ga::Gene> c, std::uint64_t h) noexcept;
+  /// Stores a fresh pricing of `c` over the least recently used entry.
+  std::size_t insert(std::span<const ga::Gene> c, std::uint64_t h,
+                     const FlatSchedule& schedule, const QueueLoads& loads);
+  /// Completion slot of queue j in entry `e` (j's queue is non-empty).
+  double& completion(std::size_t e, std::size_t j) noexcept;
+
+  std::array<Meta, kCapacity> meta_{};
+  std::vector<ga::Gene> keys_;            // kCapacity × genes_
+  std::vector<std::uint32_t> offsets_;    // kCapacity × (procs_ + 1)
+  std::vector<double> completion_;        // kCapacity × lanes_
+  std::vector<std::size_t> probe_slots_;  // N: slots of re-priced queues
+  std::uint64_t owner_ = 0;               // evaluator id of the entries
+  std::uint64_t clock_ = 0;
+  std::size_t genes_ = 0;
+  std::size_t procs_ = 0;
+  std::size_t lanes_ = 0;  // min(N, M): most queues that can be non-empty
+};
+
+/// Caller-owned, reusable evaluation scratch: the flat decode target, the
+/// per-queue load cache the delta-pricing paths maintain, and the pricing
+/// memo. One workspace per evaluating thread; the GA engine obtains them
+/// via ScheduleProblem::make_workspace().
 struct EvalWorkspace final : ga::GaProblem::Workspace {
   FlatSchedule schedule;
   QueueLoads loads;
+  PricingMemo memo;
   /// Batched fast-path lanes (ScheduleProblem::evaluate_batch under
   /// kFast): B decoded schedules and B contiguous M-double completion
   /// lanes priced per population block, plus their reduced metrics.

@@ -19,16 +19,19 @@ void supply_evaluation(EvalWorkspace& ws, const BatchEvaluation& e) {
 bool rebalance_once(ga::Chromosome& c, const ScheduleCodec& codec,
                     const ScheduleEvaluator& eval, util::Rng& rng,
                     std::size_t probes, EvalWorkspace& ws) {
-  FlatSchedule& s = ws.schedule;
-  // Fused decode + full pricing: one pass fills both the flat schedule
-  // and the per-queue load cache (heaviest processor, base fitness).
-  const BatchEvaluation base = eval.load_decoded(codec, c, s, ws.loads);
-  const std::size_t M = s.num_procs();
+  // Price through the workspace memo — a lookup when `c` is one of the
+  // recently priced chromosomes, else one fused decode + full pricing —
+  // and work on the memo entry in place: its key is `c`, laid out queue
+  // by queue, and it caches the heaviest processor and base fitness.
+  PricingMemo& memo = ws.memo;
+  const std::size_t e = eval.load_memo(codec, c, ws);
+  const BatchEvaluation base = memo.evaluation(e);
+  const std::size_t M = codec.num_procs();
   if (M < 2) return false;
 
   // Most heavily loaded processor = largest estimated finish time.
-  const std::size_t heavy = ws.loads.heaviest;
-  if (s.queue(heavy).empty()) {
+  const std::size_t heavy = memo.heaviest(e);
+  if (memo.queue_size(e, heavy) == 0) {
     supply_evaluation(ws, base);
     return false;
   }
@@ -36,38 +39,31 @@ bool rebalance_once(ga::Chromosome& c, const ScheduleCodec& codec,
   // Up to `probes` random searches for a smaller task on another processor.
   for (std::size_t probe = 0; probe < probes; ++probe) {
     const std::size_t other = rng.index(M);
-    if (other == heavy || s.queue(other).empty()) continue;
-    const auto other_q = s.queue(other);
-    const auto heavy_q = s.queue(heavy);
-    const std::size_t oi = rng.index(other_q.size());
-    const std::size_t hi = rng.index(heavy_q.size());
-    const std::size_t small_slot = other_q[oi];
-    const std::size_t big_slot = heavy_q[hi];
+    if (other == heavy || memo.queue_size(e, other) == 0) continue;
+    const std::size_t po =
+        memo.queue_begin(e, other) + rng.index(memo.queue_size(e, other));
+    const std::size_t ph =
+        memo.queue_begin(e, heavy) + rng.index(memo.queue_size(e, heavy));
+    const std::size_t small_slot = ScheduleCodec::task_slot(memo.key(e)[po]);
+    const std::size_t big_slot = ScheduleCodec::task_slot(memo.key(e)[ph]);
     if (!(eval.task_size(small_slot) < eval.task_size(big_slot))) continue;
 
-    // Candidate: swap the two tasks between queues, in place, and
-    // delta-price only the two changed queues against the cached loads.
-    std::swap(other_q[oi], heavy_q[hi]);
-    const BatchEvaluation cand = eval.evaluate_swap(s, ws.loads, other, heavy);
-    if (cand.fitness > base.fitness) {
-      // Apply the swap directly on the chromosome: exchange the two genes.
-      const ga::Gene g_small = ScheduleCodec::task_gene(small_slot);
-      const ga::Gene g_big = ScheduleCodec::task_gene(big_slot);
-      for (auto& g : c) {
-        if (g == g_small) {
-          g = g_big;
-        } else if (g == g_big) {
-          g = g_small;
-        }
-      }
-      // The swapped flat schedule is exactly the decode of the swapped
-      // chromosome, so `cand` is its full-pricing evaluation.
-      supply_evaluation(ws, cand);
+    // Candidate: swap the two tasks between queues in the entry's key and
+    // delta-price only the two changed queues against its cached loads.
+    memo.swap_genes(e, po, ph);
+    const PricingMemoCandidate cand =
+        eval.evaluate_memo_swap(codec, ws, e, other, heavy);
+    if (cand.eval.fitness > base.fitness) {
+      // The swapped key is exactly the swapped chromosome, so `cand` is
+      // its full-pricing evaluation: rekey the entry and apply the swap.
+      memo.commit(e, cand);
+      std::swap(c[po], c[ph]);
+      supply_evaluation(ws, cand.eval);
       return true;
     }
-    // Found a smaller task but the swap was not fitter: the chromosome is
-    // unchanged, so its evaluation is the base pricing. (The workspace
-    // schedule/loads are scratch and re-filled on the next decode.)
+    // Found a smaller task but the swap was not fitter: undo it, so the
+    // entry again holds the unchanged chromosome and its base pricing.
+    memo.swap_genes(e, po, ph);
     supply_evaluation(ws, base);
     return false;
   }

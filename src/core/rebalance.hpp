@@ -13,8 +13,9 @@
 
 namespace gasched::core {
 
-/// Applies one re-balancing pass to `c` in place, decoding into the
-/// workspace's flat schedule (allocation-free once warmed up). Returns
+/// Applies one re-balancing pass to `c` in place, pricing through the
+/// workspace's pricing memo and probing on the memo entry in place
+/// (allocation-free once warmed up). Returns
 /// true when a fitter schedule was found and kept. `probes` bounds the
 /// random searches for a smaller task (paper: 5).
 bool rebalance_once(ga::Chromosome& c, const ScheduleCodec& codec,

@@ -124,7 +124,7 @@ void apply_eval_config(const EvalConfig& eval) {
 
 namespace {
 
-std::string lower(std::string s) {
+std::string lower_token(std::string s) {
   std::transform(s.begin(), s.end(), s.begin(),
                  [](unsigned char c) { return std::tolower(c); });
   return s;
@@ -212,7 +212,7 @@ std::vector<std::string> expand_scheduler_selector(
   const auto tokens = split_list(selector);
   if (tokens.empty()) return all_schedulers();
   for (const auto& token : tokens) {
-    const std::string t = lower(token);
+    const std::string t = lower_token(token);
     if (t == "all") {
       for (const auto& name : registry.names()) add(name);
     } else if (t == "paper") {

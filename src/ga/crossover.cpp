@@ -15,8 +15,17 @@ namespace {
 struct CrossoverScratch {
   PositionIndex pos_a;
   PositionIndex pos_b;
-  std::vector<std::uint8_t> flags;  // CX: position assigned; POS: keep mask
+  std::vector<std::uint8_t> flags;  // CX: rank in D walked; POS: keep mask
+  std::vector<std::uint32_t> diff;  // CX: positions where parents differ
+  Chromosome diff_genes;            // CX: a's genes at those positions
 };
+
+/// Largest set of differing positions CX searches linearly; above it a
+/// position index over the differing genes is built instead. The scan
+/// is O(|D|²) but skips the index build: timing apply_into with either
+/// lookup forced (x86-64, -O3, 50 processors), the scan was faster up to
+/// |D| ≈ 12 at H = 1 and |D| ≈ 20 at H = 200, and slower beyond.
+constexpr std::size_t kCycleScanMax = 16;
 
 CrossoverScratch& cx_scratch() {
   thread_local CrossoverScratch s;
@@ -44,34 +53,62 @@ void CycleCrossover::apply_into(const Chromosome& a, const Chromosome& b,
                                 Chromosome& c1, Chromosome& c2,
                                 util::Rng& rng) const {
   check_parents(a, b);
+  // Which parent leads the first cycle is the only random choice; cycles
+  // then alternate ownership (classic CX), taken in order of their lowest
+  // position.
+  const bool coin = rng.bernoulli(0.5);
   const std::size_t n = a.size();
   auto& sc = cx_scratch();
-  sc.pos_a.build(a);
-  c1.resize(n);
-  c2.resize(n);
-  sc.flags.assign(n, 0);
-  // Which parent leads the first cycle is the only random choice; cycles
-  // then alternate ownership (classic CX).
-  bool from_a = rng.bernoulli(0.5);
-  for (std::size_t start = 0; start < n; ++start) {
-    if (sc.flags[start]) continue;
-    std::size_t i = start;
+  // Positions where the parents agree are one-element cycles: both
+  // children hold the shared gene there whoever owns it. So the children
+  // start as copies of their parents and only the cycles through the
+  // differing positions D (ascending) are walked — on a converged
+  // population D is a few percent of the chromosome, or empty.
+  c1.assign(a.begin(), a.end());
+  c2.assign(b.begin(), b.end());
+  // Branch-free collection: every position is written, only differing
+  // ones advance the cursor.
+  if (sc.diff.size() < n) sc.diff.resize(n);
+  if (sc.diff_genes.size() < n) sc.diff_genes.resize(n);
+  std::size_t d = 0;
+  for (std::size_t i = 0; i < n; ++i) {
+    sc.diff[d] = static_cast<std::uint32_t>(i);
+    sc.diff_genes[d] = a[i];
+    d += a[i] != b[i] ? 1 : 0;
+  }
+  if (d == 0) return;
+  // Rank in D of the position where a holds gene g: a linear scan while D
+  // is small, a position index over a's differing genes otherwise.
+  const bool scan = d <= kCycleScanMax;
+  if (!scan) {
+    sc.diff_genes.resize(d);
+    sc.pos_a.build(sc.diff_genes);
+  }
+  auto rank_in_a = [&](Gene g) {
+    if (!scan) return sc.pos_a.find(g);
+    for (std::size_t k = 0; k < d; ++k) {
+      if (sc.diff_genes[k] == g) return k;
+    }
+    return PositionIndex::npos;
+  };
+  sc.flags.assign(d, 0);
+  std::size_t cycles = 0;  // multi-position cycles started so far
+  for (std::size_t k = 0; k < d; ++k) {
+    if (sc.flags[k]) continue;
+    // Cycles before this one: the D[k] − k agreeing positions below it
+    // plus the multi-position cycles already walked.
+    const bool from_a = coin != (((sc.diff[k] - k + cycles) & 1u) != 0);
+    ++cycles;
+    std::size_t r = k;
     do {
-      sc.flags[i] = 1;
-      if (from_a) {
-        c1[i] = a[i];
-        c2[i] = b[i];
-      } else {
-        c1[i] = b[i];
-        c2[i] = a[i];
-      }
-      const std::size_t p = sc.pos_a.find(b[i]);
-      if (p == PositionIndex::npos) {
+      sc.flags[r] = 1;
+      const std::size_t i = sc.diff[r];
+      if (!from_a) std::swap(c1[i], c2[i]);
+      r = rank_in_a(b[i]);
+      if (r == PositionIndex::npos) {
         throw std::invalid_argument("CycleCrossover: parents differ in genes");
       }
-      i = p;
-    } while (i != start);
-    from_a = !from_a;
+    } while (r != k);
   }
 }
 

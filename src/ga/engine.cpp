@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <utility>
 
 #include "util/thread_pool.hpp"
 
@@ -69,12 +70,18 @@ GaResult GaEngine::run_seeded(const GaProblem& problem,
   }
   const std::size_t P = cfg_.population;
   // Pad/truncate to the configured population size by cycling the seeds,
-  // installing any cached evaluations instead of dirtying the slot.
+  // installing any cached evaluations instead of dirtying the slot. A
+  // seed's last (usually only) slot takes it by move: `initial` lives for
+  // the whole run, so a copy would keep every seed allocated twice.
   PopulationBuffer pop(P);
   const std::size_t n = initial.chrom.size();
   for (std::size_t i = 0; i < P; ++i) {
     const std::size_t src = i % n;
-    pop.chrom[i] = initial.chrom[src];
+    if (i + n >= P) {
+      pop.chrom[i] = std::move(initial.chrom[src]);
+    } else {
+      pop.chrom[i] = initial.chrom[src];
+    }
     if (src < initial.cached.size() && initial.cached[src] != 0 &&
         src < initial.eval.size()) {
       pop.fitness[i] = initial.eval[src].fitness;

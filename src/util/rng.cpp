@@ -153,7 +153,11 @@ std::uint64_t Rng::poisson(double mean) noexcept {
     if (us >= 0.07 && v <= v_r) return static_cast<std::uint64_t>(k);
     if (k < 0.0 || (us < 0.013 && v > us)) continue;
     const double log_v = std::log(v * inv_alpha / (a / (us * us) + b));
-    const double rhs = k * std::log(mean) - mean - std::lgamma(k + 1.0);
+    // lgamma_r, not std::lgamma: glibc's lgamma also writes the global
+    // `signgam`, a data race when pool workers sample Poisson sizes at
+    // once. Same value; the sign (always + for k ≥ 0) is not needed.
+    int sign = 0;
+    const double rhs = k * std::log(mean) - mean - ::lgamma_r(k + 1.0, &sign);
     if (log_v <= rhs) return static_cast<std::uint64_t>(k);
   }
 }

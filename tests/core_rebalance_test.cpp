@@ -4,6 +4,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <utility>
+#include <vector>
+
 namespace gasched::core {
 namespace {
 
@@ -118,6 +122,343 @@ TEST(Rebalance, RespectsProbeBudget) {
   util::Rng rng(6);
   EXPECT_FALSE(rebalance_once(c, codec, eval, rng, 0));
   EXPECT_EQ(c, before);
+}
+
+// ---- Pricing memo contract ----------------------------------------------
+
+sim::SystemView random_view(std::size_t procs, util::Rng& rng) {
+  sim::SystemView v;
+  v.procs.resize(procs);
+  for (std::size_t j = 0; j < procs; ++j) {
+    v.procs[j].id = static_cast<sim::ProcId>(j);
+    v.procs[j].rate = rng.uniform(5.0, 120.0);
+    v.procs[j].pending_mflops =
+        rng.bernoulli(0.5) ? rng.uniform(0.0, 500.0) : 0.0;
+    v.procs[j].comm_estimate = rng.uniform(0.1, 30.0);
+  }
+  return v;
+}
+
+std::vector<double> random_sizes(std::size_t tasks, util::Rng& rng) {
+  std::vector<double> s(tasks);
+  for (auto& v : s) v = rng.uniform(5.0, 1500.0);
+  return s;
+}
+
+ga::Chromosome random_chromosome(const ScheduleCodec& codec, util::Rng& rng) {
+  ga::Chromosome c;
+  for (std::size_t s = 0; s < codec.num_tasks(); ++s) {
+    c.push_back(ScheduleCodec::task_gene(s));
+  }
+  for (std::size_t k = 0; k + 1 < codec.num_procs(); ++k) {
+    c.push_back(ScheduleCodec::delimiter_gene(k));
+  }
+  rng.shuffle(c);
+  return c;
+}
+
+/// What a re-balancing pass returned and published through the
+/// improve-supplied evaluation channel.
+struct ReferenceResult {
+  bool changed = false;
+  bool supplied = false;
+  BatchEvaluation eval;
+};
+/// The re-balancing pass without the memo: a fused decode + full pricing
+/// on every call, the probe on the decoded schedule and its load cache.
+ReferenceResult reference_rebalance(ga::Chromosome& c,
+                                    const ScheduleCodec& codec,
+                                    const ScheduleEvaluator& eval,
+                                    util::Rng& rng, std::size_t probes,
+                                    FlatSchedule& s, QueueLoads& loads) {
+  const BatchEvaluation base = eval.load_decoded(codec, c, s, loads);
+  const std::size_t M = s.num_procs();
+  if (M < 2) return {};
+  const std::size_t heavy = loads.heaviest;
+  if (s.queue(heavy).empty()) return {false, true, base};
+  for (std::size_t probe = 0; probe < probes; ++probe) {
+    const std::size_t other = rng.index(M);
+    if (other == heavy || s.queue(other).empty()) continue;
+    const auto other_q = s.queue(other);
+    const auto heavy_q = s.queue(heavy);
+    const std::size_t oi = rng.index(other_q.size());
+    const std::size_t hi = rng.index(heavy_q.size());
+    const std::size_t small_slot = other_q[oi];
+    const std::size_t big_slot = heavy_q[hi];
+    if (!(eval.task_size(small_slot) < eval.task_size(big_slot))) continue;
+    std::swap(other_q[oi], heavy_q[hi]);
+    const BatchEvaluation cand = eval.evaluate_swap(s, loads, other, heavy);
+    if (cand.fitness > base.fitness) {
+      const ga::Gene g_small = ScheduleCodec::task_gene(small_slot);
+      const ga::Gene g_big = ScheduleCodec::task_gene(big_slot);
+      for (auto& g : c) {
+        if (g == g_small) {
+          g = g_big;
+        } else if (g == g_big) {
+          g = g_small;
+        }
+      }
+      return {true, true, cand};
+    }
+    return {false, true, base};
+  }
+  return {false, true, base};
+}
+
+void expect_same(const BatchEvaluation& a, const BatchEvaluation& b) {
+  EXPECT_EQ(a.fitness, b.fitness);
+  EXPECT_EQ(a.makespan, b.makespan);
+  EXPECT_EQ(a.relative_error, b.relative_error);
+}
+
+/// Entry `e` of `ws.memo` must hold `c` and exactly the schedule and load
+/// cache a fresh load_decoded(c) produces.
+void expect_entry_is_fresh_pricing(const ScheduleCodec& codec,
+                                   const ScheduleEvaluator& eval,
+                                   const EvalWorkspace& ws, std::size_t e,
+                                   const ga::Chromosome& c) {
+  FlatSchedule fresh_s;
+  QueueLoads fresh;
+  const BatchEvaluation want = eval.load_decoded(codec, c, fresh_s, fresh);
+  const auto key = ws.memo.key(e);
+  ASSERT_TRUE(std::equal(key.begin(), key.end(), c.begin(), c.end()));
+  QueueLoads got;
+  eval.unpack(ws.memo, e, got);
+  expect_same(ws.memo.evaluation(e), want);
+  EXPECT_EQ(got.completion, fresh.completion);
+  if (eval.numeric_mode() == NumericMode::kExact) {
+    EXPECT_EQ(got.dev_sq, fresh.dev_sq);
+  }
+  EXPECT_EQ(got.sum_sq, fresh.sum_sq);
+  EXPECT_EQ(got.max_completion, fresh.max_completion);
+  EXPECT_EQ(got.heaviest, fresh.heaviest);
+  expect_same(got.eval, fresh.eval);
+  for (std::size_t j = 0; j < codec.num_procs(); ++j) {
+    ASSERT_EQ(ws.memo.queue_size(e, j), fresh_s.queue(j).size());
+    for (std::size_t i = 0; i < fresh_s.queue(j).size(); ++i) {
+      EXPECT_EQ(ScheduleCodec::task_slot(key[ws.memo.queue_begin(e, j) + i]),
+                fresh_s.queue(j)[i]);
+    }
+  }
+}
+
+/// Shapes covering one-task batches (most queues empty), N ≈ M, and long
+/// queues (N ≥ 8M: the kFast gather shape).
+const std::pair<std::size_t, std::size_t> kShapes[] = {
+    {1, 6}, {5, 9}, {24, 6}, {64, 4}};
+
+TEST(PricingMemo, RepeatedChromosomesHitWithFreshPricing) {
+  for (const NumericMode mode : {NumericMode::kExact, NumericMode::kFast}) {
+    util::Rng rng(31);
+    for (const auto& [tasks, procs] : kShapes) {
+      const ScheduleCodec codec(tasks, procs);
+      const ScheduleEvaluator eval(random_sizes(tasks, rng),
+                                   random_view(procs, rng), true, mode);
+      const ScheduleProblem problem(codec, eval);
+      EvalWorkspace ws;
+      std::vector<ga::Chromosome> pool;
+      for (int k = 0; k < 3; ++k) pool.push_back(random_chromosome(codec, rng));
+      for (int round = 0; round < 4; ++round) {
+        for (const ga::Chromosome& c : pool) {
+          const auto ev = problem.evaluate(c, &ws);
+          FlatSchedule fs;
+          QueueLoads fl;
+          const BatchEvaluation want = eval.load_decoded(codec, c, fs, fl);
+          EXPECT_EQ(ev.fitness, want.fitness);
+          EXPECT_EQ(ev.objective, want.makespan);
+          const std::size_t e = eval.load_memo(codec, c, ws);
+          expect_entry_is_fresh_pricing(codec, eval, ws, e, c);
+        }
+      }
+      // Every repeat was a hit: one entry per distinct chromosome (random
+      // one-task chromosomes may coincide).
+      EXPECT_LE(ws.memo.size(), pool.size());
+      EXPECT_GE(ws.memo.size(), 1u);
+    }
+  }
+}
+
+TEST(PricingMemo, RebalanceMatchesMemoFreePassProbeByProbe) {
+  // Rejected probes must leave the entry holding the unchanged chromosome
+  // and its base pricing; accepted ones must rekey it to the swapped one.
+  for (const NumericMode mode : {NumericMode::kExact, NumericMode::kFast}) {
+    util::Rng rng(32);
+    std::size_t accepted = 0, rejected = 0;
+    for (const auto& [tasks, procs] : kShapes) {
+      const ScheduleCodec codec(tasks, procs);
+      const ScheduleEvaluator eval(random_sizes(tasks, rng),
+                                   random_view(procs, rng), true, mode);
+      EvalWorkspace ws;
+      FlatSchedule ref_s;
+      QueueLoads ref_loads;
+      // A small pool that the passes keep improving: chromosomes repeat
+      // (memo hits) and change (rekeys, then misses on the old key).
+      std::vector<ga::Chromosome> pool;
+      for (int k = 0; k < 5; ++k) pool.push_back(random_chromosome(codec, rng));
+      for (int step = 0; step < 400; ++step) {
+        ga::Chromosome& c = pool[rng.index(pool.size())];
+        ga::Chromosome ref_c = c;
+        const std::uint64_t seed = 5000 + static_cast<std::uint64_t>(step);
+        util::Rng r_memo(seed), r_ref(seed);
+        ws.has_improve_evaluation = false;
+        const bool changed = rebalance_once(c, codec, eval, r_memo, 5, ws);
+        const ReferenceResult ref =
+            reference_rebalance(ref_c, codec, eval, r_ref, 5, ref_s, ref_loads);
+        ASSERT_EQ(changed, ref.changed);
+        ASSERT_EQ(c, ref_c);
+        ASSERT_EQ(ws.has_improve_evaluation, ref.supplied);
+        if (ref.supplied) {
+          EXPECT_EQ(ws.improve_evaluation.fitness, ref.eval.fitness);
+          EXPECT_EQ(ws.improve_evaluation.objective, ref.eval.makespan);
+        }
+        EXPECT_EQ(r_memo.next_u64(), r_ref.next_u64());
+        (changed ? accepted : rejected) += 1;
+        // c must be a hit on the first entry keyed by it (the one find()
+        // scans to first). A size check cannot tell: once the memo is full
+        // a miss evicts one entry and inserts another.
+        std::size_t held = PricingMemo::kCapacity;
+        for (std::size_t i = 0; i < PricingMemo::kCapacity; ++i) {
+          const auto k = ws.memo.key(i);
+          if (std::equal(k.begin(), k.end(), c.begin(), c.end())) {
+            held = i;
+            break;
+          }
+        }
+        ASSERT_NE(held, PricingMemo::kCapacity) << "no entry holds c";
+        const std::size_t e = eval.load_memo(codec, c, ws);
+        EXPECT_EQ(e, held) << "entry must hold c: a hit";
+        expect_entry_is_fresh_pricing(codec, eval, ws, e, c);
+      }
+    }
+    EXPECT_GT(accepted, 20u);
+    EXPECT_GT(rejected, 20u);
+  }
+}
+
+TEST(PricingMemo, AcceptedSwapRekeysEntryToSwappedChromosome) {
+  const ScheduleCodec codec(10, 2);
+  std::vector<double> sizes(5, 1000.0);
+  sizes.resize(10, 10.0);
+  const ScheduleEvaluator eval(sizes, make_view({10.0, 10.0}), false);
+  const ScheduleProblem problem(codec, eval);
+  const ga::Chromosome skewed =
+      codec.encode(ProcQueues{{0, 1, 2, 3, 4}, {5, 6, 7, 8, 9}});
+  EvalWorkspace ws;
+  ga::Chromosome c = skewed;
+  util::Rng rng(33);
+  while (!rebalance_once(c, codec, eval, rng, 5, ws)) c = skewed;
+  ASSERT_NE(c, skewed);
+  // The swapped chromosome is the rekeyed entry: pricing it again is a
+  // hit, and the old key is gone (pricing it is a miss that inserts).
+  const std::size_t entries = ws.memo.size();
+  const auto swapped = problem.evaluate(c, &ws);
+  EXPECT_EQ(ws.memo.size(), entries);
+  EXPECT_EQ(swapped.fitness, eval.fitness(codec.decode(c)));
+  expect_entry_is_fresh_pricing(codec, eval, ws, eval.load_memo(codec, c, ws),
+                                c);
+  problem.evaluate(skewed, &ws);
+  EXPECT_EQ(ws.memo.size(), entries + 1);
+  expect_entry_is_fresh_pricing(codec, eval, ws,
+                                eval.load_memo(codec, skewed, ws), skewed);
+}
+
+TEST(PricingMemo, EvaluatorSwitchClearsEntries) {
+  util::Rng rng(34);
+  const ScheduleCodec codec(12, 3);
+  const ScheduleEvaluator a(random_sizes(12, rng), random_view(3, rng), true);
+  const ScheduleEvaluator b(random_sizes(12, rng), random_view(3, rng), true);
+  const ScheduleProblem pa(codec, a), pb(codec, b);
+  EvalWorkspace ws;
+  const ga::Chromosome c1 = random_chromosome(codec, rng);
+  const ga::Chromosome c2 = random_chromosome(codec, rng);
+  for (int round = 0; round < 3; ++round) {
+    for (const auto* p : {&pa, &pb}) {
+      const ScheduleEvaluator& ev = p == &pa ? a : b;
+      for (const ga::Chromosome* c : {&c1, &c2}) {
+        EXPECT_EQ(p->evaluate(*c, &ws).fitness, ev.fitness(codec.decode(*c)));
+        expect_entry_is_fresh_pricing(codec, ev, ws,
+                                      ev.load_memo(codec, *c, ws), *c);
+      }
+      // Only the current evaluator's pricings are live.
+      EXPECT_EQ(ws.memo.size(), 2u);
+    }
+  }
+  // Same chromosome, different evaluator: never served from the other's
+  // entry, so the results differ here.
+  EXPECT_NE(pa.evaluate(c1, &ws).fitness, pb.evaluate(c1, &ws).fitness);
+}
+
+TEST(PricingMemo, EvictsLeastRecentlyUsedEntry) {
+  util::Rng rng(35);
+  const ScheduleCodec codec(20, 4);
+  const ScheduleEvaluator eval(random_sizes(20, rng), random_view(4, rng),
+                               true);
+  EvalWorkspace ws;
+  std::vector<ga::Chromosome> cs;
+  for (std::size_t k = 0; k <= PricingMemo::kCapacity; ++k) {
+    cs.push_back(random_chromosome(codec, rng));
+  }
+  for (std::size_t k = 0; k < PricingMemo::kCapacity; ++k) {
+    eval.load_memo(codec, cs[k], ws);
+  }
+  eval.load_memo(codec, cs[0], ws);  // refresh the oldest: cs[1] is LRU now
+  const std::size_t e = eval.load_memo(codec, cs.back(), ws);
+  EXPECT_EQ(ws.memo.size(), PricingMemo::kCapacity);
+  expect_entry_is_fresh_pricing(codec, eval, ws, e, cs.back());
+  auto held = [&](const ga::Chromosome& c) {
+    for (std::size_t i = 0; i < PricingMemo::kCapacity; ++i) {
+      const auto k = ws.memo.key(i);
+      if (std::equal(k.begin(), k.end(), c.begin(), c.end())) return true;
+    }
+    return false;
+  };
+  EXPECT_TRUE(held(cs[0]));
+  EXPECT_FALSE(held(cs[1]));
+  for (std::size_t k = 2; k < cs.size(); ++k) EXPECT_TRUE(held(cs[k]));
+}
+
+TEST(PricingMemo, FastModeAuditStreamMatchesMemoFreeReplay) {
+  // A hit stands in for one full pricing and a memo probe for one delta
+  // pricing, so the kFast audit sees the same tick count and shadow-
+  // prices the same schedules (same samples, same max deviation).
+  for (const auto& [tasks, procs] : kShapes) {
+    util::Rng rng(36);
+    const auto sizes = random_sizes(tasks, rng);
+    const auto view = random_view(procs, rng);
+    ToleranceAudit memo_audit(AuditConfig{1e-12, 3});
+    ToleranceAudit ref_audit(AuditConfig{1e-12, 3});
+    auto build = [&](ToleranceAudit& audit) {
+      ToleranceAudit::Scope scope(audit);
+      return ScheduleEvaluator(sizes, view, true, NumericMode::kFast);
+    };
+    const ScheduleEvaluator memo_eval = build(memo_audit);
+    const ScheduleEvaluator ref_eval = build(ref_audit);
+    const ScheduleCodec codec(tasks, procs);
+    const ScheduleProblem problem(codec, memo_eval);
+    EvalWorkspace ws;
+    FlatSchedule ref_s;
+    QueueLoads ref_loads;
+    std::vector<ga::Chromosome> pool;
+    for (int k = 0; k < 4; ++k) pool.push_back(random_chromosome(codec, rng));
+    for (int step = 0; step < 300; ++step) {
+      ga::Chromosome& c = pool[rng.index(pool.size())];
+      if (step % 3 == 0) {
+        // ScheduleProblem::evaluate: one full pricing either way.
+        problem.evaluate(c, &ws);
+        ref_eval.load_decoded(codec, c, ref_s, ref_loads);
+        continue;
+      }
+      ga::Chromosome ref_c = c;
+      util::Rng r_memo(step), r_ref(step);
+      rebalance_once(c, codec, memo_eval, r_memo, 5, ws);
+      reference_rebalance(ref_c, codec, ref_eval, r_ref, 5, ref_s, ref_loads);
+      ASSERT_EQ(c, ref_c);
+    }
+    EXPECT_EQ(ws.loads.audit_tick, ref_loads.audit_tick);
+    EXPECT_GT(memo_audit.samples(), 50u);
+    EXPECT_EQ(memo_audit.samples(), ref_audit.samples());
+    EXPECT_EQ(memo_audit.max_deviation(), ref_audit.max_deviation());
+  }
 }
 
 }  // namespace

@@ -6,8 +6,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
 #include <memory>
+#include <stdexcept>
 #include <tuple>
+#include <vector>
 
 namespace gasched::ga {
 namespace {
@@ -114,6 +118,118 @@ TEST(CycleCrossover, MismatchedGeneSetsThrow) {
   const Chromosome a{0, 1, 2};
   const Chromosome b{0, 1, 99};
   EXPECT_THROW(cx.apply(a, b, rng), std::invalid_argument);
+}
+
+/// Textbook cycle crossover: builds a full position index over `a` and
+/// walks every cycle from every unassigned position in ascending order,
+/// alternating ownership — the reference the library's walk over the
+/// differing positions only must match bit for bit.
+void reference_cycle_crossover(const Chromosome& a, const Chromosome& b,
+                               Chromosome& c1, Chromosome& c2,
+                               util::Rng& rng) {
+  if (a.size() != b.size() || a.empty()) {
+    throw std::invalid_argument("crossover: parents must be equal non-empty");
+  }
+  const std::size_t n = a.size();
+  PositionIndex pos_a;
+  pos_a.build(a);
+  c1.resize(n);
+  c2.resize(n);
+  std::vector<std::uint8_t> assigned(n, 0);
+  bool from_a = rng.bernoulli(0.5);
+  for (std::size_t start = 0; start < n; ++start) {
+    if (assigned[start]) continue;
+    std::size_t i = start;
+    do {
+      assigned[i] = 1;
+      c1[i] = from_a ? a[i] : b[i];
+      c2[i] = from_a ? b[i] : a[i];
+      const std::size_t p = pos_a.find(b[i]);
+      if (p == PositionIndex::npos) {
+        throw std::invalid_argument("CycleCrossover: parents differ in genes");
+      }
+      i = p;
+    } while (i != start);
+    from_a = !from_a;
+  }
+}
+
+/// `a` with `swaps` random position pairs exchanged: the parents then
+/// differ in at most 2·swaps positions (the encoding-shaped gene set of
+/// schedule_like(): task slots plus distinct negative delimiters).
+Chromosome perturbed(const Chromosome& a, std::size_t swaps, util::Rng& rng) {
+  Chromosome b = a;
+  for (std::size_t s = 0; s < swaps; ++s) {
+    std::swap(b[rng.index(b.size())], b[rng.index(b.size())]);
+  }
+  return b;
+}
+
+std::size_t differing_positions(const Chromosome& a, const Chromosome& b) {
+  std::size_t d = 0;
+  for (std::size_t i = 0; i < a.size(); ++i) d += a[i] != b[i];
+  return d;
+}
+
+TEST(CycleCrossover, MatchesTextbookWalkForEveryDifferenceSize) {
+  CycleCrossover cx;
+  util::Rng gen(11);
+  std::size_t coins[2] = {0, 0};
+  std::size_t max_d = 0;
+  for (const std::size_t n : {std::size_t{2}, std::size_t{9},
+                              std::size_t{60}, std::size_t{249}}) {
+    for (int trial = 0; trial < 60; ++trial) {
+      const Chromosome a = schedule_like(n - n / 4, n / 4, gen);
+      // D of size 0, 2, small, about n/2 (a few swaps per 4 positions),
+      // and n (a derangement: a rotated by one).
+      std::vector<Chromosome> partners = {
+          a, perturbed(a, 1, gen), perturbed(a, 3, gen),
+          perturbed(a, n / 4, gen), a};
+      std::rotate(partners.back().begin(), partners.back().begin() + 1,
+                  partners.back().end());
+      for (const Chromosome& b : partners) {
+        max_d = std::max(max_d, differing_positions(a, b));
+        for (const bool swap_parents : {false, true}) {
+          const Chromosome& p1 = swap_parents ? b : a;
+          const Chromosome& p2 = swap_parents ? a : b;
+          util::Rng r_lib(1000 + trial), r_ref(1000 + trial);
+          Chromosome l1{7}, l2, f1, f2;  // stale contents must not leak
+          cx.apply_into(p1, p2, l1, l2, r_lib);
+          reference_cycle_crossover(p1, p2, f1, f2, r_ref);
+          ASSERT_EQ(l1, f1) << "n=" << n;
+          ASSERT_EQ(l2, f2) << "n=" << n;
+          ASSERT_EQ(r_lib.next_u64(), r_ref.next_u64());
+          util::Rng r_coin(1000 + trial);
+          ++coins[r_coin.bernoulli(0.5) ? 1 : 0];
+        }
+      }
+      ASSERT_EQ(differing_positions(a, partners.back()), n);
+    }
+  }
+  EXPECT_GT(coins[0], 0u);  // both leading parents exercised
+  EXPECT_GT(coins[1], 0u);
+  EXPECT_GT(max_d, 32u);    // the indexed (large-D) lookup path ran
+}
+
+TEST(CycleCrossover, ForeignGeneThrowsLikeTextbookWalk) {
+  // One foreign gene makes D a single position: both walks throw after
+  // drawing the same single coin.
+  CycleCrossover cx;
+  util::Rng gen(12);
+  for (const std::size_t n : {std::size_t{3}, std::size_t{40},
+                              std::size_t{200}}) {
+    const Chromosome a = schedule_like(n - 2, 2, gen);
+    for (const std::size_t swaps : {std::size_t{0}, std::size_t{1}, n}) {
+      Chromosome b = perturbed(a, swaps, gen);
+      b[gen.index(n)] = 100000;
+      util::Rng r_lib(5), r_ref(5);
+      Chromosome l1, l2, f1, f2;
+      EXPECT_THROW(cx.apply_into(a, b, l1, l2, r_lib), std::invalid_argument);
+      EXPECT_THROW(reference_cycle_crossover(a, b, f1, f2, r_ref),
+                   std::invalid_argument);
+      EXPECT_EQ(r_lib.next_u64(), r_ref.next_u64());
+    }
+  }
 }
 
 TEST(Crossover, UnequalLengthsThrow) {

@@ -7,7 +7,10 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <functional>
 #include <set>
+#include <thread>
 #include <vector>
 
 namespace gasched::util {
@@ -163,6 +166,31 @@ TEST_P(PoissonMeanTest, MeanAndVarianceMatch) {
 INSTANTIATE_TEST_SUITE_P(SmallAndLargeMeans, PoissonMeanTest,
                          ::testing::Values(0.5, 2.0, 10.0, 29.0, 31.0, 100.0,
                                            400.0));
+
+TEST(Rng, PoissonSamplingIsThreadSafe) {
+  // Pool workers sample Poisson task sizes concurrently (figure sweeps,
+  // federated runs). Large means take the PTRS path and its log-gamma
+  // term, which must not touch shared state: every thread reproduces its
+  // serial stream, and the thread-sanitize CI job runs this test.
+  constexpr int kThreads = 4;
+  constexpr int kDraws = 20000;
+  auto draw = [](std::uint64_t seed, std::vector<std::uint64_t>& out) {
+    Rng rng(seed);
+    out.resize(kDraws);
+    for (auto& v : out) v = rng.poisson(100.0 + static_cast<double>(seed));
+  };
+  std::vector<std::vector<std::uint64_t>> parallel(kThreads);
+  std::vector<std::thread> workers;
+  for (int t = 0; t < kThreads; ++t) {
+    workers.emplace_back(draw, 40 + t, std::ref(parallel[t]));
+  }
+  for (auto& w : workers) w.join();
+  for (int t = 0; t < kThreads; ++t) {
+    std::vector<std::uint64_t> serial;
+    draw(40 + t, serial);
+    EXPECT_EQ(parallel[t], serial) << "thread " << t;
+  }
+}
 
 TEST(Rng, PoissonZeroMeanGivesZero) {
   Rng rng(12);
