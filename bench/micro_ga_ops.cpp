@@ -94,9 +94,10 @@ void BM_FitnessFromChromosome(benchmark::State& state) {
 }
 BENCHMARK(BM_FitnessFromChromosome)->Arg(200);
 
-void BM_EvaluateWorkspace(benchmark::State& state) {
-  // Combined fitness+objective through the reused workspace — what the
-  // GA engine actually runs per dirty individual.
+void BM_EvaluateWorkspaceHit(benchmark::State& state) {
+  // Combined fitness+objective through the reused workspace on one
+  // chromosome: after the first call every evaluation is a pricing-memo
+  // hit (a hash and a full compare of the schedule form).
   BatchFixture f(static_cast<std::size_t>(state.range(0)), 50);
   const core::ScheduleProblem problem(f.codec, f.eval);
   const auto ws = problem.make_workspace();
@@ -104,7 +105,37 @@ void BM_EvaluateWorkspace(benchmark::State& state) {
     benchmark::DoNotOptimize(problem.evaluate(f.chromosome, ws.get()));
   }
 }
-BENCHMARK(BM_EvaluateWorkspace)->Arg(50)->Arg(200)->Arg(1000);
+BENCHMARK(BM_EvaluateWorkspaceHit)->Arg(50)->Arg(200)->Arg(1000);
+
+void BM_EvaluateWorkspaceMiss(benchmark::State& state) {
+  // Cycles through kCapacity + 1 distinct schedules of the same shape
+  // (the fixture's task genes rotated by k places), so the LRU memo never
+  // holds the next one: every evaluation is a miss — hash, fused decode +
+  // full pricing, and an entry insert.
+  BatchFixture f(static_cast<std::size_t>(state.range(0)), 50);
+  const core::ScheduleProblem problem(f.codec, f.eval);
+  const auto ws = problem.make_workspace();
+  std::vector<std::size_t> task_pos;
+  for (std::size_t i = 0; i < f.chromosome.size(); ++i) {
+    if (!core::ScheduleCodec::is_delimiter(f.chromosome[i])) {
+      task_pos.push_back(i);
+    }
+  }
+  std::vector<ga::Chromosome> pool;
+  for (std::size_t k = 0; k <= core::PricingMemo::kCapacity; ++k) {
+    ga::Chromosome c = f.chromosome;
+    for (std::size_t j = 0; j < task_pos.size(); ++j) {
+      c[task_pos[j]] = f.chromosome[task_pos[(j + k) % task_pos.size()]];
+    }
+    pool.push_back(std::move(c));
+  }
+  std::size_t next = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(problem.evaluate(pool[next], ws.get()));
+    next = next + 1 == pool.size() ? 0 : next + 1;
+  }
+}
+BENCHMARK(BM_EvaluateWorkspaceMiss)->Arg(50)->Arg(200)->Arg(1000);
 
 void BM_LoadDecoded(benchmark::State& state) {
   // Fused decode + full pricing into the per-queue load cache — the
@@ -206,11 +237,15 @@ void BM_SwapMutation(benchmark::State& state) {
 BENCHMARK(BM_SwapMutation);
 
 void BM_Rebalance(benchmark::State& state) {
+  // One re-balance pass per iteration through one workspace, as the GA
+  // engine runs it: after the first pass the chromosome is a pricing-memo
+  // hit, and an accepted swap rekeys its entry.
   BatchFixture f(200, 50);
   util::Rng rng(6);
   ga::Chromosome c = f.chromosome;
+  core::EvalWorkspace ws;
   for (auto _ : state) {
-    core::rebalance_once(c, f.codec, f.eval, rng);
+    core::rebalance_once(c, f.codec, f.eval, rng, 5, ws);
     benchmark::DoNotOptimize(c.data());
   }
 }

@@ -115,6 +115,14 @@ class ScheduleCodec {
     return -static_cast<ga::Gene>(k) - 1;
   }
 
+  /// Schedule form of gene `g`: a task gene maps to itself and every
+  /// delimiter to −1, the paper's notation. Chromosomes that differ only
+  /// in the order of their delimiters decode to the same queues, and
+  /// their schedule forms are equal (the pricing memo's key).
+  static constexpr ga::Gene schedule_gene(ga::Gene g) noexcept {
+    return g | (g >> 31);
+  }
+
   /// Chromosome position of queue j's first task, given the number of
   /// tasks in queues 0..j−1 (its decoded slot offset): queues appear in
   /// order, each after its j delimiters — decode(c)[j][i] is the slot of

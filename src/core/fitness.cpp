@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <bit>
 #include <cmath>
 #include <cstring>
 #include <stdexcept>
@@ -498,25 +499,30 @@ void PricingMemo::clear() noexcept {
 }
 
 std::uint64_t PricingMemo::hash(std::span<const ga::Gene> c) noexcept {
-  // Two independent multiply-xor lanes over 64-bit words (two genes
-  // each) halve the dependency chain; the full compare in find() makes
+  // Two independent multiply-xor lanes over 64-bit words of the schedule
+  // form halve the dependency chain; the full compare in find() makes
   // collisions harmless, so speed beats avalanche quality here.
   constexpr std::uint64_t kMul = 0x9E3779B97F4A7C15ull;
   std::uint64_t h0 = 0x243F6A8885A308D3ull ^ c.size();
   std::uint64_t h1 = 0x13198A2E03707344ull;
   std::size_t i = 0;
   for (; i + 4 <= c.size(); i += 4) {
+    ga::Gene g[4];
+    for (std::size_t k = 0; k < 4; ++k) {
+      g[k] = ScheduleCodec::schedule_gene(c[i + k]);
+    }
     std::uint64_t w0;
     std::uint64_t w1;
-    std::memcpy(&w0, c.data() + i, sizeof w0);
-    std::memcpy(&w1, c.data() + i + 2, sizeof w1);
+    std::memcpy(&w0, g, sizeof w0);
+    std::memcpy(&w1, g + 2, sizeof w1);
     h0 = (h0 ^ w0) * kMul;
     h1 = (h1 ^ w1) * kMul;
   }
   for (; i < c.size(); ++i) {
-    h0 = (h0 ^ static_cast<std::uint32_t>(c[i])) * kMul;
+    const ga::Gene g = ScheduleCodec::schedule_gene(c[i]);
+    h0 = (h0 ^ static_cast<std::uint32_t>(g)) * kMul;
   }
-  const std::uint64_t h = h0 ^ ((h1 << 31) | (h1 >> 33));
+  const std::uint64_t h = h0 ^ std::rotl(h1, 31);
   return h ^ (h >> 32);
 }
 
@@ -539,8 +545,15 @@ std::size_t PricingMemo::find(std::span<const ga::Gene> c,
   for (std::size_t e = 0; e < kCapacity; ++e) {
     Meta& m = meta_[e];
     if (m.used == 0 || m.hash != h) continue;
-    const std::span<const ga::Gene> k = key(e);
-    if (!std::equal(k.begin(), k.end(), c.begin())) continue;
+    // An OR of XORs with no early exit: the compiler vectorises it, and
+    // a hit has to read every gene anyway.
+    const ga::Gene* k = keys_.data() + e * genes_;
+    ga::Gene diff = 0;
+#pragma GCC unroll 4
+    for (std::size_t i = 0; i < genes_; ++i) {
+      diff |= k[i] ^ ScheduleCodec::schedule_gene(c[i]);
+    }
+    if (diff != 0) continue;
     m.used = ++clock_;
     return e;
   }
@@ -554,7 +567,8 @@ std::size_t PricingMemo::insert(std::span<const ga::Gene> c, std::uint64_t h,
   for (std::size_t i = 1; i < kCapacity; ++i) {
     if (meta_[i].used < meta_[e].used) e = i;
   }
-  std::copy(c.begin(), c.end(), keys_.begin() + e * genes_);
+  std::transform(c.begin(), c.end(), keys_.begin() + e * genes_,
+                 ScheduleCodec::schedule_gene);
   const auto from = schedule.offsets();
   std::uint32_t* off = offsets_.data() + e * (procs_ + 1);
   for (std::size_t j = 0; j <= procs_; ++j) {

@@ -185,14 +185,14 @@ class ScheduleEvaluator {
                                 QueueLoads& loads, std::size_t from,
                                 std::size_t to) const;
 
-  /// Memoized load_decoded: the index of the `ws.memo` entry holding `c`
-  /// as this evaluator prices it — a lookup when `c` is one of the
-  /// memo's recent chromosomes, otherwise load_decoded into
-  /// ws.schedule/ws.loads and an insert. Either way the entry's metrics
-  /// are bit-identical to load_decoded(c), and under kFast the call
-  /// advances ws.loads.audit_tick exactly once (a hit is shadow-priced
-  /// on the sampled period like any other pricing). `c` must have
-  /// num_tasks() + num_procs() − 1 genes.
+  /// Memoized load_decoded: the index of the `ws.memo` entry holding the
+  /// schedule of `c` as this evaluator prices it — a lookup when `c`
+  /// decodes to one of the memo's recent schedules, otherwise
+  /// load_decoded into ws.schedule/ws.loads and an insert. Either way the
+  /// entry's metrics are bit-identical to load_decoded(c), and under
+  /// kFast the call advances ws.loads.audit_tick exactly once (a hit is
+  /// shadow-priced on the sampled period like any other pricing). `c`
+  /// must have num_tasks() + num_procs() − 1 genes.
   std::size_t load_memo(const ScheduleCodec& codec, const ga::Chromosome& c,
                         EvalWorkspace& ws) const;
 
@@ -334,25 +334,30 @@ class ScheduleEvaluator {
 inline constexpr std::size_t kGatherShapeMinSlotsPerQueue = 8;
 
 /// Pricing memo (docs/evaluation.md "Pricing memo"): the kCapacity
-/// chromosomes a workspace priced most recently, each with the queue
+/// schedules a workspace priced most recently, each with the queue
 /// offsets and per-queue completion times its full pricing produced. A
-/// converging GA prices the same few chromosomes over and over; a hit
+/// converging GA prices the same few schedules over and over; a hit
 /// costs a hash and a compare instead of a decode and a full pricing,
 /// and is bit-identical to it because the entry holds the very doubles
 /// that pricing produced.
 ///
-/// The key is the chromosome itself: a 64-bit hash selects the
-/// candidate entry and a full compare is required before reuse. Entries
-/// are tagged with the evaluator that priced them (ScheduleEvaluator::
-/// id()); pricing through another evaluator clears the memo. A key
-/// doubles as its entry's decoded schedule — queue j's tasks are the
-/// key genes [queue_begin(e, j), queue_begin(e, j) + queue_size(e, j))
-/// — so re-balancing edits a hit entry in place: swap_genes() applies a
-/// candidate swap, commit() rekeys the entry to it, and a second
-/// swap_genes() undoes it. Storage is one arena per array, sized once
-/// per (evaluator shape, workspace): genes, uint32 queue offsets, and
-/// completions of non-empty queues only (an empty queue's C_j is δ_j),
-/// plus an N-slot scratch for the two queues a probe re-prices.
+/// The key is the chromosome in schedule form
+/// (ScheduleCodec::schedule_gene: every delimiter written as −1), so
+/// chromosomes that differ only in delimiter order share an entry —
+/// pricing depends on the decoded queues alone. A 64-bit hash of the
+/// schedule form selects the candidate entry and a full compare is
+/// required before reuse. Entries are tagged with the evaluator that
+/// priced them (ScheduleEvaluator::id()); pricing through another
+/// evaluator clears the memo. A key doubles as its entry's decoded
+/// schedule — task genes keep their chromosome positions, and queue j's
+/// tasks are the key genes [queue_begin(e, j), queue_begin(e, j) +
+/// queue_size(e, j)) — so re-balancing edits a hit entry in place:
+/// swap_genes() applies a candidate swap, commit() rekeys the entry to
+/// it, and a second swap_genes() undoes it. Storage is one arena per
+/// array, sized once per (evaluator shape, workspace): genes, uint32
+/// queue offsets, and completions of non-empty queues only (an empty
+/// queue's C_j is δ_j), plus an N-slot scratch for the two queues a
+/// probe re-prices.
 class PricingMemo {
  public:
   /// Entries kept, least recently used evicted first. On PN's streaming
@@ -364,7 +369,8 @@ class PricingMemo {
   /// Live entries.
   std::size_t size() const noexcept;
 
-  /// Entry `e`'s key: the chromosome it was priced for.
+  /// Entry `e`'s key: the schedule form of the chromosome it was priced
+  /// for (task genes at their chromosome positions, delimiters −1).
   std::span<const ga::Gene> key(std::size_t e) const noexcept {
     return {keys_.data() + e * genes_, genes_};
   }
@@ -406,14 +412,17 @@ class PricingMemo {
     std::size_t heaviest = 0;
   };
 
+  /// Hash of the schedule form of `c` (equal for `c` and its key).
   static std::uint64_t hash(std::span<const ga::Gene> c) noexcept;
   /// Drops every entry; the arenas are kept.
   void clear() noexcept;
   /// Clears the memo and shapes the arenas when `eval` is not the owner.
   void bind(const ScheduleEvaluator& eval);
-  /// Entry holding `c` (hash `h`), or kCapacity; refreshes its LRU stamp.
+  /// Entry whose key is the schedule form of `c` (hash `h`), or
+  /// kCapacity; refreshes its LRU stamp.
   std::size_t find(std::span<const ga::Gene> c, std::uint64_t h) noexcept;
-  /// Stores a fresh pricing of `c` over the least recently used entry.
+  /// Stores a fresh pricing of `c`, keyed by its schedule form, over the
+  /// least recently used entry.
   std::size_t insert(std::span<const ga::Gene> c, std::uint64_t h,
                      const FlatSchedule& schedule, const QueueLoads& loads);
   /// Completion slot of queue j in entry `e` (j's queue is non-empty).

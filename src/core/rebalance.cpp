@@ -19,10 +19,12 @@ void supply_evaluation(EvalWorkspace& ws, const BatchEvaluation& e) {
 bool rebalance_once(ga::Chromosome& c, const ScheduleCodec& codec,
                     const ScheduleEvaluator& eval, util::Rng& rng,
                     std::size_t probes, EvalWorkspace& ws) {
-  // Price through the workspace memo — a lookup when `c` is one of the
-  // recently priced chromosomes, else one fused decode + full pricing —
-  // and work on the memo entry in place: its key is `c`, laid out queue
-  // by queue, and it caches the heaviest processor and base fitness.
+  // Price through the workspace memo — a lookup when `c` decodes to one
+  // of the recently priced schedules, else one fused decode + full
+  // pricing — and work on the memo entry in place: its key is the
+  // schedule form of `c` (task genes where `c` has them, delimiters −1),
+  // and it caches the heaviest processor and base fitness. Probe
+  // positions are task positions, so they index `c` and the key alike.
   PricingMemo& memo = ws.memo;
   const std::size_t e = eval.load_memo(codec, c, ws);
   const BatchEvaluation base = memo.evaluation(e);
@@ -54,15 +56,16 @@ bool rebalance_once(ga::Chromosome& c, const ScheduleCodec& codec,
     const PricingMemoCandidate cand =
         eval.evaluate_memo_swap(codec, ws, e, other, heavy);
     if (cand.eval.fitness > base.fitness) {
-      // The swapped key is exactly the swapped chromosome, so `cand` is
-      // its full-pricing evaluation: rekey the entry and apply the swap.
+      // The swapped key is the schedule form of the swapped chromosome,
+      // so `cand` is its full-pricing evaluation: rekey the entry and
+      // apply the swap (two task genes; c's delimiters stay put).
       memo.commit(e, cand);
       std::swap(c[po], c[ph]);
       supply_evaluation(ws, cand.eval);
       return true;
     }
     // Found a smaller task but the swap was not fitter: undo it, so the
-    // entry again holds the unchanged chromosome and its base pricing.
+    // entry again holds the unchanged schedule and its base pricing.
     memo.swap_genes(e, po, ph);
     supply_evaluation(ws, base);
     return false;

@@ -33,11 +33,21 @@ double prefix_sums(std::span<const double> fitness, std::vector<double>& out) {
   return acc;
 }
 
+/// Index of the first prefix entry above `target` (std::upper_bound's
+/// answer on the non-decreasing prefix), clamped to the last index. A
+/// branch-free binary search: each halving step is a conditional move,
+/// so a draw costs no mispredicted branches (the draws are random).
 std::size_t locate(const std::vector<double>& prefix, double target) {
-  const auto it = std::upper_bound(prefix.begin(), prefix.end(), target);
-  return static_cast<std::size_t>(
-      std::min<std::ptrdiff_t>(it - prefix.begin(),
-                               static_cast<std::ptrdiff_t>(prefix.size()) - 1));
+  const double* base = prefix.data();
+  std::size_t n = prefix.size();
+  while (n > 1) {
+    const std::size_t half = n / 2;
+    base = target < base[half] ? base : base + half;
+    n -= half;
+  }
+  const std::size_t i =
+      static_cast<std::size_t>(base - prefix.data()) + !(target < *base);
+  return std::min(i, prefix.size() - 1);
 }
 
 /// Shared roulette-wheel core used by roulette and rank selection.

@@ -81,16 +81,21 @@ double Rng::uniform(double lo, double hi) noexcept {
 }
 
 std::int64_t Rng::uniform_int(std::int64_t lo, std::int64_t hi) noexcept {
-  const std::uint64_t range = static_cast<std::uint64_t>(hi - lo) + 1;
+  const std::uint64_t range =
+      static_cast<std::uint64_t>(hi) - static_cast<std::uint64_t>(lo) + 1;
   if (range == 0) return static_cast<std::int64_t>(gen_());  // full range
   // Rejection sampling: draw until the value falls in the largest multiple
-  // of `range` representable in 64 bits.
-  const std::uint64_t limit = (~std::uint64_t{0}) - (~std::uint64_t{0}) % range;
-  std::uint64_t draw;
-  do {
-    draw = gen_();
-  } while (draw >= limit);
-  return lo + static_cast<std::int64_t>(draw % range);
+  // of `range` representable in 64 bits. That limit is at least ~range + 1,
+  // so only a draw above ~range can be rejected, and only such a draw pays
+  // the division computing it.
+  std::uint64_t draw = gen_();
+  if (draw > ~range) {
+    const std::uint64_t limit =
+        (~std::uint64_t{0}) - (~std::uint64_t{0}) % range;
+    while (draw >= limit) draw = gen_();
+  }
+  return static_cast<std::int64_t>(static_cast<std::uint64_t>(lo) +
+                                   draw % range);
 }
 
 double Rng::normal() noexcept {
@@ -164,7 +169,7 @@ std::uint64_t Rng::poisson(double mean) noexcept {
 
 std::size_t Rng::index(std::size_t n) noexcept {
   return static_cast<std::size_t>(
-      uniform_int(0, static_cast<std::int64_t>(n) - 1));
+      uniform_int(0, static_cast<std::int64_t>(n - 1)));
 }
 
 bool Rng::bernoulli(double p) noexcept {

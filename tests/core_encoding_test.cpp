@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "util/rng.hpp"
 
 namespace gasched::core {
@@ -112,6 +114,19 @@ TEST(Codec, DelimiterGenesAreDistinctNegatives) {
     for (std::size_t k2 = 0; k2 < k; ++k2) {
       EXPECT_NE(g, ScheduleCodec::delimiter_gene(k2));
     }
+  }
+}
+
+TEST(Codec, ScheduleGeneWritesEveryDelimiterAsMinusOne) {
+  for (const std::size_t k : {0u, 1u, 48u, 65535u, 1u << 30}) {
+    EXPECT_EQ(ScheduleCodec::schedule_gene(ScheduleCodec::delimiter_gene(k)),
+              -1);
+  }
+  EXPECT_EQ(ScheduleCodec::schedule_gene(std::numeric_limits<ga::Gene>::min()),
+            -1);
+  for (const std::size_t s : {0u, 1u, 199u, 32768u, 1u << 30}) {
+    const ga::Gene g = ScheduleCodec::task_gene(s);
+    EXPECT_EQ(ScheduleCodec::schedule_gene(g), g);
   }
 }
 

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -205,14 +206,47 @@ ReferenceResult reference_rebalance(ga::Chromosome& c,
   return {false, true, base};
 }
 
+/// The schedule form of `c`, written out here rather than through the
+/// codec: task genes unchanged, every delimiter −1.
+ga::Chromosome schedule_form(ga::Chromosome c) {
+  for (ga::Gene& g : c) {
+    if (g < 0) g = -1;
+  }
+  return c;
+}
+
+/// True when `key` is the schedule form of `c`, gene for gene.
+bool is_schedule_form_of(std::span<const ga::Gene> key,
+                         const ga::Chromosome& c) {
+  const ga::Chromosome want = schedule_form(c);
+  return std::equal(key.begin(), key.end(), want.begin(), want.end());
+}
+
+/// `c` with its delimiter genes shuffled among the delimiter positions:
+/// another chromosome with the same decoded schedule.
+ga::Chromosome permute_delimiters(const ga::Chromosome& c, util::Rng& rng) {
+  std::vector<ga::Gene> delims;
+  for (const ga::Gene g : c) {
+    if (g < 0) delims.push_back(g);
+  }
+  rng.shuffle(delims);
+  ga::Chromosome out = c;
+  std::size_t k = 0;
+  for (ga::Gene& g : out) {
+    if (g < 0) g = delims[k++];
+  }
+  return out;
+}
+
 void expect_same(const BatchEvaluation& a, const BatchEvaluation& b) {
   EXPECT_EQ(a.fitness, b.fitness);
   EXPECT_EQ(a.makespan, b.makespan);
   EXPECT_EQ(a.relative_error, b.relative_error);
 }
 
-/// Entry `e` of `ws.memo` must hold `c` and exactly the schedule and load
-/// cache a fresh load_decoded(c) produces.
+/// Entry `e` of `ws.memo` must be keyed by the schedule form of `c` and
+/// hold exactly the schedule and load cache a fresh load_decoded(c)
+/// produces.
 void expect_entry_is_fresh_pricing(const ScheduleCodec& codec,
                                    const ScheduleEvaluator& eval,
                                    const EvalWorkspace& ws, std::size_t e,
@@ -221,7 +255,7 @@ void expect_entry_is_fresh_pricing(const ScheduleCodec& codec,
   QueueLoads fresh;
   const BatchEvaluation want = eval.load_decoded(codec, c, fresh_s, fresh);
   const auto key = ws.memo.key(e);
-  ASSERT_TRUE(std::equal(key.begin(), key.end(), c.begin(), c.end()));
+  ASSERT_TRUE(is_schedule_form_of(key, c));
   QueueLoads got;
   eval.unpack(ws.memo, e, got);
   expect_same(ws.memo.evaluation(e), want);
@@ -313,13 +347,12 @@ TEST(PricingMemo, RebalanceMatchesMemoFreePassProbeByProbe) {
         }
         EXPECT_EQ(r_memo.next_u64(), r_ref.next_u64());
         (changed ? accepted : rejected) += 1;
-        // c must be a hit on the first entry keyed by it (the one find()
-        // scans to first). A size check cannot tell: once the memo is full
-        // a miss evicts one entry and inserts another.
+        // c must be a hit on the first entry keyed by its schedule form
+        // (the one find() scans to first). A size check cannot tell: once
+        // the memo is full a miss evicts one entry and inserts another.
         std::size_t held = PricingMemo::kCapacity;
         for (std::size_t i = 0; i < PricingMemo::kCapacity; ++i) {
-          const auto k = ws.memo.key(i);
-          if (std::equal(k.begin(), k.end(), c.begin(), c.end())) {
+          if (is_schedule_form_of(ws.memo.key(i), c)) {
             held = i;
             break;
           }
@@ -407,14 +440,97 @@ TEST(PricingMemo, EvictsLeastRecentlyUsedEntry) {
   expect_entry_is_fresh_pricing(codec, eval, ws, e, cs.back());
   auto held = [&](const ga::Chromosome& c) {
     for (std::size_t i = 0; i < PricingMemo::kCapacity; ++i) {
-      const auto k = ws.memo.key(i);
-      if (std::equal(k.begin(), k.end(), c.begin(), c.end())) return true;
+      if (is_schedule_form_of(ws.memo.key(i), c)) return true;
     }
     return false;
   };
   EXPECT_TRUE(held(cs[0]));
   EXPECT_FALSE(held(cs[1]));
   for (std::size_t k = 2; k < cs.size(); ++k) EXPECT_TRUE(held(cs[k]));
+}
+
+TEST(PricingMemo, DelimiterPermutationsShareOneEntry) {
+  // Chromosomes that differ only in delimiter order decode to the same
+  // queues: the first is priced, every other is a hit on its entry and
+  // bit-identical to its own fresh pricing.
+  for (const NumericMode mode : {NumericMode::kExact, NumericMode::kFast}) {
+    util::Rng rng(37);
+    for (const auto& [tasks, procs] : kShapes) {
+      const ScheduleCodec codec(tasks, procs);
+      const ScheduleEvaluator eval(random_sizes(tasks, rng),
+                                   random_view(procs, rng), true, mode);
+      const ScheduleProblem problem(codec, eval);
+      for (int trial = 0; trial < 5; ++trial) {
+        EvalWorkspace ws;
+        const ga::Chromosome c = random_chromosome(codec, rng);
+        const std::size_t e = eval.load_memo(codec, c, ws);
+        for (int k = 0; k < 12; ++k) {
+          const ga::Chromosome v = permute_delimiters(c, rng);
+          ASSERT_EQ(codec.decode(v), codec.decode(c));
+          const auto ev = problem.evaluate(v, &ws);
+          FlatSchedule fs;
+          QueueLoads fl;
+          const BatchEvaluation want = eval.load_decoded(codec, v, fs, fl);
+          EXPECT_EQ(ev.fitness, want.fitness);
+          EXPECT_EQ(ev.objective, want.makespan);
+          ASSERT_EQ(eval.load_memo(codec, v, ws), e);
+          expect_entry_is_fresh_pricing(codec, eval, ws, e, v);
+        }
+        EXPECT_EQ(ws.memo.size(), 1u);
+      }
+    }
+  }
+}
+
+TEST(PricingMemo, RebalanceOnDelimiterPermutedHitKeepsCallerDelimiters) {
+  // A pass on a chromosome whose schedule is memoized under other
+  // delimiter values works on that entry in place. It must swap only
+  // task genes of the caller's chromosome, leave its delimiters where
+  // they were, and match the memo-free pass probe by probe.
+  for (const NumericMode mode : {NumericMode::kExact, NumericMode::kFast}) {
+    util::Rng rng(38);
+    std::size_t accepted = 0, rejected = 0;
+    for (const auto& [tasks, procs] : kShapes) {
+      const ScheduleCodec codec(tasks, procs);
+      const ScheduleEvaluator eval(random_sizes(tasks, rng),
+                                   random_view(procs, rng), true, mode);
+      EvalWorkspace ws;
+      FlatSchedule ref_s;
+      QueueLoads ref_loads;
+      ga::Chromosome c = random_chromosome(codec, rng);
+      eval.load_memo(codec, c, ws);
+      for (int step = 0; step < 150; ++step) {
+        // The memo holds one entry, the schedule of c; v shares it.
+        ga::Chromosome v = permute_delimiters(c, rng);
+        const ga::Chromosome before = v;
+        ga::Chromosome ref_v = v;
+        const std::uint64_t seed = 7000 + static_cast<std::uint64_t>(step);
+        util::Rng r_memo(seed), r_ref(seed);
+        ws.has_improve_evaluation = false;
+        const bool changed = rebalance_once(v, codec, eval, r_memo, 5, ws);
+        const ReferenceResult ref =
+            reference_rebalance(ref_v, codec, eval, r_ref, 5, ref_s, ref_loads);
+        ASSERT_EQ(ws.memo.size(), 1u) << "the pass must hit c's entry";
+        ASSERT_EQ(changed, ref.changed);
+        ASSERT_EQ(v, ref_v);
+        for (std::size_t i = 0; i < v.size(); ++i) {
+          if (before[i] < 0) ASSERT_EQ(v[i], before[i]);
+        }
+        ASSERT_EQ(ws.has_improve_evaluation, ref.supplied);
+        if (ref.supplied) {
+          EXPECT_EQ(ws.improve_evaluation.fitness, ref.eval.fitness);
+          EXPECT_EQ(ws.improve_evaluation.objective, ref.eval.makespan);
+        }
+        EXPECT_EQ(r_memo.next_u64(), r_ref.next_u64());
+        (changed ? accepted : rejected) += 1;
+        expect_entry_is_fresh_pricing(codec, eval, ws,
+                                      eval.load_memo(codec, v, ws), v);
+        c = v;
+      }
+    }
+    EXPECT_GT(accepted, 10u);
+    EXPECT_GT(rejected, 10u);
+  }
 }
 
 TEST(PricingMemo, FastModeAuditStreamMatchesMemoFreeReplay) {

@@ -5,8 +5,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <limits>
 #include <map>
 #include <memory>
+#include <numeric>
 #include <vector>
 
 namespace gasched::ga {
@@ -118,6 +121,123 @@ TEST(Sus, ZeroTotalFallsBackToUniform) {
   const std::vector<double> fitness{0.0, 0.0};
   const auto picks = sel.select(fitness, 1000, rng);
   EXPECT_EQ(picks.size(), 1000u);
+}
+
+// ---- Draw identity against a std::upper_bound reference ----------------
+
+/// The roulette and SUS draws written with std::upper_bound, plus counts
+/// of the edge cases the draws hit.
+struct ReferenceDraws {
+  std::size_t on_prefix = 0;  ///< targets exactly equal to a prefix value
+  std::size_t clamped = 0;    ///< upper_bound == end, clamped to n − 1
+
+  static std::vector<double> prefix_of(const std::vector<double>& fitness) {
+    std::vector<double> prefix;
+    double acc = 0.0;
+    for (const double f : fitness) {
+      acc += std::max(f, 0.0);
+      prefix.push_back(acc);
+    }
+    return prefix;
+  }
+
+  std::size_t locate(const std::vector<double>& prefix, double target) {
+    const auto it = std::upper_bound(prefix.begin(), prefix.end(), target);
+    on_prefix += std::binary_search(prefix.begin(), prefix.end(), target);
+    clamped += it == prefix.end();
+    return std::min(static_cast<std::size_t>(it - prefix.begin()),
+                    prefix.size() - 1);
+  }
+
+  std::vector<std::size_t> roulette(const std::vector<double>& fitness,
+                                    std::size_t count, util::Rng& rng) {
+    const std::vector<double> prefix = prefix_of(fitness);
+    const double total = prefix.back();
+    std::vector<std::size_t> out;
+    for (std::size_t i = 0; i < count; ++i) {
+      out.push_back(total <= 0.0 ? rng.index(fitness.size())
+                                 : locate(prefix, rng.uniform(0.0, total)));
+    }
+    return out;
+  }
+
+  std::vector<std::size_t> rank(const std::vector<double>& fitness,
+                                std::size_t count, util::Rng& rng) {
+    std::vector<std::size_t> order(fitness.size());
+    std::iota(order.begin(), order.end(), std::size_t{0});
+    std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
+      return fitness[a] < fitness[b];
+    });
+    std::vector<double> weight(fitness.size());
+    for (std::size_t r = 0; r < order.size(); ++r) {
+      weight[order[r]] = static_cast<double>(r + 1);
+    }
+    return roulette(weight, count, rng);
+  }
+
+  std::vector<std::size_t> sus(const std::vector<double>& fitness,
+                               std::size_t count, util::Rng& rng) {
+    const std::vector<double> prefix = prefix_of(fitness);
+    const double total = prefix.back();
+    std::vector<std::size_t> out;
+    if (total <= 0.0 || count == 0) {
+      for (std::size_t i = 0; i < count; ++i) {
+        out.push_back(rng.index(fitness.size()));
+      }
+      return out;
+    }
+    const double step = total / static_cast<double>(count);
+    double pointer = rng.uniform(0.0, step);
+    for (std::size_t i = 0; i < count; ++i) {
+      out.push_back(locate(prefix, pointer));
+      pointer += step;
+    }
+    return out;
+  }
+};
+
+TEST(SelectionDraws, MatchUpperBoundReference) {
+  // Subnormal fitness puts every target on the grid of multiples of the
+  // smallest subnormal d, so targets land exactly on prefix values, on
+  // the zero-fitness ties, and on the total (the last-index clamp).
+  const double d = std::numeric_limits<double>::denorm_min();
+  std::vector<std::vector<double>> populations = {
+      {d, 0.0, d, d},
+      {0.0, 0.0, d, 0.0, 2 * d, 0.0},
+      {0.0, 0.5, 0.0, 0.0, 0.25, 0.25, 0.0},
+      {-1.0, 0.3, 0.3, 0.0, 0.9},
+      {0.0, 0.0, 0.0},
+      {0.7},
+  };
+  util::Rng gen(40);
+  for (const std::size_t n : {2, 5, 20, 33, 64}) {
+    std::vector<double> f(n);
+    for (double& v : f) v = gen.bernoulli(0.3) ? 0.0 : gen.uniform01();
+    populations.push_back(f);
+  }
+  const RouletteSelection roulette;
+  const RankSelection rank;
+  const SusSelection sus;
+  ReferenceDraws ref;
+  std::size_t draws = 0;
+  std::uint64_t seed = 400;
+  for (const auto& fitness : populations) {
+    for (const std::size_t count : {std::size_t{1}, std::size_t{3},
+                                    fitness.size(), std::size_t{20}}) {
+      for (int rep = 0; rep < 16; ++rep, ++seed) {
+        util::Rng a(seed), b(seed);
+        ASSERT_EQ(roulette.select(fitness, count, a),
+                  ref.roulette(fitness, count, b));
+        ASSERT_EQ(rank.select(fitness, count, a), ref.rank(fitness, count, b));
+        ASSERT_EQ(sus.select(fitness, count, a), ref.sus(fitness, count, b));
+        ASSERT_EQ(a.next_u64(), b.next_u64());
+        draws += 3 * count;
+      }
+    }
+  }
+  EXPECT_GE(draws, 10000u);
+  EXPECT_GT(ref.on_prefix, 100u);
+  EXPECT_GT(ref.clamped, 10u);
 }
 
 class SelectionContract

@@ -9,6 +9,7 @@
 #include <cmath>
 #include <cstdint>
 #include <functional>
+#include <limits>
 #include <set>
 #include <thread>
 #include <vector>
@@ -219,6 +220,45 @@ TEST(Rng, SplitIsDeterministic) {
 TEST(Rng, IndexStaysInBounds) {
   Rng rng(13);
   for (int i = 0; i < 10000; ++i) ASSERT_LT(rng.index(17), 17u);
+}
+
+TEST(Rng, IndexMatchesTwoDivisionReference) {
+  // index() computes the rejection limit only for draws that can be
+  // rejected. The reference is the textbook form that computes it (one
+  // division) before every draw. Outputs and generator state must agree
+  // on every range, including 2^63 + 1, where the limit is 2^63 + 1 and
+  // about half of all draws are rejected.
+  const std::uint64_t max = ~std::uint64_t{0};
+  const std::uint64_t two63 = std::uint64_t{1} << 63;
+  const std::uint64_t ranges[] = {1, 2, 3, 20, 50, std::uint64_t{1} << 31,
+                                  (std::uint64_t{1} << 32) + 1, two63,
+                                  two63 + 1, max};
+  for (const std::uint64_t range : ranges) {
+    const std::uint64_t seed = 1000 + range % 977;
+    Rng rng(seed);
+    Xoshiro256StarStar gen(seed);
+    std::size_t rejected = 0;
+    for (int i = 0; i < 20000; ++i) {
+      const std::uint64_t limit = max - max % range;
+      std::uint64_t draw = gen();
+      while (draw >= limit) {
+        ++rejected;
+        draw = gen();
+      }
+      ASSERT_EQ(rng.index(range), draw % range) << "range " << range;
+    }
+    EXPECT_EQ(rng.next_u64(), gen()) << "range " << range;
+    if (range == two63 + 1) EXPECT_GT(rejected, 8000u);
+  }
+  // Full range (range == 0 inside uniform_int): the raw draw.
+  Rng rng(77);
+  Xoshiro256StarStar gen(77);
+  for (int i = 0; i < 1000; ++i) {
+    ASSERT_EQ(rng.uniform_int(std::numeric_limits<std::int64_t>::min(),
+                              std::numeric_limits<std::int64_t>::max()),
+              static_cast<std::int64_t>(gen()));
+  }
+  EXPECT_EQ(rng.next_u64(), gen());
 }
 
 TEST(Rng, BernoulliEdgeCases) {
