@@ -137,19 +137,6 @@ void BM_EvaluateWorkspaceMiss(benchmark::State& state) {
 }
 BENCHMARK(BM_EvaluateWorkspaceMiss)->Arg(50)->Arg(200)->Arg(1000);
 
-void BM_LoadDecoded(benchmark::State& state) {
-  // Fused decode + full pricing into the per-queue load cache — the
-  // rebalance/engine hot path (one chromosome pass, no second sweep).
-  BatchFixture f(static_cast<std::size_t>(state.range(0)), 50);
-  core::FlatSchedule flat;
-  core::QueueLoads loads;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        f.eval.load_decoded(f.codec, f.chromosome, flat, loads));
-  }
-}
-BENCHMARK(BM_LoadDecoded)->Arg(50)->Arg(200)->Arg(1000);
-
 void BM_EvaluateSwapDelta(benchmark::State& state) {
   // O(changed-queues) re-pricing after a cross-queue task swap, against
   // the cached loads — the rebalance probe cost, versus a full O(N)
@@ -176,29 +163,21 @@ void BM_EvaluateSwapDelta(benchmark::State& state) {
 BENCHMARK(BM_EvaluateSwapDelta)->Arg(50)->Arg(200)->Arg(1000);
 
 void BM_CompletionTimeKernel(benchmark::State& state) {
-  // Canonical left-to-right queue pricing (table-served costs) vs the
-  // sum-then-divide bulk form: range(1) selects the kernel so a single
-  // compare run shows both. The bulk form is opt-in only (not bitwise
-  // equal); this benchmark is where its headroom is measured.
+  // Canonical left-to-right queue pricing (table-served costs) of every
+  // queue of a decoded schedule on 8 processors.
   BatchFixture f(static_cast<std::size_t>(state.range(0)), 8);
   core::FlatSchedule flat;
   f.codec.decode_into(f.chromosome, flat);
-  const bool bulk = state.range(1) != 0;
   const std::size_t procs = flat.num_procs();
   for (auto _ : state) {
     double acc = 0.0;
     for (std::size_t j = 0; j < procs; ++j) {
-      acc += bulk ? f.eval.completion_time_bulk(j, flat.queue(j))
-                  : f.eval.completion_time(j, flat.queue(j));
+      acc += f.eval.completion_time(j, flat.queue(j));
     }
     benchmark::DoNotOptimize(acc);
   }
 }
-BENCHMARK(BM_CompletionTimeKernel)
-    ->Args({200, 0})
-    ->Args({200, 1})
-    ->Args({1000, 0})
-    ->Args({1000, 1});
+BENCHMARK(BM_CompletionTimeKernel)->Arg(200)->Arg(1000);
 
 void BM_CycleCrossover(benchmark::State& state) {
   BatchFixture f(static_cast<std::size_t>(state.range(0)), 50);

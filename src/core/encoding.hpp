@@ -76,7 +76,6 @@ class FlatSchedule {
 
  private:
   friend class ScheduleCodec;
-  friend class ScheduleEvaluator;  // fused decode+price (fitness.cpp)
 
   std::vector<std::size_t> slots_;    // N slots, grouped by processor
   std::vector<std::size_t> offsets_;  // M+1 offsets, offsets_[0] == 0

@@ -86,16 +86,6 @@ double ScheduleEvaluator::completion_time(
   return c;
 }
 
-double ScheduleEvaluator::completion_time_bulk(
-    std::size_t j, std::span<const std::size_t> queue) const {
-  double sum = 0.0;
-  for (const std::size_t slot : queue) {
-    sum += size_[slot];
-  }
-  return delta_[j] + sum / rate_[j] +
-         static_cast<double>(queue.size()) * comm_[j];
-}
-
 double ScheduleEvaluator::makespan(const FlatSchedule& schedule) const {
   double m = 0.0;
   for (std::size_t j = 0; j < schedule.num_procs(); ++j) {
@@ -135,6 +125,65 @@ namespace {
 double fitness_of_error(double e) {
   if (e <= 1.0) return 1.0;  // F = 1/E clamped into [0, 1]
   return 1.0 / e;
+}
+
+/// The reductions of m completion times: Σ_j (ψ − C_j)², max_j C_j and
+/// its first argmax. kExact reassembles them in ascending j — never
+/// adjusts them incrementally — so any two exact pricings of the same
+/// C_j agree bit for bit, however those C_j were reached; kFast runs the
+/// SIMD reduction kernel, which gives fast delta and fast full pricing
+/// the same bits in the same way.
+kernels::Reduction reduce_row(NumericMode mode, const double* c,
+                              std::size_t m, double psi) {
+  if (mode == NumericMode::kFast) return kernels::reduce_deviation(c, m, psi);
+  kernels::Reduction r;
+  double heavy_time = -1.0;
+  for (std::size_t j = 0; j < m; ++j) {
+    const double cj = c[j];
+    r.max = std::max(r.max, cj);
+    const double dev = psi - cj;
+    r.sum_sq += dev * dev;
+    if (cj > heavy_time) {
+      heavy_time = cj;
+      r.argmax = j;
+    }
+  }
+  return r;
+}
+
+BatchEvaluation metrics_of(const kernels::Reduction& r) {
+  const double e = std::sqrt(r.sum_sq);
+  return {fitness_of_error(e), r.max, e};
+}
+
+/// Certified rejection of a re-balance probe that moves two completions
+/// of an M-processor pricing with Σ_j (ψ − C_j)² = S from (a, b) to
+/// (a2, b2): true only when the candidate's sum S' is provably ≥ S in
+/// the evaluator's own arithmetic, so the candidate cannot be fitter.
+///
+/// S and S' are floating-point sums of M non-negative terms, each within
+/// a relative u = 2⁻⁵³ of (ψ − C_j)² (the rounded square, or an FMA's
+/// exact one), that differ only in the terms of the two queues. In any
+/// summation order a computed sum lies within γ_M·T of the exact sum T
+/// of its terms (γ_M = Mu / (1 − Mu)), so S' ≥ S once the exact change
+/// T' − T exceeds γ_M·(T + T'), where T + T' ≤ 2S(1 + γ_M) + d'_a + d'_b.
+/// Δ below is T' − T up to about 3u of the four squares it reads, so
+/// Δ > 4(M + 8)·u·(S + d_a + d_b + d'_a + d'_b) implies S' ≥ S, with room
+/// to spare for the rounding of the slack itself. Then E' = √S' ≥ E
+/// because correctly rounded sqrt is monotone, and F' ≤ F because 1/x
+/// and the clamp of fitness_of_error are monotone: `F' > F` would have
+/// been false. When S ≤ 1 the base fitness is already the maximum 1, so
+/// subnormal squares cannot make a rejection wrong either.
+bool certified_no_gain(double S, double psi, std::size_t m, double a,
+                       double b, double a2, double b2) {
+  const double da = (psi - a) * (psi - a);
+  const double db = (psi - b) * (psi - b);
+  const double na = (psi - a2) * (psi - a2);
+  const double nb = (psi - b2) * (psi - b2);
+  const double delta = (na + nb) - (da + db);
+  const double slack = 4.0 * static_cast<double>(m + 8) * 0x1p-53 *
+                       (S + da + db + na + nb);
+  return delta > slack;
 }
 
 }  // namespace
@@ -195,14 +244,16 @@ void ScheduleEvaluator::shadow_check(const FlatSchedule& schedule,
   audit_->record(dev);
 }
 
+bool ScheduleEvaluator::audit_sampled(std::uint64_t& tick) const {
+  if (audit_ == nullptr) return false;
+  const std::size_t period = audit_->config().sample_period;
+  return period != 0 && ++tick % period == 0;
+}
+
 void ScheduleEvaluator::maybe_audit(const FlatSchedule& schedule,
                                     const BatchEvaluation& fast,
                                     std::uint64_t& tick) const {
-  if (audit_ == nullptr) return;
-  const std::size_t period = audit_->config().sample_period;
-  if (period == 0) return;
-  if (++tick % period != 0) return;
-  shadow_check(schedule, fast);
+  if (audit_sampled(tick)) shadow_check(schedule, fast);
 }
 
 void ScheduleEvaluator::audit_batched(const ScheduleCodec& codec,
@@ -210,10 +261,7 @@ void ScheduleEvaluator::audit_batched(const ScheduleCodec& codec,
                                       const BatchEvaluation& fast,
                                       FlatSchedule& scratch,
                                       std::uint64_t& tick) const {
-  if (audit_ == nullptr) return;
-  const std::size_t period = audit_->config().sample_period;
-  if (period == 0) return;
-  if (++tick % period != 0) return;
+  if (!audit_sampled(tick)) return;
   // Sampled lanes re-decode (rare — once per sample_period pricings);
   // unsampled lanes never pay a second pass.
   codec.decode_into(c, scratch);
@@ -238,28 +286,15 @@ BatchEvaluation ScheduleEvaluator::evaluate(
 }
 
 BatchEvaluation ScheduleEvaluator::reduce(QueueLoads& loads) const {
-  // The reductions are always reassembled in ascending j from the cached
-  // per-queue values — never adjusted incrementally — so a delta re-price
-  // reduces the exact same doubles in the exact same order as a full
-  // pricing: bit-identical sum_sq, makespan, and first-argmax.
-  double m = 0.0;
-  double sum_sq = 0.0;
-  std::size_t heavy = 0;
-  double heavy_time = -1.0;
-  for (std::size_t j = 0; j < loads.completion.size(); ++j) {
-    const double cj = loads.completion[j];
-    m = std::max(m, cj);
-    sum_sq += loads.dev_sq[j];
-    if (cj > heavy_time) {
-      heavy_time = cj;
-      heavy = j;
-    }
-  }
-  loads.sum_sq = sum_sq;
-  loads.max_completion = m;
-  loads.heaviest = heavy;
-  const double e = std::sqrt(sum_sq);
-  loads.eval = {fitness_of_error(e), m, e};
+  // A delta re-price reduces the exact same completions through the exact
+  // same reduction as a full pricing: bit-identical sum_sq, makespan and
+  // first argmax in either numeric mode.
+  const kernels::Reduction r = reduce_row(
+      mode_, loads.completion.data(), loads.completion.size(), psi_);
+  loads.sum_sq = r.sum_sq;
+  loads.max_completion = r.max;
+  loads.heaviest = r.argmax;
+  loads.eval = metrics_of(r);
   return loads.eval;
 }
 
@@ -272,22 +307,6 @@ void ScheduleEvaluator::reprice_queue(
   loads.dev_sq[j] = dev * dev;
 }
 
-BatchEvaluation ScheduleEvaluator::reduce_fast(QueueLoads& loads) const {
-  // Kernel reduction straight from the completion array. A fast delta
-  // re-price reduces the exact same completions through the exact same
-  // kernel as a fast full pricing, so within kFast the delta paths stay
-  // bit-identical to load() — the invariant the rebalance loop's
-  // improve-supplied evaluation channel needs.
-  const kernels::Reduction r = kernels::reduce_deviation(
-      loads.completion.data(), loads.completion.size(), psi_);
-  loads.sum_sq = r.sum_sq;
-  loads.max_completion = r.max;
-  loads.heaviest = r.argmax;
-  const double e = std::sqrt(r.sum_sq);
-  loads.eval = {fitness_of_error(e), r.max, e};
-  return loads.eval;
-}
-
 BatchEvaluation ScheduleEvaluator::load_fast(const FlatSchedule& schedule,
                                              QueueLoads& out) const {
   const std::size_t M = schedule.num_procs();
@@ -295,7 +314,7 @@ BatchEvaluation ScheduleEvaluator::load_fast(const FlatSchedule& schedule,
   for (std::size_t j = 0; j < M; ++j) {
     out.completion[j] = fast_completion(j, schedule.queue(j));
   }
-  const BatchEvaluation fast = reduce_fast(out);
+  const BatchEvaluation fast = reduce(out);
   maybe_audit(schedule, fast, out.audit_tick);
   return fast;
 }
@@ -312,69 +331,12 @@ BatchEvaluation ScheduleEvaluator::load(const FlatSchedule& schedule,
   return reduce(out);
 }
 
-void ScheduleEvaluator::fused_decode_price(
-    const ScheduleCodec& codec, const ga::Chromosome& c,
-    FlatSchedule& schedule, std::vector<double>& completion) const {
-  // Mirror of ScheduleCodec::decode_into with the pricing fused into the
-  // walk: as each slot lands in its queue its cost is added to that
-  // queue's running C_j — the same left-to-right, queue-order summation
-  // completion_time() performs, so the result is bit-identical to
-  // decode_into + per-queue completion_time at half the passes over the
-  // chromosome.
-  const std::size_t M = codec.num_procs();
-  const std::size_t N = size_.size();
-  schedule.slots_.clear();
-  schedule.slots_.reserve(codec.num_tasks());
-  schedule.offsets_.resize(M + 1);
-  schedule.offsets_[0] = 0;
-  completion.resize(M);
-  for (std::size_t j = 0; j < M; ++j) completion[j] = delta_[j];
-  std::size_t proc = 0;
-  for (const ga::Gene g : c) {
-    if (ScheduleCodec::is_delimiter(g)) {
-      ++proc;
-      if (proc >= M) {
-        throw std::invalid_argument(
-            "ScheduleCodec::decode: too many delimiters");
-      }
-      schedule.offsets_[proc] = schedule.slots_.size();
-    } else {
-      const std::size_t slot = ScheduleCodec::task_slot(g);
-      schedule.slots_.push_back(slot);
-      completion[proc] += cost_[proc * N + slot];
-    }
-  }
-  for (std::size_t j = proc + 1; j <= M; ++j) {
-    schedule.offsets_[j] = schedule.slots_.size();
-  }
-}
-
 BatchEvaluation ScheduleEvaluator::load_decoded(const ScheduleCodec& codec,
                                                 const ga::Chromosome& c,
                                                 FlatSchedule& schedule,
                                                 QueueLoads& out) const {
-  if (mode_ == NumericMode::kFast) {
-    if (gather_shape_) {
-      // Long queues: decode once, then gather-sum each queue over its
-      // cost pane with the SIMD kernels.
-      codec.decode_into(c, schedule);
-      return load_fast(schedule, out);
-    }
-    // Short queues: the fused scalar walk prices faster than any gather;
-    // fast mode keeps it and vectorizes only the metrics reduction.
-    fused_decode_price(codec, c, schedule, out.completion);
-    const BatchEvaluation fast = reduce_fast(out);
-    maybe_audit(schedule, fast, out.audit_tick);
-    return fast;
-  }
-  fused_decode_price(codec, c, schedule, out.completion);
-  const std::size_t M = codec.num_procs();
-  out.dev_sq.resize(M);
-  for (std::size_t j = 0; j < M; ++j) {
-    const double dev = psi_ - out.completion[j];
-    out.dev_sq[j] = dev * dev;
-  }
-  return reduce(out);
+  codec.decode_into(c, schedule);
+  return load(schedule, out);
 }
 
 BatchEvaluation ScheduleEvaluator::reprice_pair(
@@ -383,7 +345,7 @@ BatchEvaluation ScheduleEvaluator::reprice_pair(
   if (mode_ == NumericMode::kFast) {
     loads.completion[qa] = fast_completion(qa, a);
     if (qb != qa) loads.completion[qb] = fast_completion(qb, b);
-    return reduce_fast(loads);
+    return reduce(loads);
   }
   reprice_queue(loads, qa, a);
   if (qb != qa) reprice_queue(loads, qb, b);
@@ -426,66 +388,114 @@ std::size_t ScheduleEvaluator::load_memo(const ScheduleCodec& codec,
                   ws.loads.audit_tick);
     return e;
   }
-  load_decoded(codec, c, ws.schedule, ws.loads);
-  return memo.insert(c, h, ws.schedule, ws.loads);
+  return load_memo_miss(codec, c, h, ws);
 }
 
-void ScheduleEvaluator::unpack(const PricingMemo& memo, std::size_t e,
-                               QueueLoads& out) const {
-  const std::size_t M = num_procs();
-  const PricingMemo::Meta& meta = memo.meta_[e];
-  const double* lane = memo.completion_.data() + e * memo.lanes_;
-  out.completion.resize(M);
-  for (std::size_t j = 0; j < M; ++j) {
-    out.completion[j] = memo.queue_size(e, j) == 0 ? delta_[j] : *lane++;
-  }
-  if (mode_ != NumericMode::kFast) {
-    out.dev_sq.resize(M);
-    for (std::size_t j = 0; j < M; ++j) {
-      const double dev = psi_ - out.completion[j];
-      out.dev_sq[j] = dev * dev;
-    }
-  }
-  out.sum_sq = meta.sum_sq;
-  out.max_completion = meta.eval.makespan;
-  out.heaviest = meta.heaviest;
-  out.eval = meta.eval;
-}
-
-PricingMemoCandidate ScheduleEvaluator::evaluate_memo_swap(
-    const ScheduleCodec& codec, EvalWorkspace& ws, std::size_t e,
-    std::size_t qa, std::size_t qb) const {
-  PricingMemo& memo = ws.memo;
-  QueueLoads& loads = ws.loads;
-  unpack(memo, e, loads);
-  // Slots of the two queues in key order — the spans evaluate_swap()
-  // would take from the decoded swapped key.
-  const auto key = memo.key(e);
-  std::size_t* slots = memo.probe_slots_.data();
-  auto queue_slots = [&](std::size_t j) {
-    const std::size_t begin = memo.queue_begin(e, j);
-    const std::size_t n = memo.queue_size(e, j);
+double ScheduleEvaluator::entry_completion(PricingMemo& memo, std::size_t e,
+                                           std::size_t j) const {
+  const ga::Gene* queue = memo.key(e).data() + memo.queue_begin(e, j);
+  const std::size_t n = memo.queue_size(e, j);
+  if (gather_shape_) {
+    std::size_t* slots = memo.probe_slots_.data();
     for (std::size_t i = 0; i < n; ++i) {
-      slots[i] = ScheduleCodec::task_slot(key[begin + i]);
+      slots[i] = ScheduleCodec::task_slot(queue[i]);
     }
-    const std::span<const std::size_t> queue(slots, n);
-    slots += n;
-    return queue;
-  };
-  const auto a = queue_slots(qa);
-  const auto b = qb == qa ? a : queue_slots(qb);
-  PricingMemoCandidate cand;
-  cand.qa = qa;
-  cand.qb = qb;
-  cand.eval = reprice_pair(loads, qa, a, qb, b);
-  // Stands in for evaluate_swap's audit: the sampled shadow pricing
-  // decodes the swapped key.
-  audit_batched(codec, key, cand.eval, ws.schedule, loads.audit_tick);
-  cand.sum_sq = loads.sum_sq;
-  cand.heaviest = loads.heaviest;
-  cand.completion_a = loads.completion[qa];
-  cand.completion_b = loads.completion[qb];
-  return cand;
+    return fast_queue_completion(j, {slots, n});
+  }
+  // completion_time()'s left-to-right sum, read straight off the key.
+  double cj = delta_[j];
+  const double* cost = cost_row(j);
+  for (std::size_t i = 0; i < n; ++i) {
+    cj += cost[ScheduleCodec::task_slot(queue[i])];
+  }
+  return cj;
+}
+
+[[gnu::noinline]] std::size_t ScheduleEvaluator::load_memo_miss(
+    const ScheduleCodec& codec, const ga::Chromosome& c, std::uint64_t h,
+    EvalWorkspace& ws) const {
+  const std::size_t M = num_procs();
+  // Checked before anything is written, so a bad chromosome leaves every
+  // entry as it was.
+  if (static_cast<std::size_t>(std::count_if(
+          c.begin(), c.end(), ScheduleCodec::is_delimiter)) >= M) {
+    throw std::invalid_argument("ScheduleCodec::decode: too many delimiters");
+  }
+  PricingMemo& memo = ws.memo;
+  const std::size_t e = memo.victim();
+  ga::Gene* key = memo.keys_.data() + e * memo.genes_;
+  std::uint32_t* off = memo.offsets_.data() + e * (M + 1);
+  double* completion = memo.completion_.data() + e * M;
+  // One pass over c writes the key, the queue offsets and, outside the
+  // kFast gather shape, each C_j, summed in queue order exactly as
+  // completion_time() sums it.
+  const bool fused = !gather_shape_;
+  const std::size_t N = num_tasks();
+  std::copy(delta_.begin(), delta_.end(), completion);
+  std::size_t proc = 0;
+  std::uint32_t tasks = 0;
+  off[0] = 0;
+  for (std::size_t i = 0; i < c.size(); ++i) {
+    const ga::Gene g = c[i];
+    key[i] = ScheduleCodec::schedule_gene(g);
+    if (ScheduleCodec::is_delimiter(g)) {
+      off[++proc] = tasks;
+    } else {
+      if (fused) {
+        completion[proc] += cost_[proc * N + ScheduleCodec::task_slot(g)];
+      }
+      ++tasks;
+    }
+  }
+  for (std::size_t j = proc + 1; j <= M; ++j) off[j] = tasks;
+  if (!fused) {
+    for (std::size_t j = 0; j < M; ++j) {
+      completion[j] = entry_completion(memo, e, j);
+    }
+  }
+  const kernels::Reduction r = reduce_row(mode_, completion, M, psi_);
+  const BatchEvaluation eval = metrics_of(r);
+  memo.meta_[e] = {h, ++memo.clock_, eval, r.sum_sq, r.argmax};
+  audit_batched(codec, c, eval, ws.schedule, ws.loads.audit_tick);
+  return e;
+}
+
+bool ScheduleEvaluator::try_memo_swap(const ScheduleCodec& codec,
+                                      EvalWorkspace& ws, std::size_t e,
+                                      std::size_t qa, std::size_t qb) const {
+  PricingMemo& memo = ws.memo;
+  PricingMemo::Meta& meta = memo.meta_[e];
+  const std::size_t M = num_procs();
+  double* completion = memo.completion_.data() + e * M;
+  const double old_a = completion[qa];
+  const double old_b = completion[qb];
+  const double new_a = entry_completion(memo, e, qa);
+  const double new_b = entry_completion(memo, e, qb);
+  // The probe stands in for one audited evaluate_swap(): a sampled one is
+  // priced in full so that its shadow check runs.
+  const bool sampled = audit_sampled(ws.loads.audit_tick);
+  if (!sampled &&
+      certified_no_gain(meta.sum_sq, psi_, M, old_a, old_b, new_a, new_b)) {
+    return false;
+  }
+  // The full reduction over the entry's completions with the two new
+  // values in place: the doubles, and the order, of a full pricing.
+  completion[qa] = new_a;
+  completion[qb] = new_b;
+  const kernels::Reduction r = reduce_row(mode_, completion, M, psi_);
+  const BatchEvaluation cand = metrics_of(r);
+  if (sampled) {
+    codec.decode_into(memo.key(e), ws.schedule);
+    shadow_check(ws.schedule, cand);
+  }
+  if (!(cand.fitness > meta.eval.fitness)) {
+    completion[qb] = old_b;
+    completion[qa] = old_a;
+    return false;
+  }
+  meta = {PricingMemo::hash(memo.key(e)), ++memo.clock_, cand, r.sum_sq,
+          r.argmax};
+  return true;
 }
 
 std::size_t PricingMemo::size() const noexcept {
@@ -533,10 +543,9 @@ void PricingMemo::bind(const ScheduleEvaluator& eval) {
   const std::size_t N = eval.num_tasks();
   procs_ = eval.num_procs();
   genes_ = N + procs_ - 1;
-  lanes_ = std::min(N, procs_);
   keys_.resize(kCapacity * genes_);
   offsets_.resize(kCapacity * (procs_ + 1));
-  completion_.resize(kCapacity * lanes_);
+  completion_.resize(kCapacity * procs_);
   probe_slots_.resize(N);
 }
 
@@ -560,32 +569,12 @@ std::size_t PricingMemo::find(std::span<const ga::Gene> c,
   return kCapacity;
 }
 
-std::size_t PricingMemo::insert(std::span<const ga::Gene> c, std::uint64_t h,
-                                const FlatSchedule& schedule,
-                                const QueueLoads& loads) {
+std::size_t PricingMemo::victim() const noexcept {
   std::size_t e = 0;
   for (std::size_t i = 1; i < kCapacity; ++i) {
     if (meta_[i].used < meta_[e].used) e = i;
   }
-  std::transform(c.begin(), c.end(), keys_.begin() + e * genes_,
-                 ScheduleCodec::schedule_gene);
-  const auto from = schedule.offsets();
-  std::uint32_t* off = offsets_.data() + e * (procs_ + 1);
-  for (std::size_t j = 0; j <= procs_; ++j) {
-    off[j] = static_cast<std::uint32_t>(from[j]);
-  }
-  double* lane = completion_.data() + e * lanes_;
-  for (std::size_t j = 0; j < procs_; ++j) {
-    if (off[j] != off[j + 1]) *lane++ = loads.completion[j];
-  }
-  meta_[e] = {h, ++clock_, loads.eval, loads.sum_sq, loads.heaviest};
   return e;
-}
-
-double& PricingMemo::completion(std::size_t e, std::size_t j) noexcept {
-  std::size_t rank = 0;
-  for (std::size_t i = 0; i < j; ++i) rank += queue_size(e, i) != 0;
-  return completion_[e * lanes_ + rank];
 }
 
 void PricingMemo::swap_genes(std::size_t e, std::size_t p,
@@ -594,18 +583,9 @@ void PricingMemo::swap_genes(std::size_t e, std::size_t p,
   std::swap(k[p], k[q]);
 }
 
-void PricingMemo::commit(std::size_t e, const PricingMemoCandidate& cand) {
-  completion(e, cand.qa) = cand.completion_a;
-  completion(e, cand.qb) = cand.completion_b;
-  meta_[e] = {hash(key(e)), ++clock_, cand.eval, cand.sum_sq, cand.heaviest};
-}
-
 BatchEvaluation ScheduleEvaluator::reduce_completion_fast(
     const double* completion) const {
-  const kernels::Reduction r =
-      kernels::reduce_deviation(completion, num_procs(), psi_);
-  const double e = std::sqrt(r.sum_sq);
-  return {fitness_of_error(e), r.max, e};
+  return metrics_of(kernels::reduce_deviation(completion, num_procs(), psi_));
 }
 
 ScheduleProblem::ScheduleProblem(const ScheduleCodec& codec,
@@ -640,8 +620,8 @@ void ScheduleProblem::evaluate_batch(std::span<const ga::Chromosome> pop,
                                      Workspace* ws, Evaluation* out) const {
   // The queue-major gather machinery below only pays off in the gather
   // shape (long queues). In the short-queue shape the per-chromosome
-  // fused decode+price walk (load_decoded via the base loop) is already
-  // the fastest pricing we have, so delegate to it.
+  // memoized pricing (load_memo via the base loop) is already the
+  // fastest pricing we have, so delegate to it.
   if (eval_.numeric_mode() != NumericMode::kFast || !eval_.gather_shape() ||
       ws == nullptr || indices.empty()) {
     ga::GaProblem::evaluate_batch(pop, indices, ws, out);

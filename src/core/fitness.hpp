@@ -39,19 +39,6 @@ struct BatchEvaluation {
   double relative_error = 0.0;  ///< E
 };
 
-/// A re-balance candidate of a PricingMemo entry
-/// (ScheduleEvaluator::evaluate_memo_swap): its metrics plus the two
-/// re-priced completions and reductions PricingMemo::commit() adopts.
-struct PricingMemoCandidate {
-  BatchEvaluation eval;
-  double sum_sq = 0.0;
-  std::size_t heaviest = 0;
-  std::size_t qa = 0;
-  std::size_t qb = 0;
-  double completion_a = 0.0;  ///< new C_qa
-  double completion_b = 0.0;  ///< new C_qb
-};
-
 /// Cached per-queue load state of one priced schedule: every C_j, its
 /// squared ψ-deviation, and the reduced metrics. Filled by
 /// ScheduleEvaluator::load()/load_decoded() and kept current by the
@@ -62,9 +49,8 @@ struct PricingMemoCandidate {
 /// valid only for (evaluator, schedule) pairs the caller controls — it
 /// holds no back-references, so any edit to the schedule outside the
 /// delta APIs, or pricing through a different evaluator, silently stales
-/// it. The workspace copy next to the decode target is the miss target
-/// of the pricing memo and the candidate state of re-balance probes;
-/// what outlives a pricing is the memo entry (see PricingMemo).
+/// it. What outlives a pricing is the memo entry (see PricingMemo); the
+/// workspace copy carries the kFast audit tick of the memo paths.
 struct QueueLoads {
   std::vector<double> completion;  ///< C_j per processor
   std::vector<double> dev_sq;      ///< (ψ − C_j)² per processor (exact mode)
@@ -78,12 +64,11 @@ struct QueueLoads {
   /// never races on it.
   std::uint64_t audit_tick = 0;
 
-  // Mode note (docs/evaluation.md): under kExact, dev_sq caches the
-  // per-queue squares and sum_sq is their j-ascending sum — the bitwise
-  // delta-repricing contract. Under kFast, dev_sq is not maintained
-  // (reductions recompute from `completion` with the SIMD kernel, which
-  // is what keeps fast delta pricing bit-identical to fast full pricing)
-  // and sum_sq holds the kernel's vector-order sum.
+  // Mode note (docs/evaluation.md): reductions always recompute from
+  // `completion`, which is what keeps delta pricing bit-identical to full
+  // pricing. Under kExact, dev_sq holds the per-queue squares and sum_sq
+  // is their j-ascending sum. Under kFast, dev_sq is not maintained and
+  // sum_sq holds the SIMD kernel's vector-order sum.
 };
 
 /// Evaluates schedules for one batch against one system snapshot.
@@ -159,10 +144,8 @@ class ScheduleEvaluator {
   /// metrics are bit-identical to evaluate(schedule).
   BatchEvaluation load(const FlatSchedule& schedule, QueueLoads& out) const;
 
-  /// Fused decode + full pricing: decodes `c` into `schedule` (same
-  /// result as ScheduleCodec::decode_into) while accumulating each C_j in
-  /// queue order — one pass over the chromosome instead of a decode pass
-  /// plus a pricing pass. Bit-identical to decode_into + load.
+  /// Decode + full pricing: decode_into(c, schedule), then load(). The
+  /// GA's hot path prices through load_memo() instead.
   BatchEvaluation load_decoded(const ScheduleCodec& codec,
                                const ga::Chromosome& c,
                                FlatSchedule& schedule, QueueLoads& out) const;
@@ -187,44 +170,31 @@ class ScheduleEvaluator {
 
   /// Memoized load_decoded: the index of the `ws.memo` entry holding the
   /// schedule of `c` as this evaluator prices it — a lookup when `c`
-  /// decodes to one of the memo's recent schedules, otherwise
-  /// load_decoded into ws.schedule/ws.loads and an insert. Either way the
-  /// entry's metrics are bit-identical to load_decoded(c), and under
-  /// kFast the call advances ws.loads.audit_tick exactly once (a hit is
-  /// shadow-priced on the sampled period like any other pricing). `c`
-  /// must have num_tasks() + num_procs() − 1 genes.
+  /// decodes to one of the memo's recent schedules, otherwise one fused
+  /// decode + full pricing straight into the least recently used entry.
+  /// Either way the entry's metrics are bit-identical to
+  /// load_decoded(c), and under kFast the call advances
+  /// ws.loads.audit_tick exactly once (a hit is shadow-priced on the
+  /// sampled period like any other pricing). `c` must have num_tasks() +
+  /// num_procs() − 1 genes; too many delimiters throw
+  /// std::invalid_argument before any entry is touched.
   std::size_t load_memo(const ScheduleCodec& codec, const ga::Chromosome& c,
                         EvalWorkspace& ws) const;
 
-  /// evaluate_swap() for a memo entry: entry `e` of ws.memo has had one
-  /// task of queue `qa` exchanged with one of queue `qb` in its key
-  /// (PricingMemo::swap_genes) and is otherwise current. Re-prices the
-  /// two queues and the reductions — bit-identical to load_decoded of
-  /// the swapped key, audit tick included — without touching the entry:
-  /// PricingMemo::commit() adopts the candidate, or swapping the genes
-  /// back drops it. Unpacks the entry into ws.loads and re-prices the
-  /// two queues, read straight off the swapped key, through the pricing
-  /// core evaluate_swap() uses; a sampled kFast audit decodes the key
-  /// into ws.schedule.
-  PricingMemoCandidate evaluate_memo_swap(const ScheduleCodec& codec,
-                                          EvalWorkspace& ws, std::size_t e,
-                                          std::size_t qa,
-                                          std::size_t qb) const;
-
-  /// Rebuilds into `out` the load cache a full pricing of entry `e` of
-  /// `memo` produces: every C_j (δ_j for empty queues), the squared
-  /// deviations under kExact, and the cached reductions. The audit tick
-  /// is left alone.
-  void unpack(const PricingMemo& memo, std::size_t e, QueueLoads& out) const;
-
-  /// Vectorizable bulk kernel: C_j as a contiguous slot-size sum followed
-  /// by one divide — Σ t_y / P_j + n·Γc_j + δ_j. Mathematically equal to
-  /// completion_time() but NOT bitwise (different FP association), so the
-  /// canonical pricing paths never use it; it exists for throughput
-  /// experiments (bench BM_CompletionTimeKernel) and future opt-in
-  /// consumers that tolerate last-ulp drift.
-  double completion_time_bulk(std::size_t j,
-                              std::span<const std::size_t> queue) const;
+  /// Re-balance probe on a memo entry: entry `e` of ws.memo has had one
+  /// task of queue `qa` exchanged with one of queue `qb` (qa ≠ qb) in its
+  /// key (PricingMemo::swap_genes) and is otherwise current. Returns true
+  /// when the swapped key prices strictly fitter than the entry; the
+  /// entry then holds the full pricing of its swapped key, bit-identical
+  /// to load_decoded of it, and is rekeyed. Otherwise the entry's loads
+  /// are unchanged and the caller swaps the genes back. Most rejections
+  /// are certified from the two re-priced queues alone, without the
+  /// O(M) reduction (docs/evaluation.md "Pricing memo"). Under kFast the
+  /// call advances ws.loads.audit_tick once, like the evaluate_swap() it
+  /// stands in for; a sampled probe is priced in full and its swapped key
+  /// decoded into ws.schedule for the shadow check.
+  bool try_memo_swap(const ScheduleCodec& codec, EvalWorkspace& ws,
+                     std::size_t e, std::size_t qa, std::size_t qb) const;
 
   /// Size of batch slot `slot` in MFLOPs.
   double task_size(std::size_t slot) const { return size_.at(slot); }
@@ -265,8 +235,8 @@ class ScheduleEvaluator {
   std::uint64_t id() const noexcept { return id_; }
 
  private:
-  /// Recomputes the j-ascending reductions (sum_sq/max/argmax/eval) of
-  /// `loads` from its cached completion/dev_sq arrays.
+  /// Recomputes the reductions (sum_sq/max/argmax/eval) of `loads` from
+  /// its completion array in the numeric mode's arithmetic.
   BatchEvaluation reduce(QueueLoads& loads) const;
   /// Re-prices exactly queue `j` (its slots in queue order) into `loads`
   /// (canonical left-to-right summation), without touching the
@@ -293,16 +263,6 @@ class ScheduleEvaluator {
   /// the fast-full == fast-delta bit-identity holds in either shape.
   double fast_completion(std::size_t j,
                          std::span<const std::size_t> queue) const;
-  /// The fused decode+price walk shared by the exact load_decoded() and
-  /// the short-queue fast shape: decodes `c` into `schedule` while
-  /// accumulating each C_j (seeded with δ_j) into `completion` in queue
-  /// order — the same left-to-right summation completion_time() performs.
-  void fused_decode_price(const ScheduleCodec& codec, const ga::Chromosome& c,
-                          FlatSchedule& schedule,
-                          std::vector<double>& completion) const;
-  /// Kernel reduction of `loads` (completion array only; dev_sq is not
-  /// maintained under kFast).
-  BatchEvaluation reduce_fast(QueueLoads& loads) const;
   /// Fast full pricing (kFast body of load()).
   BatchEvaluation load_fast(const FlatSchedule& schedule,
                             QueueLoads& out) const;
@@ -315,6 +275,19 @@ class ScheduleEvaluator {
   /// `fast`. Hard-errors (throws) on a violation.
   void maybe_audit(const FlatSchedule& schedule, const BatchEvaluation& fast,
                    std::uint64_t& tick) const;
+  /// Bumps the audit sampling counter `tick` (kFast with an audit only)
+  /// and reports whether this bump is a sampled one.
+  bool audit_sampled(std::uint64_t& tick) const;
+  /// C_j of queue j of memo entry `e`, read off its key in the numeric
+  /// mode's per-queue arithmetic (fast_completion()).
+  double entry_completion(PricingMemo& memo, std::size_t e,
+                          std::size_t j) const;
+  /// The miss half of load_memo(), kept out of line so the hit path
+  /// stays small: decodes and prices `c` (hash `h`) straight into the
+  /// least recently used entry.
+  std::size_t load_memo_miss(const ScheduleCodec& codec,
+                             const ga::Chromosome& c, std::uint64_t h,
+                             EvalWorkspace& ws) const;
 
   std::vector<double> size_;   // t_i per batch slot
   std::vector<double> rate_;   // P_j
@@ -351,19 +324,21 @@ inline constexpr std::size_t kGatherShapeMinSlotsPerQueue = 8;
 /// evaluator clears the memo. A key doubles as its entry's decoded
 /// schedule — task genes keep their chromosome positions, and queue j's
 /// tasks are the key genes [queue_begin(e, j), queue_begin(e, j) +
-/// queue_size(e, j)) — so re-balancing edits a hit entry in place:
-/// swap_genes() applies a candidate swap, commit() rekeys the entry to
-/// it, and a second swap_genes() undoes it. Storage is one arena per
-/// array, sized once per (evaluator shape, workspace): genes, uint32
-/// queue offsets, and completions of non-empty queues only (an empty
-/// queue's C_j is δ_j), plus an N-slot scratch for the two queues a
-/// probe re-prices.
+/// queue_size(e, j)) — so misses decode into an entry and re-balancing
+/// edits a hit entry in place: swap_genes() applies a candidate swap,
+/// ScheduleEvaluator::try_memo_swap() prices it against the entry's
+/// completions and keeps it when fitter, and a second swap_genes()
+/// undoes a rejected one. Storage is one arena per array, sized once
+/// per (evaluator shape, workspace): genes, uint32 queue offsets, and
+/// all M completions of each entry, plus an N-slot scratch for the
+/// kFast gather shape.
 class PricingMemo {
  public:
-  /// Entries kept, least recently used evicted first. On PN's streaming
-  /// workload, 71% of re-balance pricings repeat one of the last 4
-  /// distinct chromosomes, 87% one of the last 8, and 92% one of the last
-  /// 20; 8 keeps most of the hits at a fraction of the heap.
+  /// Entries kept, least recently used evicted first. Recency ranks of
+  /// the entries lookups hit, one round each: on PN's streaming workload
+  /// 93.7% hit the most recent entry, 5.4% the second and 0.23% miss; on
+  /// its batch workload ranks 1–8 take 16.8/10.3/7.5/6.0/4.9/4.2/3.6/3.2%
+  /// and 43.6% miss. 8 keeps most of the hits at a fraction of the heap.
   static constexpr std::size_t kCapacity = 8;
 
   /// Live entries.
@@ -374,10 +349,17 @@ class PricingMemo {
   std::span<const ga::Gene> key(std::size_t e) const noexcept {
     return {keys_.data() + e * genes_, genes_};
   }
+  /// Entry `e`'s completion times C_j, one per processor (δ_j for an
+  /// empty queue).
+  std::span<const double> completions(std::size_t e) const noexcept {
+    return {completion_.data() + e * procs_, procs_};
+  }
   /// Reduced metrics of entry `e`.
   const BatchEvaluation& evaluation(std::size_t e) const noexcept {
     return meta_[e].eval;
   }
+  /// Σ_j (ψ − C_j)² of entry `e`, as its pricing summed it.
+  double sum_sq(std::size_t e) const noexcept { return meta_[e].sum_sq; }
   /// First argmax_j C_j of entry `e`.
   std::size_t heaviest(std::size_t e) const noexcept {
     return meta_[e].heaviest;
@@ -394,12 +376,9 @@ class PricingMemo {
 
   /// Exchanges key genes p and q of entry `e` — the in-place schedule
   /// edit of a re-balance probe. The cached loads are not touched:
-  /// either commit() the candidate priced by
-  /// ScheduleEvaluator::evaluate_memo_swap() or call swap_genes() again.
+  /// price it with ScheduleEvaluator::try_memo_swap(), and call
+  /// swap_genes() again when that rejects it.
   void swap_genes(std::size_t e, std::size_t p, std::size_t q) noexcept;
-  /// Adopts `cand` as entry `e`'s loads and rekeys the entry to its
-  /// swapped key.
-  void commit(std::size_t e, const PricingMemoCandidate& cand);
 
  private:
   friend class ScheduleEvaluator;
@@ -421,23 +400,18 @@ class PricingMemo {
   /// Entry whose key is the schedule form of `c` (hash `h`), or
   /// kCapacity; refreshes its LRU stamp.
   std::size_t find(std::span<const ga::Gene> c, std::uint64_t h) noexcept;
-  /// Stores a fresh pricing of `c`, keyed by its schedule form, over the
-  /// least recently used entry.
-  std::size_t insert(std::span<const ga::Gene> c, std::uint64_t h,
-                     const FlatSchedule& schedule, const QueueLoads& loads);
-  /// Completion slot of queue j in entry `e` (j's queue is non-empty).
-  double& completion(std::size_t e, std::size_t j) noexcept;
+  /// The least recently used entry (an empty one first): a miss's target.
+  std::size_t victim() const noexcept;
 
   std::array<Meta, kCapacity> meta_{};
   std::vector<ga::Gene> keys_;            // kCapacity × genes_
   std::vector<std::uint32_t> offsets_;    // kCapacity × (procs_ + 1)
-  std::vector<double> completion_;        // kCapacity × lanes_
-  std::vector<std::size_t> probe_slots_;  // N: slots of re-priced queues
+  std::vector<double> completion_;        // kCapacity × procs_
+  std::vector<std::size_t> probe_slots_;  // N: gather-shape queue slots
   std::uint64_t owner_ = 0;               // evaluator id of the entries
   std::uint64_t clock_ = 0;
   std::size_t genes_ = 0;
   std::size_t procs_ = 0;
-  std::size_t lanes_ = 0;  // min(N, M): most queues that can be non-empty
 };
 
 /// Caller-owned, reusable evaluation scratch: the flat decode target, the

@@ -51,17 +51,14 @@ bool rebalance_once(ga::Chromosome& c, const ScheduleCodec& codec,
     if (!(eval.task_size(small_slot) < eval.task_size(big_slot))) continue;
 
     // Candidate: swap the two tasks between queues in the entry's key and
-    // delta-price only the two changed queues against its cached loads.
+    // price only the two changed queues against its cached completions.
     memo.swap_genes(e, po, ph);
-    const PricingMemoCandidate cand =
-        eval.evaluate_memo_swap(codec, ws, e, other, heavy);
-    if (cand.eval.fitness > base.fitness) {
-      // The swapped key is the schedule form of the swapped chromosome,
-      // so `cand` is its full-pricing evaluation: rekey the entry and
-      // apply the swap (two task genes; c's delimiters stay put).
-      memo.commit(e, cand);
+    if (eval.try_memo_swap(codec, ws, e, other, heavy)) {
+      // The entry is now keyed by the schedule form of the swapped
+      // chromosome and holds its full pricing: apply the swap to c (two
+      // task genes; c's delimiters stay put).
       std::swap(c[po], c[ph]);
-      supply_evaluation(ws, cand.eval);
+      supply_evaluation(ws, memo.evaluation(e));
       return true;
     }
     // Found a smaller task but the swap was not fitter: undo it, so the

@@ -380,26 +380,6 @@ TEST(FlatEval, CostTableServesDefiningExpression) {
   }
 }
 
-TEST(FlatEval, BulkKernelMatchesCanonicalWithinUlps) {
-  util::Rng rng(1414);
-  FlatSchedule flat;
-  for (int round = 0; round < 20; ++round) {
-    const std::size_t tasks = 1 + rng.index(60);
-    const std::size_t procs = 1 + rng.index(10);
-    const ScheduleCodec codec(tasks, procs);
-    const ScheduleEvaluator eval(random_sizes(tasks, rng),
-                                 random_view(procs, rng), rng.bernoulli(0.5));
-    codec.decode_into(random_chromosome(codec, rng), flat);
-    for (std::size_t j = 0; j < procs; ++j) {
-      // Sum-then-divide re-associates the FP reduction: mathematically
-      // equal, near-equal in doubles, deliberately NOT bit-identical.
-      EXPECT_NEAR(eval.completion_time_bulk(j, flat.queue(j)),
-                  eval.completion_time(j, flat.queue(j)),
-                  1e-9 * (1.0 + eval.completion_time(j, flat.queue(j))));
-    }
-  }
-}
-
 TEST(FlatEval, DecodeIntoRejectsTooManyDelimiters) {
   const ScheduleCodec codec(2, 2);
   FlatSchedule flat;

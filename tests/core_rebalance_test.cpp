@@ -5,7 +5,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <iterator>
 #include <span>
+#include <stdexcept>
 #include <utility>
 #include <vector>
 
@@ -164,6 +166,12 @@ struct ReferenceResult {
   bool changed = false;
   bool supplied = false;
   BatchEvaluation eval;
+  /// The evaluated probe, if there was one: the base pricing's sum of
+  /// squared deviations and the two swapped queues' completions before
+  /// (a = the other queue, b = the heavy one) and after the swap.
+  bool probed = false;
+  double base_sum_sq = 0.0;
+  double old_a = 0.0, old_b = 0.0, new_a = 0.0, new_b = 0.0;
 };
 /// The re-balancing pass without the memo: a fused decode + full pricing
 /// on every call, the probe on the decoded schedule and its load cache.
@@ -187,8 +195,12 @@ ReferenceResult reference_rebalance(ga::Chromosome& c,
     const std::size_t small_slot = other_q[oi];
     const std::size_t big_slot = heavy_q[hi];
     if (!(eval.task_size(small_slot) < eval.task_size(big_slot))) continue;
+    ReferenceResult r{false, true, base, true, loads.sum_sq,
+                      loads.completion[other], loads.completion[heavy]};
     std::swap(other_q[oi], heavy_q[hi]);
     const BatchEvaluation cand = eval.evaluate_swap(s, loads, other, heavy);
+    r.new_a = loads.completion[other];
+    r.new_b = loads.completion[heavy];
     if (cand.fitness > base.fitness) {
       const ga::Gene g_small = ScheduleCodec::task_gene(small_slot);
       const ga::Gene g_big = ScheduleCodec::task_gene(big_slot);
@@ -199,11 +211,29 @@ ReferenceResult reference_rebalance(ga::Chromosome& c,
           g = g_small;
         }
       }
-      return {true, true, cand};
+      r.changed = true;
+      r.eval = cand;
     }
-    return {false, true, base};
+    return r;
   }
   return {false, true, base};
+}
+
+/// Δ = (d'_a + d'_b) − (d_a + d_b) of an evaluated probe, with
+/// d = (ψ − C)²: the change of the sum of squares the certificate reads.
+double probe_delta(const ReferenceResult& r, double psi) {
+  auto sq = [psi](double c) { return (psi - c) * (psi - c); };
+  return (sq(r.new_a) + sq(r.new_b)) - (sq(r.old_a) + sq(r.old_b));
+}
+
+/// The certificate's slack 4(M + 8)·u·(S + d_a + d_b + d'_a + d'_b),
+/// or only its four-term part when `with_base` is false.
+double certificate_slack(const ReferenceResult& r, double psi, std::size_t M,
+                         bool with_base) {
+  auto sq = [psi](double c) { return (psi - c) * (psi - c); };
+  const double terms = sq(r.old_a) + sq(r.old_b) + sq(r.new_a) + sq(r.new_b);
+  return 4.0 * static_cast<double>(M + 8) * 0x1p-53 *
+         ((with_base ? r.base_sum_sq : 0.0) + terms);
 }
 
 /// The schedule form of `c`, written out here rather than through the
@@ -256,17 +286,20 @@ void expect_entry_is_fresh_pricing(const ScheduleCodec& codec,
   const BatchEvaluation want = eval.load_decoded(codec, c, fresh_s, fresh);
   const auto key = ws.memo.key(e);
   ASSERT_TRUE(is_schedule_form_of(key, c));
-  QueueLoads got;
-  eval.unpack(ws.memo, e, got);
+  const auto got = ws.memo.completions(e);
   expect_same(ws.memo.evaluation(e), want);
-  EXPECT_EQ(got.completion, fresh.completion);
-  if (eval.numeric_mode() == NumericMode::kExact) {
-    EXPECT_EQ(got.dev_sq, fresh.dev_sq);
+  ASSERT_EQ(got.size(), fresh.completion.size());
+  for (std::size_t j = 0; j < got.size(); ++j) {
+    EXPECT_EQ(got[j], fresh.completion[j]) << "C_" << j;
+    if (eval.numeric_mode() == NumericMode::kExact) {
+      const double dev = eval.psi() - got[j];
+      EXPECT_EQ(dev * dev, fresh.dev_sq[j]) << "(psi - C_" << j << ")^2";
+    }
   }
-  EXPECT_EQ(got.sum_sq, fresh.sum_sq);
-  EXPECT_EQ(got.max_completion, fresh.max_completion);
-  EXPECT_EQ(got.heaviest, fresh.heaviest);
-  expect_same(got.eval, fresh.eval);
+  EXPECT_EQ(ws.memo.sum_sq(e), fresh.sum_sq);
+  EXPECT_EQ(ws.memo.evaluation(e).makespan, fresh.max_completion);
+  EXPECT_EQ(ws.memo.heaviest(e), fresh.heaviest);
+  expect_same(ws.memo.evaluation(e), fresh.eval);
   for (std::size_t j = 0; j < codec.num_procs(); ++j) {
     ASSERT_EQ(ws.memo.queue_size(e, j), fresh_s.queue(j).size());
     for (std::size_t i = 0; i < fresh_s.queue(j).size(); ++i) {
@@ -574,6 +607,152 @@ TEST(PricingMemo, FastModeAuditStreamMatchesMemoFreeReplay) {
     EXPECT_GT(memo_audit.samples(), 50u);
     EXPECT_EQ(memo_audit.samples(), ref_audit.samples());
     EXPECT_EQ(memo_audit.max_deviation(), ref_audit.max_deviation());
+  }
+}
+
+TEST(PricingMemo, CertifiedRejectionsMatchExactProbesOnRandomShapes) {
+  // Differential test of the probe certificate. Every pass must match the
+  // memo-free pass, which prices every candidate in full: outcome,
+  // chromosome, published evaluation and RNG state. Every probe whose Δ
+  // exceeds the certificate's slack is also checked against its exact
+  // candidate directly: that candidate must never be fitter.
+  for (const NumericMode mode : {NumericMode::kExact, NumericMode::kFast}) {
+    util::Rng rng(39);
+    std::vector<std::pair<std::size_t, std::size_t>> shapes(
+        std::begin(kShapes), std::end(kShapes));
+    shapes.insert(shapes.end(), {{50, 50}, {3, 64}, {120, 64}, {400, 64}});
+    for (int k = 0; k < 8; ++k) {
+      shapes.emplace_back(1 + rng.index(150), 2 + rng.index(63));
+    }
+    std::size_t probes = 0, certified = 0, accepted = 0;
+    for (const auto& [tasks, procs] : shapes) {
+      const ScheduleCodec codec(tasks, procs);
+      const ScheduleEvaluator eval(random_sizes(tasks, rng),
+                                   random_view(procs, rng), true, mode);
+      EvalWorkspace ws;
+      FlatSchedule ref_s;
+      QueueLoads ref_loads;
+      std::vector<ga::Chromosome> pool;
+      for (int k = 0; k < 3; ++k) pool.push_back(random_chromosome(codec, rng));
+      for (int step = 0; step < 600; ++step) {
+        ga::Chromosome& c = pool[rng.index(pool.size())];
+        ga::Chromosome ref_c = c;
+        const std::uint64_t seed = 9000 + static_cast<std::uint64_t>(step);
+        util::Rng r_memo(seed), r_ref(seed);
+        ws.has_improve_evaluation = false;
+        const bool changed = rebalance_once(c, codec, eval, r_memo, 5, ws);
+        const ReferenceResult ref =
+            reference_rebalance(ref_c, codec, eval, r_ref, 5, ref_s, ref_loads);
+        ASSERT_EQ(changed, ref.changed) << tasks << "x" << procs;
+        ASSERT_EQ(c, ref_c);
+        ASSERT_EQ(ws.has_improve_evaluation, ref.supplied);
+        if (ref.supplied) {
+          EXPECT_EQ(ws.improve_evaluation.fitness, ref.eval.fitness);
+          EXPECT_EQ(ws.improve_evaluation.objective, ref.eval.makespan);
+        }
+        ASSERT_EQ(r_memo.next_u64(), r_ref.next_u64());
+        if (!ref.probed) continue;
+        ++probes;
+        accepted += ref.changed;
+        if (probe_delta(ref, eval.psi()) >
+            certificate_slack(ref, eval.psi(), procs, true)) {
+          ++certified;
+          ASSERT_FALSE(ref.changed) << "a certified probe was fitter";
+        }
+      }
+    }
+    EXPECT_GT(certified, probes / 2);
+    EXPECT_GT(accepted, 100u);
+  }
+}
+
+TEST(PricingMemo, NearTieProbeWithPositiveDeltaIsPricedInFull) {
+  // Δ > 0 alone does not prove a candidate worse: S and S' are rounded
+  // sums. After a large first term, (ψ − 0)² of a slow, empty processor,
+  // each later term is rounded onto that term's grid on its own, so two
+  // changes of opposite sign whose exact sum is slightly positive can
+  // still round S' a step below S. The search builds such near-ties: two
+  // queues just above ψ whose swap mirrors them (C_a' ≈ C_b, C_b' ≈ C_a),
+  // so that d_a and d_b trade places up to a few ulps. It stops at a probe
+  // whose Δ is positive, indeed beyond the four-term part of the slack,
+  // and whose exact candidate is fitter all the same. The memo's pass
+  // must keep that swap: a bare Δ > 0 test, or a slack without S, would
+  // reject it.
+  for (const NumericMode mode : {NumericMode::kExact, NumericMode::kFast}) {
+    util::Rng rng(40);
+    const ScheduleCodec codec(4, 3);
+    FlatSchedule ref_s;
+    QueueLoads ref_loads;
+    bool found = false;
+    int tries = 0;
+    for (; tries < 20000 && !found; ++tries) {
+      const double x = rng.uniform(500.0, 1500.0);
+      const double ulps = static_cast<double>(rng.index(129)) - 64.0;
+      const double y = x * (1.0 + ulps * 0x1p-52);
+      const double small = rng.uniform(10.0, 100.0);
+      const double big = small + rng.uniform(0.5, 10.0);
+      const ScheduleEvaluator eval({small, x, big, y},
+                                   make_view({0.5, 10.0, 10.0}), false, mode);
+      std::vector<std::size_t> qa{0, 1}, qb{2, 3};
+      if (rng.bernoulli(0.5)) std::swap(qa[0], qa[1]);
+      if (rng.bernoulli(0.5)) std::swap(qb[0], qb[1]);
+      const ga::Chromosome c = codec.encode(ProcQueues{{}, qa, qb});
+      const std::uint64_t seed = rng.next_u64();
+      ga::Chromosome ref_c = c;
+      util::Rng r_ref(seed);
+      const ReferenceResult ref =
+          reference_rebalance(ref_c, codec, eval, r_ref, 5, ref_s, ref_loads);
+      if (!ref.probed || !ref.changed ||
+          !(probe_delta(ref, eval.psi()) >
+            certificate_slack(ref, eval.psi(), 3, false))) {
+        continue;
+      }
+      found = true;
+      EvalWorkspace ws;
+      ga::Chromosome memo_c = c;
+      util::Rng r_memo(seed);
+      EXPECT_TRUE(rebalance_once(memo_c, codec, eval, r_memo, 5, ws))
+          << "the near-tie swap was rejected";
+      EXPECT_EQ(memo_c, ref_c);
+      EXPECT_EQ(ws.improve_evaluation.fitness, ref.eval.fitness);
+      EXPECT_EQ(r_memo.next_u64(), r_ref.next_u64());
+    }
+    ASSERT_TRUE(found) << "no near-tie in " << tries << " tries";
+  }
+}
+
+TEST(PricingMemo, TooManyDelimitersThrowAndLeaveEveryEntryAsItWas) {
+  for (const NumericMode mode : {NumericMode::kExact, NumericMode::kFast}) {
+    util::Rng rng(41);
+    for (const auto& [tasks, procs] : kShapes) {
+      const ScheduleCodec codec(tasks, procs);
+      const ScheduleEvaluator eval(random_sizes(tasks, rng),
+                                   random_view(procs, rng), true, mode);
+      EvalWorkspace ws;
+      std::vector<ga::Chromosome> priced;
+      // Throw into a partly filled memo, then into a full one.
+      for (std::size_t k = 0; k < PricingMemo::kCapacity + 3; ++k) {
+        priced.push_back(random_chromosome(codec, rng));
+        eval.load_memo(codec, priced.back(), ws);
+        ga::Chromosome bad = random_chromosome(codec, rng);
+        *std::find_if(bad.begin(), bad.end(), [](ga::Gene g) {
+          return !ScheduleCodec::is_delimiter(g);
+        }) = ScheduleCodec::delimiter_gene(0);
+        const std::size_t live = ws.memo.size();
+        EXPECT_THROW(eval.load_memo(codec, bad, ws), std::invalid_argument);
+        ASSERT_EQ(ws.memo.size(), live);
+        std::size_t held = 0;
+        for (std::size_t e = 0; e < PricingMemo::kCapacity; ++e) {
+          for (const ga::Chromosome& c : priced) {
+            if (!is_schedule_form_of(ws.memo.key(e), c)) continue;
+            ++held;
+            expect_entry_is_fresh_pricing(codec, eval, ws, e, c);
+            break;
+          }
+        }
+        EXPECT_GE(held, live);
+      }
+    }
   }
 }
 
