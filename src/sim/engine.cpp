@@ -1,9 +1,12 @@
 #include "sim/engine.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <chrono>
 #include <cmath>
+#include <cstdint>
 #include <stdexcept>
+#include <string>
 #include <utility>
 
 namespace gasched::sim {
@@ -28,6 +31,10 @@ Engine::Engine(const Cluster& cluster, const workload::Workload& workload,
     pr.rate_est = util::Smoother(cfg_.rate_nu);
     pr.comm_est = util::Smoother(cfg_.comm_nu);
   }
+  // Every entry starts stale, so the first invocation writes all M.
+  view_.procs.resize(M);
+  live_.reserve(M);
+  for (std::size_t j = 0; j < M; ++j) touch(j);
 
   if (cfg_.record_task_trace) {
     records_.resize(tasks_.size());
@@ -71,22 +78,66 @@ double Engine::remaining_exec_mflops(const ProcRuntime& pr) const {
   return pr.exec_mflops * std::max(0.0, std::min(1.0, frac));
 }
 
-SystemView Engine::build_view() const {
-  const std::size_t M = procs_.size();
-  SystemView view;
-  view.now = now_;
-  view.procs.resize(M);
-  for (std::size_t j = 0; j < M; ++j) {
-    const auto& pr = procs_[j];
-    auto& pv = view.procs[j];
-    pv.id = static_cast<ProcId>(j);
-    pv.rate = pr.rate_est.value_or(cluster_.processors[j].base_rate);
-    pv.pending_mflops =
-        pr.future_mflops + pr.inflight_mflops + remaining_exec_mflops(pr);
-    pv.comm_estimate = pr.comm_est.value_or(0.0);
-    pv.comm_observations = pr.comm_est.count();
+ProcessorView Engine::view_entry(std::size_t j) const {
+  const auto& pr = procs_[j];
+  ProcessorView pv;
+  pv.id = static_cast<ProcId>(j);
+  pv.rate = pr.rate_est.value_or(cluster_.processors[j].base_rate);
+  pv.pending_mflops =
+      pr.future_mflops + pr.inflight_mflops + remaining_exec_mflops(pr);
+  pv.comm_estimate = pr.comm_est.value_or(0.0);
+  pv.comm_observations = pr.comm_est.count();
+  return pv;
+}
+
+void Engine::touch(std::size_t j) {
+  auto& pr = procs_[j];
+  if (pr.live) return;
+  pr.live = true;
+  live_.push_back(j);
+}
+
+// Rewrites the live entries and keeps on the list only the processors
+// still executing: their remaining work moves with now_. Every other
+// entry stays exact until an event handler touches its processor again.
+void Engine::refresh_view() {
+  view_.now = now_;
+  std::size_t kept = 0;
+  for (const std::size_t j : live_) {
+    view_.procs[j] = view_entry(j);
+    if (procs_[j].executing) {
+      live_[kept++] = j;
+    } else {
+      procs_[j].live = false;
+    }
   }
-  return view;
+  live_.resize(kept);
+#ifndef NDEBUG
+  check_view();
+#endif
+}
+
+namespace {
+bool same_bits(double a, double b) {
+  return std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b);
+}
+}  // namespace
+
+// The incrementally refreshed view must equal a full rebuild bit for bit,
+// or some event handler changed a view input without touching its
+// processor. Run after every refresh in checked builds.
+void Engine::check_view() const {
+  for (std::size_t j = 0; j < procs_.size(); ++j) {
+    const ProcessorView want = view_entry(j);
+    const ProcessorView& got = view_.procs[j];
+    if (got.id != want.id || !same_bits(got.rate, want.rate) ||
+        !same_bits(got.pending_mflops, want.pending_mflops) ||
+        !same_bits(got.comm_estimate, want.comm_estimate) ||
+        got.comm_observations != want.comm_observations) {
+      throw std::logic_error("Engine: stale view entry for processor " +
+                             std::to_string(j));
+    }
+  }
 }
 
 void Engine::apply_assignment(const BatchAssignment& assignment) {
@@ -94,9 +145,10 @@ void Engine::apply_assignment(const BatchAssignment& assignment) {
     throw std::runtime_error("simulate: assignment names unknown processor");
   }
   for (std::size_t j = 0; j < assignment.per_proc.size(); ++j) {
+    const auto& ids = assignment.per_proc[j];
+    if (ids.empty()) continue;
     auto& pr = procs_[j];
-    bool added = false;
-    for (const workload::TaskId id : assignment.per_proc[j]) {
+    for (const workload::TaskId id : ids) {
       const auto it = id_to_index_.find(id);
       if (it == id_to_index_.end()) {
         throw std::runtime_error("simulate: assignment names unknown task");
@@ -104,9 +156,9 @@ void Engine::apply_assignment(const BatchAssignment& assignment) {
       pr.future.push_back(it->second);
       pr.future_mflops += tasks_[it->second].size_mflops;
       ++future_count_;
-      added = true;
     }
-    if (added && pr.parked && !pr.down) {
+    touch(j);
+    if (pr.parked && !pr.down) {
       pr.parked = false;
       post(now_, EventKind::kRequest, static_cast<ProcId>(j));
     }
@@ -115,9 +167,9 @@ void Engine::apply_assignment(const BatchAssignment& assignment) {
 
 void Engine::try_schedule() {
   if (unscheduled_.empty()) return;
-  const SystemView view = build_view();
+  refresh_view();
   const auto t0 = std::chrono::steady_clock::now();
-  BatchAssignment assignment = policy_.invoke(view, unscheduled_, rng_);
+  BatchAssignment assignment = policy_.invoke(view_, unscheduled_, rng_);
   const auto t1 = std::chrono::steady_clock::now();
   const double wall = std::chrono::duration<double>(t1 - t0).count();
   policy_wall_ += wall;
@@ -136,6 +188,7 @@ void Engine::try_schedule() {
 // A failed processor returns everything it holds to the scheduler.
 std::size_t Engine::requeue_holdings(std::size_t j) {
   auto& pr = procs_[j];
+  touch(j);
   std::size_t returned = 0;
   if (pr.executing) {
     // Work done so far is wasted but still counts as processing time.
@@ -176,6 +229,7 @@ void Engine::start_dispatch(ProcId proc) {
   pr.inflight = true;
   pr.inflight_task = ti;
   pr.inflight_mflops = tasks_[ti].size_mflops;
+  touch(static_cast<std::size_t>(proc));
   if (cfg_.record_task_trace) {
     records_[ti].dispatch = now_;
     records_[ti].comm_cost = cost;
@@ -265,6 +319,7 @@ void Engine::dispatch(const Ev& ev) {
       pr.exec_mflops = tasks_[ev.payload].size_mflops;
       pr.exec_start = now_;
       pr.exec_end = now_ + duration;
+      touch(static_cast<std::size_t>(ev.proc));
       if (cfg_.record_task_trace) records_[ev.payload].start = now_;
       post(now_ + duration, EventKind::kCompleted, ev.proc, ev.payload,
            pr.epoch);
@@ -325,14 +380,13 @@ bool Engine::kick() {
 }
 
 void Engine::inject_task(const workload::Task& task, SimTime at) {
+  // take_unscheduled() erased every exported id, so a task migrating
+  // back always gets a fresh entry; a clash names a task still owned here.
   const std::size_t i = tasks_.size();
-  tasks_.push_back(task);
   if (!id_to_index_.emplace(task.id, i).second) {
-    // A previously-exported task may legitimately migrate back; its old
-    // index is dead (the arrival already fired and it left unscheduled_),
-    // so the id can simply point at the fresh entry.
-    id_to_index_[task.id] = i;
+    throw std::invalid_argument("inject_task: duplicate task id");
   }
+  tasks_.push_back(task);
   if (cfg_.record_task_trace) {
     TaskRecord rec;
     rec.id = task.id;

@@ -39,6 +39,17 @@
 //    processors and millions of tasks (O(1) amortised event ops, arena
 //    slots, no per-event heap allocation in steady state).
 //
+// The invocation boundary costs O(processors touched), not O(M). The
+// engine owns one SystemView for its lifetime and a live list of the
+// processors whose entry may be stale. An event handler that changes an
+// input of a processor's entry (assignment, dispatch, delivery, failure
+// requeue) puts that processor on the list; an executing processor stays
+// on it, because its remaining work moves with the clock, so a completion
+// needs no mark of its own. Each invocation rewrites only the live entries
+// with the full-rebuild expressions, bit for bit, and then drops the
+// processors that are no longer executing. Checked builds (no NDEBUG)
+// compare every entry against a full rebuild after each refresh.
+//
 // Determinism contract: identical (cluster, workload, policy, rng, cfg)
 // and an identical sequence of stepwise calls produce identical results;
 // simulate() is byte-for-byte the pre-CalendarQueue engine (events pop in
@@ -190,9 +201,10 @@ class Engine {
   bool kick();
 
   /// Hands an externally-routed task to this engine's scheduler: it
-  /// arrives at time `at` (>= now(); ids must be unique within the
-  /// engine). Used by the federation for initial routing *and* for
-  /// migrated spillover.
+  /// arrives at time `at` (>= now()). Used by the federation for initial
+  /// routing *and* for migrated spillover. Throws std::invalid_argument
+  /// when the engine still owns a task with the same id; a task exported
+  /// by take_unscheduled() may come back.
   void inject_task(const workload::Task& task, SimTime at);
 
   /// Removes up to `max_tasks` tasks from the *back* of the unscheduled
@@ -257,6 +269,7 @@ class Engine {
     util::Smoother rate_est;
     util::Smoother comm_est;
     ProcessorStats stats;
+    bool live = false;               // on live_: view entry may be stale
   };
 
   void post(SimTime t, EventKind k, ProcId p, std::size_t payload = 0,
@@ -264,7 +277,10 @@ class Engine {
     events_.push(t, Ev{k, p, payload, epoch});
   }
   double remaining_exec_mflops(const ProcRuntime& pr) const;
-  SystemView build_view() const;
+  ProcessorView view_entry(std::size_t j) const;
+  void touch(std::size_t j);
+  void refresh_view();
+  void check_view() const;
   void apply_assignment(const BatchAssignment& assignment);
   void try_schedule();
   std::size_t requeue_holdings(std::size_t j);
@@ -284,6 +300,8 @@ class Engine {
   std::deque<workload::Task> unscheduled_;
   std::vector<BatchAssignment> pending_assignments_;
   std::vector<TaskRecord> records_;
+  SystemView view_;                // what every invocation is handed
+  std::vector<std::size_t> live_;  // processors whose view_ entry may be stale
 
   SimTime now_ = 0.0;
   std::size_t completed_ = 0;

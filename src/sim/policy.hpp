@@ -39,7 +39,7 @@ struct ProcessorView {
   double drain_time() const { return rate > 0.0 ? pending_mflops / rate : 0.0; }
 };
 
-/// Snapshot handed to a scheduler at invocation time.
+/// Observable state handed to a scheduler at invocation time.
 struct SystemView {
   SimTime now = 0.0;
   std::vector<ProcessorView> procs;
@@ -85,6 +85,9 @@ class SchedulingPolicy {
 
   /// Consumes zero or more tasks from the front of `queue` and returns
   /// their assignment. Must not assign a task it did not consume.
+  /// `view` belongs to the caller and is valid only until invoke returns
+  /// (the engine rewrites it in place between invocations); a policy
+  /// that keeps any of it must copy it.
   virtual BatchAssignment invoke(const SystemView& view,
                                  std::deque<workload::Task>& queue,
                                  util::Rng& rng) = 0;

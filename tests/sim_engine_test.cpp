@@ -7,6 +7,7 @@
 
 #include <memory>
 
+#include "sim/availability.hpp"
 #include "workload/generator.hpp"
 
 namespace gasched::sim {
@@ -250,6 +251,101 @@ TEST(Engine, PendingLoadVisibleInView) {
   EXPECT_DOUBLE_EQ(probe.views[0].procs[0].pending_mflops, 0.0);
   // At t=5 the first task (10 s long) still has half its work left.
   EXPECT_NEAR(probe.views[1].procs[0].pending_mflops, 50.0, 1e-9);
+}
+
+// The engine refreshes only the view entries of processors that changed
+// or are executing; the three EngineView tests probe each way an entry
+// can move between two invocations.
+
+TEST(EngineView, ExecutingProcessorShowsLessPendingAtEachInvocation) {
+  // Processor 1 runs the 100 s task from t = 0 while the arrivals at
+  // t = 10 and t = 20 go to processor 0, so no event touches processor 1
+  // between those invocations.
+  const Cluster c = homogeneous_cluster(2, 10.0, true);
+  Workload w;
+  w.tasks = {{0, 10.0, 0.0}, {1, 1000.0, 0.0}, {2, 10.0, 10.0},
+             {3, 10.0, 20.0}};
+  ViewProbe probe;
+  simulate(c, w, probe, util::Rng(1));
+  ASSERT_EQ(probe.views.size(), 3u);
+  const double at10 = probe.views[1].procs[1].pending_mflops;
+  const double at20 = probe.views[2].procs[1].pending_mflops;
+  EXPECT_NEAR(at10, 900.0, 1e-9);
+  EXPECT_NEAR(at20, 800.0, 1e-9);
+  EXPECT_LT(at20, at10);
+}
+
+TEST(EngineView, CompletedProcessorShowsNewRateAndExactlyItsQueuedLoad) {
+  // Processor 1 runs at half its 10 Mflop/s base rate. It executes task 1
+  // over [5, 25], then task 3 is on the wire until 30 and task 5 waits in
+  // its queue. Processor 0 drains its 10-Mflop tasks by t = 24.
+  Cluster c = homogeneous_cluster(2, 10.0, false, /*mean_comm=*/5.0);
+  c.processors[1].availability = std::make_shared<FixedAvailability>(0.5);
+  Workload w;
+  w.tasks = {{0, 10.0, 0.0},  {1, 100.0, 0.0}, {2, 10.0, 0.0},
+             {3, 200.0, 0.0}, {4, 10.0, 0.0},  {5, 300.0, 0.0},
+             {6, 10.0, 10.0}, {7, 10.0, 27.0}};
+  ViewProbe probe;
+  const auto r = simulate(c, w, probe, util::Rng(1));
+  EXPECT_EQ(r.tasks_completed, 8u);
+  ASSERT_EQ(probe.views.size(), 3u);
+  const auto& at10 = probe.views[1];
+  EXPECT_EQ(at10.procs[1].rate, 10.0);  // nothing observed yet
+  EXPECT_NEAR(at10.procs[1].pending_mflops, 75.0 + 200.0 + 300.0, 1e-9);
+  const auto& at27 = probe.views[2];
+  EXPECT_EQ(at27.now, 27.0);
+  EXPECT_EQ(at27.procs[1].rate, 5.0);  // 100 Mflop in 20 s
+  EXPECT_EQ(at27.procs[1].pending_mflops, 200.0 + 300.0);
+  EXPECT_EQ(at27.procs[0].pending_mflops, 0.0);
+}
+
+TEST(EngineView, AssignedButUndispatchedProcessorShowsItsQueuedLoad) {
+  // One serial uplink: processor 1's task waits at the link while
+  // processor 0's payload is on the wire over [0, 5].
+  const Cluster c = homogeneous_cluster(2, 10.0, false, /*mean_comm=*/5.0);
+  Workload w;
+  w.tasks = {{0, 100.0, 0.0}, {1, 70.0, 0.0}, {2, 10.0, 1.0}};
+  EngineConfig cfg;
+  cfg.serial_dispatch = true;
+  ViewProbe probe;
+  const auto r = simulate(c, w, probe, util::Rng(1), cfg);
+  EXPECT_EQ(r.tasks_completed, 3u);
+  ASSERT_GE(probe.views.size(), 2u);
+  const auto& at1 = probe.views[1];
+  EXPECT_EQ(at1.now, 1.0);
+  EXPECT_EQ(at1.procs[0].pending_mflops, 100.0);  // in flight
+  EXPECT_EQ(at1.procs[1].pending_mflops, 70.0);   // queued
+  EXPECT_EQ(at1.procs[1].comm_observations, 0u);
+}
+
+TEST(Engine, InjectTaskRejectsAnIdItStillOwns) {
+  const Cluster c = homogeneous_cluster(1, 10.0, true);
+  const Workload w = constant_workload(2, 10.0);
+  TestRoundRobin policy;
+  Engine engine(c, w, policy, util::Rng(1));
+  EXPECT_THROW(engine.inject_task(w.tasks[0], 0.0), std::invalid_argument);
+  EXPECT_EQ(engine.tasks_total(), 2u);
+  const auto r = engine.run();
+  EXPECT_EQ(r.tasks_completed, 2u);
+}
+
+TEST(Engine, TakenTaskInjectedBackStillCompletes) {
+  const Cluster c = homogeneous_cluster(1, 10.0, true);
+  const Workload w = constant_workload(2, 10.0);
+  TestRoundRobin policy;
+  Engine engine(c, w, policy, util::Rng(1));
+  engine.step();  // the first t = 0 arrival waits for the second
+  std::vector<Task> taken = engine.take_unscheduled(1);
+  ASSERT_EQ(taken.size(), 1u);
+  engine.inject_task(taken[0], 0.0);
+  while (!engine.finished()) {
+    if (!engine.has_events()) {
+      ASSERT_TRUE(engine.kick());
+    }
+    engine.step();
+  }
+  EXPECT_EQ(engine.tasks_completed(), 2u);
+  EXPECT_EQ(engine.result().tasks_completed, 2u);
 }
 
 TEST(Engine, RateEstimateConvergesToTrueRate) {
