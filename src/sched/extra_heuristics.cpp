@@ -9,9 +9,9 @@
 
 namespace gasched::sched {
 
-sim::ProcId MinimumExecutionTimeRule::place(
-    const workload::Task& task, const sim::SystemView& view,
-    const std::vector<double>&, util::Rng&) {
+sim::ProcId MinimumExecutionTimeRule::place(const workload::Task& task,
+                                            const sim::SystemView& view,
+                                            LoadView, util::Rng&) {
   sim::ProcId best = 0;
   double best_exec = std::numeric_limits<double>::infinity();
   for (std::size_t j = 0; j < view.size(); ++j) {
@@ -38,8 +38,7 @@ std::string KPercentBestRule::name() const {
 
 sim::ProcId KPercentBestRule::place(const workload::Task& task,
                                     const sim::SystemView& view,
-                                    const std::vector<double>& pending,
-                                    util::Rng&) {
+                                    LoadView loads, util::Rng&) {
   const std::size_t M = view.size();
   // Rank processors by execution time for this task (fastest first). With
   // uniform task/rate structure the rank is rate-descending, so sort once;
@@ -58,7 +57,7 @@ sim::ProcId KPercentBestRule::place(const workload::Task& task,
     const std::size_t j = order_[r];
     const double rate = view.procs[j].rate;
     if (!(rate > 0.0)) continue;
-    const double finish = (pending[j] + task.size_mflops) / rate;
+    const double finish = (loads[j] + task.size_mflops) / rate;
     if (finish < best_finish) {
       best_finish = finish;
       best = static_cast<sim::ProcId>(j);
@@ -81,14 +80,9 @@ sim::BatchAssignment SufferagePolicy::invoke(
   if (queue.empty()) return assignment;
 
   std::vector<workload::Task> batch;
-  while (batch.size() < batch_size_ && !queue.empty()) {
-    batch.push_back(queue.front());
-    queue.pop_front();
-  }
-  std::vector<double> pending(view.size());
-  for (std::size_t j = 0; j < view.size(); ++j) {
-    pending[j] = view.procs[j].pending_mflops;
-  }
+  take_batch(queue, batch_size_, batch);
+  std::vector<double> pending;
+  copy_loads(view, pending);
   std::vector<bool> done(batch.size(), false);
 
   for (std::size_t assigned = 0; assigned < batch.size(); ++assigned) {
@@ -128,24 +122,15 @@ sim::BatchAssignment SufferagePolicy::invoke(
   return assignment;
 }
 
-sim::ProcId OpportunisticLoadBalancingRule::place(
-    const workload::Task&, const sim::SystemView& view,
-    const std::vector<double>& pending, util::Rng&) {
+sim::ProcId OpportunisticLoadBalancingRule::place(const workload::Task&,
+                                                  const sim::SystemView& view,
+                                                  LoadView loads, util::Rng&) {
   // Earliest-available machine: smallest drain time of the already
   // assigned load. Unlike LL this accounts for processor speed; unlike EF
-  // it ignores the execution time of the task being placed.
-  sim::ProcId best = 0;
-  double best_avail = std::numeric_limits<double>::infinity();
-  for (std::size_t j = 0; j < view.size(); ++j) {
-    const double rate = view.procs[j].rate;
-    if (!(rate > 0.0)) continue;
-    const double avail = pending[j] / rate;
-    if (avail < best_avail) {
-      best_avail = avail;
-      best = static_cast<sim::ProcId>(j);
-    }
-  }
-  return best;
+  // it ignores the execution time of the task being placed. That is the
+  // earliest-finish kernel for a zero-size task: fl(L_j + 0) is L_j, or
+  // +0 for L_j = −0, which divides and compares the same.
+  return earliest_finish(view, loads, 0.0);
 }
 
 DuplexPolicy::DuplexPolicy(std::size_t batch_size) : batch_size_(batch_size) {
@@ -156,44 +141,15 @@ DuplexPolicy::DuplexPolicy(std::size_t batch_size) : batch_size_(batch_size) {
 
 namespace {
 
-/// Sorted-batch placement used by Duplex: earliest-finish assignment of
-/// the batch in ascending (min-min style) or descending (max-min style)
-/// size order. Returns the assignment and the estimated makespan of the
-/// resulting load vector.
-std::pair<sim::BatchAssignment, double> sorted_placement(
-    const sim::SystemView& view, std::vector<workload::Task> batch,
-    bool descending) {
-  std::stable_sort(batch.begin(), batch.end(),
-                   [&](const workload::Task& a, const workload::Task& b) {
-                     return descending ? a.size_mflops > b.size_mflops
-                                       : a.size_mflops < b.size_mflops;
-                   });
-  auto assignment = sim::BatchAssignment::empty(view.size());
-  std::vector<double> pending(view.size());
-  for (std::size_t j = 0; j < view.size(); ++j) {
-    pending[j] = view.procs[j].pending_mflops;
-  }
-  for (const auto& task : batch) {
-    sim::ProcId best = 0;
-    double best_time = std::numeric_limits<double>::infinity();
-    for (std::size_t j = 0; j < view.size(); ++j) {
-      const double rate = view.procs[j].rate;
-      if (!(rate > 0.0)) continue;
-      const double finish = (pending[j] + task.size_mflops) / rate;
-      if (finish < best_time) {
-        best_time = finish;
-        best = static_cast<sim::ProcId>(j);
-      }
-    }
-    assignment.per_proc[static_cast<std::size_t>(best)].push_back(task.id);
-    pending[static_cast<std::size_t>(best)] += task.size_mflops;
-  }
+/// Estimated makespan of a final load vector: the largest drain time.
+double drain_makespan(const sim::SystemView& view,
+                      const std::vector<double>& loads) {
   double makespan = 0.0;
   for (std::size_t j = 0; j < view.size(); ++j) {
     const double rate = view.procs[j].rate;
-    if (rate > 0.0) makespan = std::max(makespan, pending[j] / rate);
+    if (rate > 0.0) makespan = std::max(makespan, loads[j] / rate);
   }
-  return {std::move(assignment), makespan};
+  return makespan;
 }
 
 }  // namespace
@@ -201,16 +157,16 @@ std::pair<sim::BatchAssignment, double> sorted_placement(
 sim::BatchAssignment DuplexPolicy::invoke(const sim::SystemView& view,
                                           std::deque<workload::Task>& queue,
                                           util::Rng&) {
-  auto assignment = sim::BatchAssignment::empty(view.size());
-  if (queue.empty()) return assignment;
-
-  std::vector<workload::Task> batch;
-  while (batch.size() < batch_size_ && !queue.empty()) {
-    batch.push_back(queue.front());
-    queue.pop_front();
-  }
-  auto [mm, mm_makespan] = sorted_placement(view, batch, /*descending=*/false);
-  auto [mx, mx_makespan] = sorted_placement(view, batch, /*descending=*/true);
+  if (queue.empty()) return sim::BatchAssignment::empty(view.size());
+  take_batch(queue, batch_size_, batch_);
+  order_ = batch_;
+  sort_by_size(order_, /*descending=*/false);
+  auto mm = place_earliest_finish(view, order_, loads_);
+  const double mm_makespan = drain_makespan(view, loads_);
+  order_ = batch_;
+  sort_by_size(order_, /*descending=*/true);
+  auto mx = place_earliest_finish(view, order_, loads_);
+  const double mx_makespan = drain_makespan(view, loads_);
   return mm_makespan <= mx_makespan ? std::move(mm) : std::move(mx);
 }
 

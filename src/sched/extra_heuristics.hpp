@@ -31,8 +31,7 @@ namespace gasched::sched {
 class MinimumExecutionTimeRule final : public ImmediateRule {
  public:
   sim::ProcId place(const workload::Task& task, const sim::SystemView& view,
-                    const std::vector<double>& pending_mflops,
-                    util::Rng& rng) override;
+                    LoadView loads, util::Rng& rng) override;
   std::string name() const override { return "MET"; }
 };
 
@@ -43,8 +42,7 @@ class KPercentBestRule final : public ImmediateRule {
   /// MET.
   explicit KPercentBestRule(double percent = 20.0);
   sim::ProcId place(const workload::Task& task, const sim::SystemView& view,
-                    const std::vector<double>& pending_mflops,
-                    util::Rng& rng) override;
+                    LoadView loads, util::Rng& rng) override;
   std::string name() const override;
 
  private:
@@ -67,18 +65,19 @@ class SufferagePolicy final : public sim::SchedulingPolicy {
 };
 
 /// OLB: earliest-available processor (smallest drain time of the pending
-/// load), blind to the task being placed.
+/// load), blind to the task being placed: the earliest-finish kernel run
+/// with a zero-size task.
 class OpportunisticLoadBalancingRule final : public ImmediateRule {
  public:
   sim::ProcId place(const workload::Task& task, const sim::SystemView& view,
-                    const std::vector<double>& pending_mflops,
-                    util::Rng& rng) override;
+                    LoadView loads, util::Rng& rng) override;
   std::string name() const override { return "OLB"; }
 };
 
 /// Duplex batch scheduler (Braun et al. taxonomy): evaluates both the
 /// min-min and max-min schedules for each batch and commits the one with
-/// the smaller estimated makespan.
+/// the smaller estimated makespan (ties keep min-min). Both schedules are
+/// built by `place_earliest_finish`.
 class DuplexPolicy final : public sim::SchedulingPolicy {
  public:
   /// Takes FCFS batches of `batch_size` tasks.
@@ -90,6 +89,9 @@ class DuplexPolicy final : public sim::SchedulingPolicy {
 
  private:
   std::size_t batch_size_;
+  std::vector<workload::Task> batch_;  // reused FCFS batch
+  std::vector<workload::Task> order_;  // reused sorted copy of batch_
+  std::vector<double> loads_;          // reused local load copy
 };
 
 /// Factory helpers.

@@ -6,45 +6,88 @@
 
 namespace gasched::sched {
 
-namespace {
-
-/// Processor with the earliest estimated finish time for `task` given the
-/// working load vector.
-sim::ProcId earliest_finish(const workload::Task& task,
-                            const sim::SystemView& view,
-                            const std::vector<double>& pending) {
+sim::ProcId earliest_finish(const sim::SystemView& view, LoadView loads,
+                            double size_mflops) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  constexpr double kMinNormal = std::numeric_limits<double>::min();
+  constexpr double kMargin = 1.0 + 0x1p-50;
   sim::ProcId best = 0;
-  double best_time = std::numeric_limits<double>::infinity();
+  double best_time = kInf;
+  // λ = fl(b·(1 + 2⁻⁵⁰)) for the incumbent b; +inf before there is one.
+  // A +inf product skips only an infinite start, whose quotient is +inf
+  // or NaN and replaces nothing.
+  double lambda = kInf;
+  const sim::ProcessorView* procs = view.procs.data();
+#pragma GCC unroll 4
   for (std::size_t j = 0; j < view.size(); ++j) {
-    const double rate = view.procs[j].rate;
+    const double rate = procs[j].rate;
+    const double start = loads[j] + size_mflops;
+    const double product = lambda * rate;
+    if (start >= product && product >= kMinNormal) continue;  // certified
     if (!(rate > 0.0)) continue;
-    const double finish = (pending[j] + task.size_mflops) / rate;
+    const double finish = start / rate;
     if (finish < best_time) {
       best_time = finish;
+      lambda = finish * kMargin;
       best = static_cast<sim::ProcId>(j);
     }
   }
   return best;
 }
 
-}  // namespace
+void copy_loads(const sim::SystemView& view, std::vector<double>& loads) {
+  loads.resize(view.size());
+  for (std::size_t j = 0; j < view.size(); ++j) {
+    loads[j] = view.procs[j].pending_mflops;
+  }
+}
+
+void take_batch(std::deque<workload::Task>& queue, std::size_t batch_size,
+                std::vector<workload::Task>& batch) {
+  batch.clear();
+  batch.reserve(std::min(batch_size, queue.size()));
+  while (batch.size() < batch_size && !queue.empty()) {
+    batch.push_back(queue.front());
+    queue.pop_front();
+  }
+}
+
+void sort_by_size(std::vector<workload::Task>& batch, bool descending) {
+  std::stable_sort(batch.begin(), batch.end(),
+                   [&](const workload::Task& a, const workload::Task& b) {
+                     return descending ? a.size_mflops > b.size_mflops
+                                       : a.size_mflops < b.size_mflops;
+                   });
+}
+
+sim::BatchAssignment place_earliest_finish(
+    const sim::SystemView& view, const std::vector<workload::Task>& batch,
+    std::vector<double>& loads) {
+  auto assignment = sim::BatchAssignment::empty(view.size());
+  copy_loads(view, loads);
+  for (const auto& task : batch) {
+    const sim::ProcId j = earliest_finish(view, LoadView(loads),
+                                          task.size_mflops);
+    assignment.per_proc[static_cast<std::size_t>(j)].push_back(task.id);
+    loads[static_cast<std::size_t>(j)] += task.size_mflops;
+  }
+  return assignment;
+}
 
 sim::ProcId EarliestFinishRule::place(const workload::Task& task,
                                       const sim::SystemView& view,
-                                      const std::vector<double>& pending,
-                                      util::Rng&) {
-  return earliest_finish(task, view, pending);
+                                      LoadView loads, util::Rng&) {
+  return earliest_finish(view, loads, task.size_mflops);
 }
 
 sim::ProcId LightestLoadedRule::place(const workload::Task&,
                                       const sim::SystemView& view,
-                                      const std::vector<double>& pending,
-                                      util::Rng&) {
+                                      LoadView loads, util::Rng&) {
   sim::ProcId best = 0;
   double best_load = std::numeric_limits<double>::infinity();
   for (std::size_t j = 0; j < view.size(); ++j) {
-    if (pending[j] < best_load) {
-      best_load = pending[j];
+    if (loads[j] < best_load) {
+      best_load = loads[j];
       best = static_cast<sim::ProcId>(j);
     }
   }
@@ -52,8 +95,8 @@ sim::ProcId LightestLoadedRule::place(const workload::Task&,
 }
 
 sim::ProcId RoundRobinRule::place(const workload::Task&,
-                                  const sim::SystemView& view,
-                                  const std::vector<double>&, util::Rng&) {
+                                  const sim::SystemView& view, LoadView,
+                                  util::Rng&) {
   const auto j = static_cast<sim::ProcId>(next_ % view.size());
   ++next_;
   return j;
@@ -68,19 +111,23 @@ sim::BatchAssignment ImmediatePolicy::invoke(
     const sim::SystemView& view, std::deque<workload::Task>& queue,
     util::Rng& rng) {
   auto assignment = sim::BatchAssignment::empty(view.size());
-  pending_.resize(view.size());
-  for (std::size_t j = 0; j < view.size(); ++j) {
-    pending_[j] = view.procs[j].pending_mflops;
-  }
+  LoadView loads(view);
+  bool copied = false;
   while (!queue.empty()) {
     const workload::Task task = queue.front();
     queue.pop_front();
-    const sim::ProcId j = rule_->place(task, view, pending_, rng);
+    const sim::ProcId j = rule_->place(task, view, loads, rng);
     if (j < 0 || static_cast<std::size_t>(j) >= view.size()) {
       throw std::runtime_error("ImmediatePolicy: rule returned bad processor");
     }
     assignment.per_proc[static_cast<std::size_t>(j)].push_back(task.id);
-    pending_[static_cast<std::size_t>(j)] += task.size_mflops;
+    if (queue.empty()) break;
+    if (!copied) {
+      copy_loads(view, loads_);
+      loads = LoadView(loads_);
+      copied = true;
+    }
+    loads_[static_cast<std::size_t>(j)] += task.size_mflops;
   }
   return assignment;
 }
@@ -95,30 +142,10 @@ SortedBatchPolicy::SortedBatchPolicy(bool descending, std::size_t batch_size)
 sim::BatchAssignment SortedBatchPolicy::invoke(
     const sim::SystemView& view, std::deque<workload::Task>& queue,
     util::Rng&) {
-  auto assignment = sim::BatchAssignment::empty(view.size());
-  if (queue.empty()) return assignment;
-
-  batch_.clear();
-  batch_.reserve(std::min(batch_size_, queue.size()));
-  while (batch_.size() < batch_size_ && !queue.empty()) {
-    batch_.push_back(queue.front());
-    queue.pop_front();
-  }
-  std::stable_sort(batch_.begin(), batch_.end(),
-                   [&](const workload::Task& a, const workload::Task& b) {
-                     return descending_ ? a.size_mflops > b.size_mflops
-                                        : a.size_mflops < b.size_mflops;
-                   });
-  pending_.resize(view.size());
-  for (std::size_t j = 0; j < view.size(); ++j) {
-    pending_[j] = view.procs[j].pending_mflops;
-  }
-  for (const auto& task : batch_) {
-    const sim::ProcId j = earliest_finish(task, view, pending_);
-    assignment.per_proc[static_cast<std::size_t>(j)].push_back(task.id);
-    pending_[static_cast<std::size_t>(j)] += task.size_mflops;
-  }
-  return assignment;
+  if (queue.empty()) return sim::BatchAssignment::empty(view.size());
+  take_batch(queue, batch_size_, batch_);
+  sort_by_size(batch_, descending_);
+  return place_earliest_finish(view, batch_, loads_);
 }
 
 std::unique_ptr<sim::SchedulingPolicy> make_ef() {

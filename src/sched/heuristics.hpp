@@ -16,24 +16,88 @@
 // of communication is only considered after tasks or batches of tasks
 // have been scheduled". They adapt only through the observed loads in the
 // system view.
+//
+// Earliest-finish kernel. EF, MM, MX, Duplex and OLB (the kernel with
+// t = 0) all place a task with `earliest_finish`, whose contract is: the
+// first index j with P_j > 0 that minimises fl(fl(L_j + t) / P_j) under
+// strict <, or 0 when no processor has P_j > 0. The scan skips the
+// division where it cannot change the answer: with the incumbent finish b
+// and λ = fl(b·(1 + 2⁻⁵⁰)), recomputed only when b improves, any j with
+// fl(L_j + t) ≥ p = fl(λ·P_j) ≥ DBL_MIN has fl(fl(L_j + t) / P_j) ≥ b, so
+// the plain scan would not have replaced the incumbent with it. The
+// derivation is in docs/evaluation.md, "Earliest-finish scan".
+//
+// Loads. Every rule reads L_j through a `LoadView`: the view's
+// `pending_mflops` until the invocation has placed a task, then the
+// policy's own updated copy. A one-task invocation copies nothing; a
+// batch copies the loads once per schedule it builds.
 
+#include <cstddef>
+#include <deque>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "sim/policy.hpp"
 
 namespace gasched::sched {
 
+/// Read-only loads L_j in MFLOPs: either the `pending_mflops` of a
+/// SystemView's entries or a policy's own load vector. Valid while the
+/// source is alive and not resized. Which source it reads is fixed for
+/// the view's lifetime, so a compiler can hoist that test out of a scan.
+class LoadView {
+ public:
+  /// The loads the engine reported.
+  explicit LoadView(const sim::SystemView& view) noexcept
+      : procs_(view.procs.data()) {}
+  /// A policy's updated copy (one entry per processor).
+  explicit LoadView(const std::vector<double>& loads) noexcept
+      : copy_(loads.data()) {}
+
+  /// L_j.
+  double operator[](std::size_t j) const noexcept {
+    return copy_ != nullptr ? copy_[j] : procs_[j].pending_mflops;
+  }
+
+ private:
+  const sim::ProcessorView* procs_ = nullptr;
+  const double* copy_ = nullptr;
+};
+
+/// The earliest-finish kernel (contract above): the processor finishing a
+/// task of `size_mflops` first given `loads`, or 0 if no rate is > 0.
+sim::ProcId earliest_finish(const sim::SystemView& view, LoadView loads,
+                            double size_mflops);
+
+/// Writes the view's loads into `loads` (resized to M).
+void copy_loads(const sim::SystemView& view, std::vector<double>& loads);
+
+/// Moves up to `batch_size` tasks from the front of `queue` into `batch`
+/// (cleared first), keeping FCFS order.
+void take_batch(std::deque<workload::Task>& queue, std::size_t batch_size,
+                std::vector<workload::Task>& batch);
+
+/// Stable-sorts `batch` by size: descending (max-min order) or ascending
+/// (min-min order).
+void sort_by_size(std::vector<workload::Task>& batch, bool descending);
+
+/// Places `batch` in its order, each task with `earliest_finish` on the
+/// view's loads plus the tasks placed before it. `loads` is scratch; on
+/// return it holds those loads after the whole batch.
+sim::BatchAssignment place_earliest_finish(
+    const sim::SystemView& view, const std::vector<workload::Task>& batch,
+    std::vector<double>& loads);
+
 /// Immediate-mode placement rule: choose a processor for one task given
-/// the (locally updated) load vector.
+/// the (locally updated) loads.
 class ImmediateRule {
  public:
   virtual ~ImmediateRule() = default;
-  /// Chooses a processor. `pending_mflops[j]` includes tasks already
-  /// placed earlier in the same scheduler invocation.
+  /// Chooses a processor. `loads[j]` includes tasks already placed
+  /// earlier in the same scheduler invocation.
   virtual sim::ProcId place(const workload::Task& task,
-                            const sim::SystemView& view,
-                            const std::vector<double>& pending_mflops,
+                            const sim::SystemView& view, LoadView loads,
                             util::Rng& rng) = 0;
   /// Rule name ("EF", ...).
   virtual std::string name() const = 0;
@@ -43,8 +107,7 @@ class ImmediateRule {
 class EarliestFinishRule final : public ImmediateRule {
  public:
   sim::ProcId place(const workload::Task& task, const sim::SystemView& view,
-                    const std::vector<double>& pending_mflops,
-                    util::Rng& rng) override;
+                    LoadView loads, util::Rng& rng) override;
   std::string name() const override { return "EF"; }
 };
 
@@ -52,8 +115,7 @@ class EarliestFinishRule final : public ImmediateRule {
 class LightestLoadedRule final : public ImmediateRule {
  public:
   sim::ProcId place(const workload::Task& task, const sim::SystemView& view,
-                    const std::vector<double>& pending_mflops,
-                    util::Rng& rng) override;
+                    LoadView loads, util::Rng& rng) override;
   std::string name() const override { return "LL"; }
 };
 
@@ -61,8 +123,7 @@ class LightestLoadedRule final : public ImmediateRule {
 class RoundRobinRule final : public ImmediateRule {
  public:
   sim::ProcId place(const workload::Task& task, const sim::SystemView& view,
-                    const std::vector<double>& pending_mflops,
-                    util::Rng& rng) override;
+                    LoadView loads, util::Rng& rng) override;
   std::string name() const override { return "RR"; }
 
  private:
@@ -70,8 +131,9 @@ class RoundRobinRule final : public ImmediateRule {
 };
 
 /// Adapts an ImmediateRule to the engine's SchedulingPolicy interface:
-/// consumes the whole unscheduled queue FCFS, updating a local load copy
-/// after each placement.
+/// consumes the whole unscheduled queue FCFS. The first placement reads
+/// the view's loads; a second one makes a local copy and updates it after
+/// each placement.
 class ImmediatePolicy final : public sim::SchedulingPolicy {
  public:
   /// Takes ownership of `rule`.
@@ -83,7 +145,7 @@ class ImmediatePolicy final : public sim::SchedulingPolicy {
 
  private:
   std::unique_ptr<ImmediateRule> rule_;
-  std::vector<double> pending_;  // reused local load copy
+  std::vector<double> loads_;  // reused local load copy
 };
 
 /// MM / MX batch heuristics: FCFS batches sorted by size, each task placed
@@ -101,7 +163,7 @@ class SortedBatchPolicy final : public sim::SchedulingPolicy {
   bool descending_;
   std::size_t batch_size_;
   std::vector<workload::Task> batch_;  // reused batch buffer
-  std::vector<double> pending_;        // reused local load copy
+  std::vector<double> loads_;          // reused local load copy
 };
 
 /// Factory helpers matching the paper's scheduler names.

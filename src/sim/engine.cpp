@@ -140,13 +140,16 @@ void Engine::check_view() const {
   }
 }
 
-void Engine::apply_assignment(const BatchAssignment& assignment) {
+void Engine::apply_assignment(const BatchAssignment& assignment,
+                              std::size_t consumed) {
   if (assignment.per_proc.size() > procs_.size()) {
     throw std::runtime_error("simulate: assignment names unknown processor");
   }
+  std::size_t applied = 0;
   for (std::size_t j = 0; j < assignment.per_proc.size(); ++j) {
     const auto& ids = assignment.per_proc[j];
     if (ids.empty()) continue;
+    applied += ids.size();
     auto& pr = procs_[j];
     for (const workload::TaskId id : ids) {
       const auto it = id_to_index_.find(id);
@@ -163,25 +166,35 @@ void Engine::apply_assignment(const BatchAssignment& assignment) {
       post(now_, EventKind::kRequest, static_cast<ProcId>(j));
     }
   }
+  if (applied != consumed) {
+    throw std::runtime_error(
+        "simulate: policy assigned " + std::to_string(applied) +
+        " tasks but took " + std::to_string(consumed) + " off the queue");
+  }
 }
 
 void Engine::try_schedule() {
   if (unscheduled_.empty()) return;
   refresh_view();
+  const std::size_t queued = unscheduled_.size();
   const auto t0 = std::chrono::steady_clock::now();
   BatchAssignment assignment = policy_.invoke(view_, unscheduled_, rng_);
   const auto t1 = std::chrono::steady_clock::now();
   const double wall = std::chrono::duration<double>(t1 - t0).count();
   policy_wall_ += wall;
   ++invocations_;
+  if (unscheduled_.size() > queued) {
+    throw std::runtime_error("simulate: policy added tasks to the queue");
+  }
+  const std::size_t consumed = queued - unscheduled_.size();
   if (cfg_.sched_time_scale > 0.0) {
     // The dedicated scheduler processor takes simulated time to compute
     // the schedule; the assignment lands later.
-    pending_assignments_.push_back(std::move(assignment));
+    pending_assignments_.push_back({std::move(assignment), consumed});
     post(now_ + cfg_.sched_time_scale * wall, EventKind::kAssign,
          kInvalidProc, pending_assignments_.size() - 1);
   } else {
-    apply_assignment(assignment);
+    apply_assignment(assignment, consumed);
   }
 }
 
@@ -367,8 +380,9 @@ void Engine::dispatch(const Ev& ev) {
       break;
     }
     case EventKind::kAssign: {
-      apply_assignment(pending_assignments_[ev.payload]);
-      pending_assignments_[ev.payload] = BatchAssignment{};  // free memory
+      auto& pending = pending_assignments_[ev.payload];
+      apply_assignment(pending.assignment, pending.consumed);
+      pending.assignment = BatchAssignment{};  // free memory
       break;
     }
   }

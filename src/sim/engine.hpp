@@ -272,6 +272,12 @@ class Engine {
     bool live = false;               // on live_: view entry may be stale
   };
 
+  // An assignment waiting for its kAssign event.
+  struct PendingAssignment {
+    BatchAssignment assignment;
+    std::size_t consumed = 0;  // tasks its invocation took off the queue
+  };
+
   void post(SimTime t, EventKind k, ProcId p, std::size_t payload = 0,
             std::uint64_t epoch = 0) {
     events_.push(t, Ev{k, p, payload, epoch});
@@ -281,7 +287,10 @@ class Engine {
   void touch(std::size_t j);
   void refresh_view();
   void check_view() const;
-  void apply_assignment(const BatchAssignment& assignment);
+  // Throws unless the assignment names exactly `consumed` tasks: the
+  // number its invocation took off unscheduled_.
+  void apply_assignment(const BatchAssignment& assignment,
+                        std::size_t consumed);
   void try_schedule();
   std::size_t requeue_holdings(std::size_t j);
   void start_dispatch(ProcId proc);
@@ -298,7 +307,7 @@ class Engine {
   CalendarQueue<Ev> events_;
   std::vector<ProcRuntime> procs_;
   std::deque<workload::Task> unscheduled_;
-  std::vector<BatchAssignment> pending_assignments_;
+  std::vector<PendingAssignment> pending_assignments_;
   std::vector<TaskRecord> records_;
   SystemView view_;                // what every invocation is handed
   std::vector<std::size_t> live_;  // processors whose view_ entry may be stale

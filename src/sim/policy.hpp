@@ -84,7 +84,9 @@ class SchedulingPolicy {
   virtual ~SchedulingPolicy() = default;
 
   /// Consumes zero or more tasks from the front of `queue` and returns
-  /// their assignment. Must not assign a task it did not consume.
+  /// their assignment. Must assign exactly the tasks it consumed; the
+  /// engine throws std::runtime_error when the number of ids assigned
+  /// differs from the number taken off the queue.
   /// `view` belongs to the caller and is valid only until invoke returns
   /// (the engine rewrites it in place between invocations); a policy
   /// that keeps any of it must copy it.

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
 
 #include "sim/availability.hpp"
 #include "workload/generator.hpp"
@@ -186,6 +187,70 @@ TEST(Engine, UnknownTaskIdInAssignmentThrows) {
   const Workload w = constant_workload(2, 10.0);
   BadPolicy policy;
   EXPECT_THROW(simulate(c, w, policy, util::Rng(1)), std::runtime_error);
+}
+
+/// Assigns the task at the front of the queue without popping it.
+class AssignWithoutConsuming final : public SchedulingPolicy {
+ public:
+  BatchAssignment invoke(const SystemView& view, std::deque<Task>& queue,
+                         util::Rng&) override {
+    auto a = BatchAssignment::empty(view.size());
+    a.per_proc[next_++ % view.size()].push_back(queue.front().id);
+    return a;
+  }
+  std::string name() const override { return "assign-not-consume"; }
+
+ private:
+  std::size_t next_ = 0;
+};
+
+/// Pops every queued task and assigns only the first of them.
+class ConsumeWithoutAssigning final : public SchedulingPolicy {
+ public:
+  BatchAssignment invoke(const SystemView& view, std::deque<Task>& queue,
+                         util::Rng&) override {
+    auto a = BatchAssignment::empty(view.size());
+    a.per_proc[0].push_back(queue.front().id);
+    queue.clear();
+    return a;
+  }
+  std::string name() const override { return "consume-not-assign"; }
+};
+
+// An assignment must name exactly the tasks its invocation took off the
+// queue. Without the check, AssignWithoutConsuming below kept rerunning
+// task 0, never ran tasks 1-3, and still reported 4 of 4 tasks completed;
+// a policy that dropped tasks surfaced only as a deadlock once the events
+// ran out.
+void expect_count_mismatch(SchedulingPolicy& policy, const Workload& w,
+                           double sched_time_scale) {
+  const Cluster c = homogeneous_cluster(2, 10.0, true);
+  EngineConfig cfg;
+  cfg.sched_time_scale = sched_time_scale;
+  try {
+    simulate(c, w, policy, util::Rng(1), cfg);
+    ADD_FAILURE() << "no error (sched_time_scale " << sched_time_scale << ")";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("off the queue"), std::string::npos)
+        << e.what();
+  }
+}
+
+TEST(Engine, AssignedButNotConsumedThrows) {
+  const Workload w = constant_workload(4, 10.0);
+  for (const double scale : {0.0, 1.0}) {
+    AssignWithoutConsuming policy;
+    expect_count_mismatch(policy, w, scale);
+  }
+}
+
+TEST(Engine, ConsumedButNotAssignedThrows) {
+  Workload w;
+  w.tasks = {{0, 10.0, 0.0}, {1, 10.0, 0.0}, {2, 10.0, 5.0}};
+  for (const double scale : {0.0, 1.0}) {
+    ConsumeWithoutAssigning policy;
+    expect_count_mismatch(policy, w, scale);
+  }
 }
 
 TEST(Engine, DuplicateTaskIdsRejected) {
