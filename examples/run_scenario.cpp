@@ -219,11 +219,7 @@ int usage(std::ostream& os, const std::string& program, int code) {
         "With `[bounds] enabled = true` in the INI, a certified\n"
         "lower-bound table (lb_comb, lb_qp, best-scheduler gap) prints\n"
         "after the sweep — keys tolerance and max_iterations tune the\n"
-        "interior-point solver; see docs/bounds.md.\n"
-        "\n"
-        "The optional [eval] section selects the evaluator numeric mode\n"
-        "(`numeric_mode = exact|fast`) and the fast-mode tolerance audit\n"
-        "(`tolerance`, `audit_sample_period`); see docs/evaluation.md.\n";
+        "interior-point solver; see docs/bounds.md.\n";
   return code;
 }
 
@@ -243,10 +239,6 @@ int main(int argc, char** argv) {
   int exit_code = 0;
   try {
     const util::Config cfg = util::Config::load(cli.positional()[0]);
-    // Apply [eval] before any evaluator exists: numeric mode (exact|fast)
-    // and the fast-mode tolerance audit. See docs/evaluation.md.
-    const exp::EvalConfig eval_cfg = exp::eval_config_from_config(cfg);
-    exp::apply_eval_config(eval_cfg);
     if (cli.get_bool("serve", false)) return run_serve(cfg, std::cout);
     exp::Sweep sweep =
         exp::sweep_from_config(cfg, cli.get("schedulers", ""));
@@ -288,13 +280,6 @@ int main(int argc, char** argv) {
     }
 
     const exp::SweepResult result = sweep.run();
-    if (core::default_numeric_mode() == core::NumericMode::kFast) {
-      const auto& audit = core::ToleranceAudit::global();
-      std::cout << "Fast numeric mode: tolerance audit sampled "
-                << audit.samples() << " evaluations, max relative deviation "
-                << audit.max_deviation() << " (tolerance "
-                << audit.config().tolerance << ")\n";
-    }
     if (csv) std::cout << "CSV written to " << csv->path().string() << "\n";
     if (jsonl) {
       std::cout << "JSONL written to " << jsonl->path().string() << "\n";

@@ -7,7 +7,6 @@
 #include <cstring>
 #include <stdexcept>
 
-#include "core/kernels.hpp"
 #include "core/rebalance.hpp"
 
 namespace gasched::core {
@@ -20,11 +19,8 @@ std::atomic<std::uint64_t> g_next_evaluator_id{1};
 
 ScheduleEvaluator::ScheduleEvaluator(std::vector<double> task_sizes,
                                      const sim::SystemView& view,
-                                     bool use_comm, NumericMode mode)
+                                     bool use_comm, NumericMode)
     : size_(std::move(task_sizes)),
-      mode_(mode),
-      audit_(mode == NumericMode::kFast ? ToleranceAudit::current()
-                                        : nullptr),
       id_(g_next_evaluator_id.fetch_add(1, std::memory_order_relaxed)) {
   if (view.procs.empty()) {
     throw std::invalid_argument("ScheduleEvaluator: empty system view");
@@ -70,10 +66,6 @@ ScheduleEvaluator::ScheduleEvaluator(std::vector<double> task_sizes,
       row[slot] = size_[slot] / rate + comm;
     }
   }
-  // Fast-path shape: gather pricing only pays off once queues are long
-  // enough to fill SIMD lanes (see gather_shape() in the header).
-  gather_shape_ = mode_ == NumericMode::kFast &&
-                  N >= kGatherShapeMinSlotsPerQueue * rate_.size();
 }
 
 double ScheduleEvaluator::completion_time(
@@ -127,16 +119,18 @@ double fitness_of_error(double e) {
   return 1.0 / e;
 }
 
-/// The reductions of m completion times: Σ_j (ψ − C_j)², max_j C_j and
-/// its first argmax. kExact reassembles them in ascending j — never
-/// adjusts them incrementally — so any two exact pricings of the same
-/// C_j agree bit for bit, however those C_j were reached; kFast runs the
-/// SIMD reduction kernel, which gives fast delta and fast full pricing
-/// the same bits in the same way.
-kernels::Reduction reduce_row(NumericMode mode, const double* c,
-                              std::size_t m, double psi) {
-  if (mode == NumericMode::kFast) return kernels::reduce_deviation(c, m, psi);
-  kernels::Reduction r;
+/// The reductions of m completion times.
+struct Reduction {
+  double sum_sq = 0.0;     ///< Σ_j (ψ − C_j)²
+  double max = 0.0;        ///< max_j C_j (0 when m == 0)
+  std::size_t argmax = 0;  ///< first j attaining max
+};
+
+/// Reduces m completion times in ascending j — never adjusting the sums
+/// incrementally — so any two pricings of the same C_j agree bit for
+/// bit, however those C_j were reached.
+Reduction reduce_row(const double* c, std::size_t m, double psi) {
+  Reduction r;
   double heavy_time = -1.0;
   for (std::size_t j = 0; j < m; ++j) {
     const double cj = c[j];
@@ -151,7 +145,7 @@ kernels::Reduction reduce_row(NumericMode mode, const double* c,
   return r;
 }
 
-BatchEvaluation metrics_of(const kernels::Reduction& r) {
+BatchEvaluation metrics_of(const Reduction& r) {
   const double e = std::sqrt(r.sum_sq);
   return {fitness_of_error(e), r.max, e};
 }
@@ -196,7 +190,7 @@ double ScheduleEvaluator::fitness(const ProcQueues& queues) const {
   return fitness_of_error(relative_error(queues));
 }
 
-BatchEvaluation ScheduleEvaluator::evaluate_exact(
+BatchEvaluation ScheduleEvaluator::evaluate(
     const FlatSchedule& schedule) const {
   double m = 0.0;
   double sum_sq = 0.0;
@@ -210,87 +204,12 @@ BatchEvaluation ScheduleEvaluator::evaluate_exact(
   return {fitness_of_error(e), m, e};
 }
 
-namespace {
-
-/// Audit sampling stream of the stateless fast evaluate(FlatSchedule)
-/// path: per-thread, so concurrent callers never race (workspace paths
-/// use the per-workspace QueueLoads::audit_tick instead).
-thread_local std::uint64_t t_stateless_audit_tick = 0;
-
-}  // namespace
-
-double ScheduleEvaluator::fast_queue_completion(
-    std::size_t j, std::span<const std::size_t> queue) const {
-  return delta_[j] +
-         kernels::sum_gather(cost_row(j), queue.data(), queue.size());
-}
-
-double ScheduleEvaluator::fast_completion(
-    std::size_t j, std::span<const std::size_t> queue) const {
-  if (gather_shape_) return fast_queue_completion(j, queue);
-  return completion_time(j, queue);
-}
-
-void ScheduleEvaluator::shadow_check(const FlatSchedule& schedule,
-                                     const BatchEvaluation& fast) const {
-  const BatchEvaluation exact = evaluate_exact(schedule);
-  // One deviation per sample: the worst of the three reported metrics.
-  // Fitness lives in [0, 1] (scale 1); makespan and E are times whose
-  // natural scale is ψ — see core::metric_deviation for the floor rule.
-  const double dev = std::max(
-      {metric_deviation(fast.fitness, exact.fitness, 1.0),
-       metric_deviation(fast.makespan, exact.makespan, psi_),
-       metric_deviation(fast.relative_error, exact.relative_error, psi_)});
-  audit_->record(dev);
-}
-
-bool ScheduleEvaluator::audit_sampled(std::uint64_t& tick) const {
-  if (audit_ == nullptr) return false;
-  const std::size_t period = audit_->config().sample_period;
-  return period != 0 && ++tick % period == 0;
-}
-
-void ScheduleEvaluator::maybe_audit(const FlatSchedule& schedule,
-                                    const BatchEvaluation& fast,
-                                    std::uint64_t& tick) const {
-  if (audit_sampled(tick)) shadow_check(schedule, fast);
-}
-
-void ScheduleEvaluator::audit_batched(const ScheduleCodec& codec,
-                                      std::span<const ga::Gene> c,
-                                      const BatchEvaluation& fast,
-                                      FlatSchedule& scratch,
-                                      std::uint64_t& tick) const {
-  if (!audit_sampled(tick)) return;
-  // Sampled lanes re-decode (rare — once per sample_period pricings);
-  // unsampled lanes never pay a second pass.
-  codec.decode_into(c, scratch);
-  shadow_check(scratch, fast);
-}
-
-BatchEvaluation ScheduleEvaluator::evaluate(
-    const FlatSchedule& schedule) const {
-  if (mode_ != NumericMode::kFast) return evaluate_exact(schedule);
-  double m = 0.0;
-  double sum_sq = 0.0;
-  for (std::size_t j = 0; j < schedule.num_procs(); ++j) {
-    const double cj = fast_completion(j, schedule.queue(j));
-    m = std::max(m, cj);
-    const double dev = psi_ - cj;
-    sum_sq += dev * dev;
-  }
-  const double e = std::sqrt(sum_sq);
-  const BatchEvaluation fast{fitness_of_error(e), m, e};
-  maybe_audit(schedule, fast, t_stateless_audit_tick);
-  return fast;
-}
-
 BatchEvaluation ScheduleEvaluator::reduce(QueueLoads& loads) const {
   // A delta re-price reduces the exact same completions through the exact
   // same reduction as a full pricing: bit-identical sum_sq, makespan and
-  // first argmax in either numeric mode.
-  const kernels::Reduction r = reduce_row(
-      mode_, loads.completion.data(), loads.completion.size(), psi_);
+  // first argmax.
+  const Reduction r =
+      reduce_row(loads.completion.data(), loads.completion.size(), psi_);
   loads.sum_sq = r.sum_sq;
   loads.max_completion = r.max;
   loads.heaviest = r.argmax;
@@ -307,21 +226,8 @@ void ScheduleEvaluator::reprice_queue(
   loads.dev_sq[j] = dev * dev;
 }
 
-BatchEvaluation ScheduleEvaluator::load_fast(const FlatSchedule& schedule,
-                                             QueueLoads& out) const {
-  const std::size_t M = schedule.num_procs();
-  out.completion.resize(M);
-  for (std::size_t j = 0; j < M; ++j) {
-    out.completion[j] = fast_completion(j, schedule.queue(j));
-  }
-  const BatchEvaluation fast = reduce(out);
-  maybe_audit(schedule, fast, out.audit_tick);
-  return fast;
-}
-
 BatchEvaluation ScheduleEvaluator::load(const FlatSchedule& schedule,
                                         QueueLoads& out) const {
-  if (mode_ == NumericMode::kFast) return load_fast(schedule, out);
   const std::size_t M = schedule.num_procs();
   out.completion.resize(M);
   out.dev_sq.resize(M);
@@ -339,27 +245,13 @@ BatchEvaluation ScheduleEvaluator::load_decoded(const ScheduleCodec& codec,
   return load(schedule, out);
 }
 
-BatchEvaluation ScheduleEvaluator::reprice_pair(
-    QueueLoads& loads, std::size_t qa, std::span<const std::size_t> a,
-    std::size_t qb, std::span<const std::size_t> b) const {
-  if (mode_ == NumericMode::kFast) {
-    loads.completion[qa] = fast_completion(qa, a);
-    if (qb != qa) loads.completion[qb] = fast_completion(qb, b);
-    return reduce(loads);
-  }
-  reprice_queue(loads, qa, a);
-  if (qb != qa) reprice_queue(loads, qb, b);
-  return reduce(loads);
-}
-
 BatchEvaluation ScheduleEvaluator::evaluate_swap(const FlatSchedule& schedule,
                                                  QueueLoads& loads,
                                                  std::size_t qa,
                                                  std::size_t qb) const {
-  const BatchEvaluation e =
-      reprice_pair(loads, qa, schedule.queue(qa), qb, schedule.queue(qb));
-  maybe_audit(schedule, e, loads.audit_tick);
-  return e;
+  reprice_queue(loads, qa, schedule.queue(qa));
+  if (qb != qa) reprice_queue(loads, qb, schedule.queue(qb));
+  return reduce(loads);
 }
 
 BatchEvaluation ScheduleEvaluator::evaluate_move(const FlatSchedule& schedule,
@@ -369,8 +261,7 @@ BatchEvaluation ScheduleEvaluator::evaluate_move(const FlatSchedule& schedule,
   return evaluate_swap(schedule, loads, from, to);
 }
 
-std::size_t ScheduleEvaluator::load_memo(const ScheduleCodec& codec,
-                                         const ga::Chromosome& c,
+std::size_t ScheduleEvaluator::load_memo(const ga::Chromosome& c,
                                          EvalWorkspace& ws) const {
   PricingMemo& memo = ws.memo;
   memo.bind(*this);
@@ -381,28 +272,15 @@ std::size_t ScheduleEvaluator::load_memo(const ScheduleCodec& codec,
   }
   const std::uint64_t h = PricingMemo::hash(c);
   const std::size_t e = memo.find(c, h);
-  if (e != PricingMemo::kCapacity) {
-    // A hit stands in for one full pricing, so it takes that pricing's
-    // place in the kFast audit stream too.
-    audit_batched(codec, c, memo.evaluation(e), ws.schedule,
-                  ws.loads.audit_tick);
-    return e;
-  }
-  return load_memo_miss(codec, c, h, ws);
+  if (e != PricingMemo::kCapacity) return e;
+  return load_memo_miss(c, h, ws);
 }
 
-double ScheduleEvaluator::entry_completion(PricingMemo& memo, std::size_t e,
+double ScheduleEvaluator::entry_completion(const PricingMemo& memo,
+                                           std::size_t e,
                                            std::size_t j) const {
   const ga::Gene* queue = memo.key(e).data() + memo.queue_begin(e, j);
   const std::size_t n = memo.queue_size(e, j);
-  if (gather_shape_) {
-    std::size_t* slots = memo.probe_slots_.data();
-    for (std::size_t i = 0; i < n; ++i) {
-      slots[i] = ScheduleCodec::task_slot(queue[i]);
-    }
-    return fast_queue_completion(j, {slots, n});
-  }
-  // completion_time()'s left-to-right sum, read straight off the key.
   double cj = delta_[j];
   const double* cost = cost_row(j);
   for (std::size_t i = 0; i < n; ++i) {
@@ -412,8 +290,7 @@ double ScheduleEvaluator::entry_completion(PricingMemo& memo, std::size_t e,
 }
 
 [[gnu::noinline]] std::size_t ScheduleEvaluator::load_memo_miss(
-    const ScheduleCodec& codec, const ga::Chromosome& c, std::uint64_t h,
-    EvalWorkspace& ws) const {
+    const ga::Chromosome& c, std::uint64_t h, EvalWorkspace& ws) const {
   const std::size_t M = num_procs();
   // Checked before anything is written, so a bad chromosome leaves every
   // entry as it was.
@@ -426,10 +303,8 @@ double ScheduleEvaluator::entry_completion(PricingMemo& memo, std::size_t e,
   ga::Gene* key = memo.keys_.data() + e * memo.genes_;
   std::uint32_t* off = memo.offsets_.data() + e * (M + 1);
   double* completion = memo.completion_.data() + e * M;
-  // One pass over c writes the key, the queue offsets and, outside the
-  // kFast gather shape, each C_j, summed in queue order exactly as
-  // completion_time() sums it.
-  const bool fused = !gather_shape_;
+  // One pass over c writes the key, the queue offsets and each C_j,
+  // summed in queue order exactly as completion_time() sums it.
   const std::size_t N = num_tasks();
   std::copy(delta_.begin(), delta_.end(), completion);
   std::size_t proc = 0;
@@ -441,27 +316,17 @@ double ScheduleEvaluator::entry_completion(PricingMemo& memo, std::size_t e,
     if (ScheduleCodec::is_delimiter(g)) {
       off[++proc] = tasks;
     } else {
-      if (fused) {
-        completion[proc] += cost_[proc * N + ScheduleCodec::task_slot(g)];
-      }
+      completion[proc] += cost_[proc * N + ScheduleCodec::task_slot(g)];
       ++tasks;
     }
   }
   for (std::size_t j = proc + 1; j <= M; ++j) off[j] = tasks;
-  if (!fused) {
-    for (std::size_t j = 0; j < M; ++j) {
-      completion[j] = entry_completion(memo, e, j);
-    }
-  }
-  const kernels::Reduction r = reduce_row(mode_, completion, M, psi_);
-  const BatchEvaluation eval = metrics_of(r);
-  memo.meta_[e] = {h, ++memo.clock_, eval, r.sum_sq, r.argmax};
-  audit_batched(codec, c, eval, ws.schedule, ws.loads.audit_tick);
+  const Reduction r = reduce_row(completion, M, psi_);
+  memo.meta_[e] = {h, ++memo.clock_, metrics_of(r), r.sum_sq, r.argmax};
   return e;
 }
 
-bool ScheduleEvaluator::try_memo_swap(const ScheduleCodec& codec,
-                                      EvalWorkspace& ws, std::size_t e,
+bool ScheduleEvaluator::try_memo_swap(EvalWorkspace& ws, std::size_t e,
                                       std::size_t qa, std::size_t qb) const {
   PricingMemo& memo = ws.memo;
   PricingMemo::Meta& meta = memo.meta_[e];
@@ -471,23 +336,15 @@ bool ScheduleEvaluator::try_memo_swap(const ScheduleCodec& codec,
   const double old_b = completion[qb];
   const double new_a = entry_completion(memo, e, qa);
   const double new_b = entry_completion(memo, e, qb);
-  // The probe stands in for one audited evaluate_swap(): a sampled one is
-  // priced in full so that its shadow check runs.
-  const bool sampled = audit_sampled(ws.loads.audit_tick);
-  if (!sampled &&
-      certified_no_gain(meta.sum_sq, psi_, M, old_a, old_b, new_a, new_b)) {
+  if (certified_no_gain(meta.sum_sq, psi_, M, old_a, old_b, new_a, new_b)) {
     return false;
   }
   // The full reduction over the entry's completions with the two new
   // values in place: the doubles, and the order, of a full pricing.
   completion[qa] = new_a;
   completion[qb] = new_b;
-  const kernels::Reduction r = reduce_row(mode_, completion, M, psi_);
+  const Reduction r = reduce_row(completion, M, psi_);
   const BatchEvaluation cand = metrics_of(r);
-  if (sampled) {
-    codec.decode_into(memo.key(e), ws.schedule);
-    shadow_check(ws.schedule, cand);
-  }
   if (!(cand.fitness > meta.eval.fitness)) {
     completion[qb] = old_b;
     completion[qa] = old_a;
@@ -540,13 +397,11 @@ void PricingMemo::bind(const ScheduleEvaluator& eval) {
   if (owner_ == eval.id()) return;
   clear();
   owner_ = eval.id();
-  const std::size_t N = eval.num_tasks();
   procs_ = eval.num_procs();
-  genes_ = N + procs_ - 1;
+  genes_ = eval.num_tasks() + procs_ - 1;
   keys_.resize(kCapacity * genes_);
   offsets_.resize(kCapacity * (procs_ + 1));
   completion_.resize(kCapacity * procs_);
-  probe_slots_.resize(N);
 }
 
 std::size_t PricingMemo::find(std::span<const ga::Gene> c,
@@ -583,11 +438,6 @@ void PricingMemo::swap_genes(std::size_t e, std::size_t p,
   std::swap(k[p], k[q]);
 }
 
-BatchEvaluation ScheduleEvaluator::reduce_completion_fast(
-    const double* completion) const {
-  return metrics_of(kernels::reduce_deviation(completion, num_procs(), psi_));
-}
-
 ScheduleProblem::ScheduleProblem(const ScheduleCodec& codec,
                                  const ScheduleEvaluator& eval,
                                  std::size_t rebalance_probes)
@@ -610,61 +460,8 @@ ga::GaProblem::Evaluation ScheduleProblem::evaluate(const ga::Chromosome& c,
     return {e.fitness, e.makespan};
   }
   auto& w = static_cast<EvalWorkspace&>(*ws);
-  const BatchEvaluation& e =
-      w.memo.evaluation(eval_.load_memo(codec_, c, w));
+  const BatchEvaluation& e = w.memo.evaluation(eval_.load_memo(c, w));
   return {e.fitness, e.makespan};
-}
-
-void ScheduleProblem::evaluate_batch(std::span<const ga::Chromosome> pop,
-                                     std::span<const std::size_t> indices,
-                                     Workspace* ws, Evaluation* out) const {
-  // The queue-major gather machinery below only pays off in the gather
-  // shape (long queues). In the short-queue shape the per-chromosome
-  // memoized pricing (load_memo via the base loop) is already the
-  // fastest pricing we have, so delegate to it.
-  if (eval_.numeric_mode() != NumericMode::kFast || !eval_.gather_shape() ||
-      ws == nullptr || indices.empty()) {
-    ga::GaProblem::evaluate_batch(pop, indices, ws, out);
-    return;
-  }
-  auto& w = static_cast<EvalWorkspace&>(*ws);
-  const std::size_t B = indices.size();
-  const std::size_t M = eval_.num_procs();
-  if (w.lane_schedule.size() < B) w.lane_schedule.resize(B);
-  w.lane_completion.resize(B * M);
-  w.lane_eval.resize(B);
-  // Pass 1: decode each block member into its own reused flat schedule.
-  for (std::size_t k = 0; k < B; ++k) {
-    codec_.decode_into(pop[indices[k]], w.lane_schedule[k]);
-  }
-  // Pass 2: queue-major gather-pricing — for each processor j, price
-  // queue j of *every* lane over pane row j while the row is hot in L1.
-  // Lane-major order would stream the whole cost table (M·N doubles)
-  // once per chromosome; queue-major streams it once per block. The
-  // per-queue sums are the same doubles either way, so this ordering is
-  // a pure locality choice.
-  const kernels::SumGatherFn gather = kernels::sum_gather_fn();
-  for (std::size_t j = 0; j < M; ++j) {
-    const double* row = eval_.cost_row(j);
-    const double dj = eval_.delta(j);
-    double* lanes = w.lane_completion.data();
-    for (std::size_t k = 0; k < B; ++k) {
-      const auto queue = w.lane_schedule[k].queue(j);
-      lanes[k * M + j] = dj + gather(row, queue.data(), queue.size());
-    }
-  }
-  // Pass 3: one kernel-reduction sweep over the lanes. The audit samples
-  // from the same per-workspace stream as the single-chromosome paths; a
-  // sampled lane re-decodes into the workspace schedule for its exact
-  // shadow pricing.
-  for (std::size_t k = 0; k < B; ++k) {
-    const BatchEvaluation fast =
-        eval_.reduce_completion_fast(w.lane_completion.data() + k * M);
-    w.lane_eval[k] = fast;
-    eval_.audit_batched(codec_, pop[indices[k]], fast, w.schedule,
-                        w.loads.audit_tick);
-    out[k] = {fast.fitness, fast.makespan};
-  }
 }
 
 std::unique_ptr<ga::GaProblem::Workspace> ScheduleProblem::make_workspace()

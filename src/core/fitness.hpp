@@ -49,64 +49,34 @@ struct BatchEvaluation {
 /// valid only for (evaluator, schedule) pairs the caller controls — it
 /// holds no back-references, so any edit to the schedule outside the
 /// delta APIs, or pricing through a different evaluator, silently stales
-/// it. What outlives a pricing is the memo entry (see PricingMemo); the
-/// workspace copy carries the kFast audit tick of the memo paths.
+/// it. What outlives a pricing is the memo entry (see PricingMemo).
+///
+/// Reductions always recompute from `completion` in ascending j, which is
+/// what keeps delta pricing bit-identical to full pricing.
 struct QueueLoads {
   std::vector<double> completion;  ///< C_j per processor
-  std::vector<double> dev_sq;      ///< (ψ − C_j)² per processor (exact mode)
-  double sum_sq = 0.0;             ///< Σ_j dev squares (see mode note)
+  std::vector<double> dev_sq;      ///< (ψ − C_j)² per processor
+  double sum_sq = 0.0;             ///< Σ_j (ψ − C_j)², summed j-ascending
   double max_completion = 0.0;     ///< max_j C_j (makespan)
   std::size_t heaviest = 0;        ///< first argmax_j C_j
   BatchEvaluation eval;            ///< reduced metrics of the cached state
-  /// Tolerance-audit sampling counter of this workspace's fast pricings
-  /// (kFast only): every sample_period-th pricing through this cache is
-  /// shadow-priced exactly. Per-workspace state, so parallel evaluation
-  /// never races on it.
-  std::uint64_t audit_tick = 0;
-
-  // Mode note (docs/evaluation.md): reductions always recompute from
-  // `completion`, which is what keeps delta pricing bit-identical to full
-  // pricing. Under kExact, dev_sq holds the per-queue squares and sum_sq
-  // is their j-ascending sum. Under kFast, dev_sq is not maintained and
-  // sum_sq holds the SIMD kernel's vector-order sum.
 };
 
-/// Evaluates schedules for one batch against one system snapshot.
-///
-/// Numeric modes (core/numeric.hpp; docs/evaluation.md): under kExact
-/// (the default) every path keeps the canonical left-to-right summation
-/// and its bit-identity promises. Under kFast, the full-pricing paths —
-/// evaluate(FlatSchedule), load(), load_decoded(), the delta paths, and
-/// the batched population pricing — route through the SIMD kernels of
-/// core/kernels.hpp, and the evaluator captures ToleranceAudit::current()
-/// at construction to shadow-price a deterministic sample of evaluations
-/// through the exact path. The convenience adapters (ProcQueues
-/// overloads, completion_time, fitness/makespan/relative_error) stay
-/// exact in both modes: they serve one-off callers where vectorization
-/// buys nothing and bit-stability is worth keeping.
+/// Evaluates schedules for one batch against one system snapshot. Every
+/// path sums each C_j left to right in queue order and reduces the
+/// metrics in ascending j (docs/evaluation.md), so any two pricings of
+/// the same schedule agree bit for bit.
 class ScheduleEvaluator {
  public:
   /// `task_sizes[slot]` is the MFLOP size of batch slot `slot`;
   /// `view` supplies P_j, L_j, and Γc_j. When `use_comm` is false the
   /// Γc_j term is dropped (ZO baseline). View rates must be positive.
-  /// `mode` defaults to the process-wide default_numeric_mode().
+  /// The NumericMode parameter is ignored; it is kept only because
+  /// bench/e2e/gasched_bench.cpp passes GaConfig::numeric_mode here
+  /// (core/numeric.hpp).
   ScheduleEvaluator(std::vector<double> task_sizes,
                     const sim::SystemView& view, bool use_comm,
-                    NumericMode mode = default_numeric_mode());
-
-  /// Numeric mode this evaluator prices with.
-  NumericMode numeric_mode() const noexcept { return mode_; }
-
-  /// Fast-path pricing shape, fixed at construction from the problem
-  /// geometry (only meaningful under kFast). When the mean queue is long
-  /// enough (N/M >= kGatherShapeMinSlotsPerQueue) fast pricing gathers
-  /// each queue over its cost pane with the SIMD kernels; below that the
-  /// gather setup cost exceeds the work (measured: ~4-slot queues price
-  /// slower through the gather than through the fused scalar walk), so
-  /// fast pricing keeps the exact per-queue summation and vectorizes
-  /// only the metrics reduction. Both shapes honour the same invariant:
-  /// fast delta re-pricing is bit-identical to fast full pricing.
-  bool gather_shape() const noexcept { return gather_shape_; }
+                    NumericMode = NumericMode::kExact);
 
   /// Number of processors M.
   std::size_t num_procs() const noexcept { return rate_.size(); }
@@ -172,14 +142,10 @@ class ScheduleEvaluator {
   /// schedule of `c` as this evaluator prices it — a lookup when `c`
   /// decodes to one of the memo's recent schedules, otherwise one fused
   /// decode + full pricing straight into the least recently used entry.
-  /// Either way the entry's metrics are bit-identical to
-  /// load_decoded(c), and under kFast the call advances
-  /// ws.loads.audit_tick exactly once (a hit is shadow-priced on the
-  /// sampled period like any other pricing). `c` must have num_tasks() +
-  /// num_procs() − 1 genes; too many delimiters throw
-  /// std::invalid_argument before any entry is touched.
-  std::size_t load_memo(const ScheduleCodec& codec, const ga::Chromosome& c,
-                        EvalWorkspace& ws) const;
+  /// Either way the entry's metrics are bit-identical to load_decoded(c).
+  /// `c` must have num_tasks() + num_procs() − 1 genes; too many
+  /// delimiters throw std::invalid_argument before any entry is touched.
+  std::size_t load_memo(const ga::Chromosome& c, EvalWorkspace& ws) const;
 
   /// Re-balance probe on a memo entry: entry `e` of ws.memo has had one
   /// task of queue `qa` exchanged with one of queue `qb` (qa ≠ qb) in its
@@ -189,12 +155,9 @@ class ScheduleEvaluator {
   /// to load_decoded of it, and is rekeyed. Otherwise the entry's loads
   /// are unchanged and the caller swaps the genes back. Most rejections
   /// are certified from the two re-priced queues alone, without the
-  /// O(M) reduction (docs/evaluation.md "Pricing memo"). Under kFast the
-  /// call advances ws.loads.audit_tick once, like the evaluate_swap() it
-  /// stands in for; a sampled probe is priced in full and its swapped key
-  /// decoded into ws.schedule for the shadow check.
-  bool try_memo_swap(const ScheduleCodec& codec, EvalWorkspace& ws,
-                     std::size_t e, std::size_t qa, std::size_t qb) const;
+  /// O(M) reduction (docs/evaluation.md "Pricing memo").
+  bool try_memo_swap(EvalWorkspace& ws, std::size_t e, std::size_t qa,
+                     std::size_t qb) const;
 
   /// Size of batch slot `slot` in MFLOPs.
   double task_size(std::size_t slot) const { return size_.at(slot); }
@@ -207,23 +170,11 @@ class ScheduleEvaluator {
   /// Processor j's contiguous cost pane: cost_row(j)[slot] ==
   /// task_cost_on(slot, j) for slot in [0, num_tasks()). The cost table
   /// is laid out structure-of-arrays — one pane per processor — so queue
-  /// pricing is a gather over a single pane; this is the pointer the
-  /// SIMD kernels (core/kernels.hpp) consume.
+  /// pricing is a gather over a single pane.
   const double* cost_row(std::size_t j) const {
     return cost_.data() + j * size_.size();
   }
 
-  /// Reduces one M-double completion lane to metrics with the SIMD
-  /// reduction kernel — the per-lane finish of the batched population
-  /// pricing (ScheduleProblem::evaluate_batch). Requires kFast.
-  BatchEvaluation reduce_completion_fast(const double* completion) const;
-  /// Tolerance-audit sampling hook of the batched path: bumps `tick`
-  /// and, on the sampled period, re-decodes `c` into `scratch` and
-  /// shadow-prices it exactly against `fast` (hard error on violation).
-  void audit_batched(const ScheduleCodec& codec,
-                     std::span<const ga::Gene> c,
-                     const BatchEvaluation& fast, FlatSchedule& scratch,
-                     std::uint64_t& tick) const;
   /// Existing drain time δ_j of processor j (seconds).
   double delta(std::size_t j) const { return delta_.at(j); }
   /// Rate P_j of processor j (Mflop/s).
@@ -236,57 +187,21 @@ class ScheduleEvaluator {
 
  private:
   /// Recomputes the reductions (sum_sq/max/argmax/eval) of `loads` from
-  /// its completion array in the numeric mode's arithmetic.
+  /// its completion array.
   BatchEvaluation reduce(QueueLoads& loads) const;
   /// Re-prices exactly queue `j` (its slots in queue order) into `loads`
   /// (canonical left-to-right summation), without touching the
   /// reductions.
   void reprice_queue(QueueLoads& loads, std::size_t j,
                      std::span<const std::size_t> queue) const;
-  /// Pricing core of the delta paths, without the audit: re-prices
-  /// queues `qa` and `qb` (slots `a` and `b`) into `loads` in the
-  /// numeric mode's arithmetic and reduces.
-  BatchEvaluation reprice_pair(QueueLoads& loads, std::size_t qa,
-                               std::span<const std::size_t> a,
-                               std::size_t qb,
-                               std::span<const std::size_t> b) const;
-
-  /// The canonical single-pass evaluation (always exact) — the shadow
-  /// path the tolerance audit compares against.
-  BatchEvaluation evaluate_exact(const FlatSchedule& schedule) const;
-  /// Kernel-summed C_j of one queue: δ_j + sum_gather over the pane.
-  double fast_queue_completion(std::size_t j,
-                               std::span<const std::size_t> queue) const;
-  /// Shape-dispatched fast C_j: the gather kernel when gather_shape(),
-  /// the canonical left-to-right walk otherwise. Every fast pricing path
-  /// (full and delta) routes per-queue sums through this one function so
-  /// the fast-full == fast-delta bit-identity holds in either shape.
-  double fast_completion(std::size_t j,
-                         std::span<const std::size_t> queue) const;
-  /// Fast full pricing (kFast body of load()).
-  BatchEvaluation load_fast(const FlatSchedule& schedule,
-                            QueueLoads& out) const;
-  /// Shadow-prices `schedule` exactly and records the deviation of
-  /// `fast` with the captured audit (hard error on violation).
-  void shadow_check(const FlatSchedule& schedule,
-                    const BatchEvaluation& fast) const;
-  /// Samples the tolerance audit: every sample_period-th bump of `tick`
-  /// shadow-prices `schedule` exactly and records the deviation from
-  /// `fast`. Hard-errors (throws) on a violation.
-  void maybe_audit(const FlatSchedule& schedule, const BatchEvaluation& fast,
-                   std::uint64_t& tick) const;
-  /// Bumps the audit sampling counter `tick` (kFast with an audit only)
-  /// and reports whether this bump is a sampled one.
-  bool audit_sampled(std::uint64_t& tick) const;
-  /// C_j of queue j of memo entry `e`, read off its key in the numeric
-  /// mode's per-queue arithmetic (fast_completion()).
-  double entry_completion(PricingMemo& memo, std::size_t e,
+  /// C_j of queue j of memo entry `e`, read off its key with
+  /// completion_time()'s left-to-right sum.
+  double entry_completion(const PricingMemo& memo, std::size_t e,
                           std::size_t j) const;
   /// The miss half of load_memo(), kept out of line so the hit path
   /// stays small: decodes and prices `c` (hash `h`) straight into the
   /// least recently used entry.
-  std::size_t load_memo_miss(const ScheduleCodec& codec,
-                             const ga::Chromosome& c, std::uint64_t h,
+  std::size_t load_memo_miss(const ga::Chromosome& c, std::uint64_t h,
                              EvalWorkspace& ws) const;
 
   std::vector<double> size_;   // t_i per batch slot
@@ -295,16 +210,8 @@ class ScheduleEvaluator {
   std::vector<double> comm_;   // Γc_j (zeroed when use_comm == false)
   std::vector<double> cost_;   // cost_[j*N + slot]: per-processor panes
   double psi_ = 0.0;
-  NumericMode mode_ = NumericMode::kExact;
-  bool gather_shape_ = false;        // see gather_shape()
-  ToleranceAudit* audit_ = nullptr;  // captured at construction (kFast)
-  std::uint64_t id_ = 0;             // see id()
+  std::uint64_t id_ = 0;  // see id()
 };
-
-/// Mean slots-per-queue (N/M) at which kFast switches from the fused
-/// scalar walk to SIMD gather pricing — below this the gather setup cost
-/// dominates ~4-slot queues (see ScheduleEvaluator::gather_shape()).
-inline constexpr std::size_t kGatherShapeMinSlotsPerQueue = 8;
 
 /// Pricing memo (docs/evaluation.md "Pricing memo"): the kCapacity
 /// schedules a workspace priced most recently, each with the queue
@@ -330,8 +237,7 @@ inline constexpr std::size_t kGatherShapeMinSlotsPerQueue = 8;
 /// completions and keeps it when fitter, and a second swap_genes()
 /// undoes a rejected one. Storage is one arena per array, sized once
 /// per (evaluator shape, workspace): genes, uint32 queue offsets, and
-/// all M completions of each entry, plus an N-slot scratch for the
-/// kFast gather shape.
+/// all M completions of each entry.
 class PricingMemo {
  public:
   /// Entries kept, least recently used evicted first. Recency ranks of
@@ -404,11 +310,10 @@ class PricingMemo {
   std::size_t victim() const noexcept;
 
   std::array<Meta, kCapacity> meta_{};
-  std::vector<ga::Gene> keys_;            // kCapacity × genes_
-  std::vector<std::uint32_t> offsets_;    // kCapacity × (procs_ + 1)
-  std::vector<double> completion_;        // kCapacity × procs_
-  std::vector<std::size_t> probe_slots_;  // N: gather-shape queue slots
-  std::uint64_t owner_ = 0;               // evaluator id of the entries
+  std::vector<ga::Gene> keys_;          // kCapacity × genes_
+  std::vector<std::uint32_t> offsets_;  // kCapacity × (procs_ + 1)
+  std::vector<double> completion_;      // kCapacity × procs_
+  std::uint64_t owner_ = 0;             // evaluator id of the entries
   std::uint64_t clock_ = 0;
   std::size_t genes_ = 0;
   std::size_t procs_ = 0;
@@ -422,14 +327,6 @@ struct EvalWorkspace final : ga::GaProblem::Workspace {
   FlatSchedule schedule;
   QueueLoads loads;
   PricingMemo memo;
-  /// Batched fast-path lanes (ScheduleProblem::evaluate_batch under
-  /// kFast): B decoded schedules and B contiguous M-double completion
-  /// lanes priced per population block, plus their reduced metrics.
-  /// Reused across generations — capacity grows to the largest dirty
-  /// block once, then steady-state evaluation allocates nothing.
-  std::vector<FlatSchedule> lane_schedule;
-  std::vector<double> lane_completion;
-  std::vector<BatchEvaluation> lane_eval;
 };
 
 /// GaProblem adapter: evaluates chromosomes through a codec + evaluator.
@@ -448,14 +345,6 @@ class ScheduleProblem final : public ga::GaProblem {
   /// One decode, both metrics; allocation-free with a non-null workspace.
   Evaluation evaluate(const ga::Chromosome& c,
                       Workspace* ws) const override;
-  /// Population-block evaluation. Under kExact this is the base-class
-  /// loop (bit-identical to per-individual evaluate()); under kFast the
-  /// block decodes into reused workspace lanes, prices every queue with
-  /// the SIMD kernels, then reduces lane by lane — the batched
-  /// multi-chromosome fast path.
-  void evaluate_batch(std::span<const ga::Chromosome> pop,
-                      std::span<const std::size_t> indices, Workspace* ws,
-                      Evaluation* out) const override;
   std::unique_ptr<Workspace> make_workspace() const override;
   /// The paper's re-balancing heuristic (§3.5); see core/rebalance.hpp.
   /// Returns true when a fitter schedule was found and applied.

@@ -52,7 +52,7 @@ sim::BatchAssignment GeneticBatchScheduler::invoke(
 
   const ScheduleCodec codec(batch, M);
   const ScheduleEvaluator eval(std::move(sizes), view,
-                               cfg_.use_comm_estimates, cfg_.ga.numeric_mode);
+                               cfg_.use_comm_estimates);
   ScheduleProblem problem(codec, eval, cfg_.rebalance_probes);
 
   ga::GaConfig ga_cfg = cfg_.ga;

@@ -1,141 +1,16 @@
 #pragma once
-// Numeric-mode contract of the evaluation core (docs/evaluation.md,
-// "Numeric modes").
+// Compatibility stub. Schedules are priced one way only: the canonical
+// left-to-right sums of docs/evaluation.md. NumericMode survives solely
+// because bench/e2e/gasched_bench.cpp still passes GaConfig::numeric_mode
+// to the ScheduleEvaluator constructor; the next change to the benchmark
+// drops that argument, and this header with it.
 //
-// The canonical pricing paths promise bit-reproducibility: every golden
-// value, figure CSV, and serial-vs-parallel identity in this repo pins
-// the exact doubles the left-to-right summation produces. That promise
-// forbids SIMD reassociation — so the fast path is opt-in, and it ships
-// with its own trust story: whenever kFast is active, a ToleranceAudit
-// shadow-prices a deterministic sample of evaluations through the exact
-// path and hard-errors if the relative deviation exceeds a configured
-// bound (default 1e-12). The same split IP-PMM-style solvers use: an
-// untrusted fast iteration path is fine as long as a cheap trusted check
-// bounds it.
-//
-// This header is a leaf on purpose (no project includes): ga/engine.hpp
-// and meta/batch_policy.hpp embed NumericMode in their configs without
-// creating an include cycle with core/fitness.hpp.
-
-#include <atomic>
-#include <cstddef>
-#include <cstdint>
-#include <string>
+// A leaf header on purpose (no project includes): ga/engine.hpp embeds
+// NumericMode in GaConfig without an include cycle with core/fitness.hpp.
 
 namespace gasched::core {
 
-/// How an evaluator sums.
-enum class NumericMode {
-  /// Canonical left-to-right summation; bit-identical to every golden
-  /// and figure CSV ever produced. The default everywhere.
-  kExact,
-  /// SIMD kernels (core/kernels.hpp): mathematically equal, NOT bitwise
-  /// (different FP association). Only legal behind a ToleranceAudit.
-  kFast,
-};
-
-/// "exact" / "fast".
-const char* numeric_mode_name(NumericMode mode) noexcept;
-
-/// Parses "exact" / "fast" (case-sensitive); throws std::runtime_error
-/// listing the valid names otherwise.
-NumericMode parse_numeric_mode(const std::string& name);
-
-/// Process-wide default mode, read by every config default-initializer
-/// (GaConfig, BatchSearchConfig) and evaluator constructed without an
-/// explicit mode. Initialized once from the GASCHED_NUMERIC_MODE
-/// environment variable ("exact"/"fast"; unset or unrecognized = exact);
-/// set_default_numeric_mode() overrides it at any time (the [eval]
-/// config section does exactly that, so INI beats environment).
-NumericMode default_numeric_mode() noexcept;
-void set_default_numeric_mode(NumericMode mode) noexcept;
-
-/// Relative deviation of a fast metric from its exact shadow, with a
-/// scale floor: |fast − exact| / max(|fast|, |exact|, scale). The floor
-/// keeps conditioning honest — E = sqrt(Σ(ψ−C_j)²) can cancel to ~0 on a
-/// near-perfect schedule, where its absolute error against the natural
-/// time scale ψ is the meaningful measure, not the ratio of two noise
-/// terms. Returns 0 when everything (including scale) is zero.
-double metric_deviation(double fast, double exact, double scale) noexcept;
-
-/// Audit-side configuration.
-struct AuditConfig {
-  /// Hard relative bound per sampled evaluation. A violation throws.
-  /// Negative means "every sample violates" — the deliberate-violation
-  /// test hook.
-  double tolerance = 1e-12;
-  /// Shadow-price every `sample_period`-th fast pricing (per sampling
-  /// stream — see docs/evaluation.md for the stream rule). 0 disables
-  /// sampling entirely.
-  std::size_t sample_period = 64;
-};
-
-/// Accumulates tolerance-audit observations. Thread-safe: record() and
-/// fold() may race freely (atomic max / counters); configure() must not
-/// race with recording — configure before runs start.
-///
-/// Resolution rule: evaluators capture ToleranceAudit::current() at
-/// construction when their mode is kFast — the innermost Scope installed
-/// on the constructing thread, else the process-wide global(). The
-/// experiment runner scopes one audit per replication so per-run maxima
-/// attribute deterministically, then folds into global().
-class ToleranceAudit {
- public:
-  /// Config copied from global() — the per-replication constructor.
-  ToleranceAudit();
-  explicit ToleranceAudit(AuditConfig cfg);
-
-  /// Replaces the configuration. Not safe concurrently with record().
-  void configure(AuditConfig cfg);
-  AuditConfig config() const noexcept { return cfg_; }
-
-  /// Records one sampled deviation, folding it into the running max.
-  /// Throws std::runtime_error when the deviation exceeds the tolerance
-  /// (or always, when the tolerance is negative) — fast-mode violations
-  /// are hard errors, never warnings.
-  void record(double deviation);
-
-  /// Folds another audit's observations into this one (max/samples/
-  /// violations). Used to roll per-replication audits into global().
-  void fold(const ToleranceAudit& other) noexcept;
-
-  /// Clears observations (config stays).
-  void reset() noexcept;
-
-  double max_deviation() const noexcept;
-  std::uint64_t samples() const noexcept {
-    return samples_.load(std::memory_order_relaxed);
-  }
-  std::uint64_t violations() const noexcept {
-    return violations_.load(std::memory_order_relaxed);
-  }
-
-  /// Process-wide audit; the fallback of current().
-  static ToleranceAudit& global() noexcept;
-  /// Innermost Scope-installed audit of the calling thread, else
-  /// global(). Never null.
-  static ToleranceAudit* current() noexcept;
-
-  /// RAII: installs `audit` as the calling thread's current() audit,
-  /// restoring the previous one on destruction. Evaluators built under
-  /// the scope keep their captured pointer, so the audit must outlive
-  /// them (run_one scopes the whole replication).
-  class Scope {
-   public:
-    explicit Scope(ToleranceAudit& audit) noexcept;
-    ~Scope();
-    Scope(const Scope&) = delete;
-    Scope& operator=(const Scope&) = delete;
-
-   private:
-    ToleranceAudit* previous_;
-  };
-
- private:
-  AuditConfig cfg_;
-  std::atomic<std::uint64_t> max_bits_{0};  // bit pattern of the max (>= 0)
-  std::atomic<std::uint64_t> samples_{0};
-  std::atomic<std::uint64_t> violations_{0};
-};
+/// The single way schedules are priced. Carries no behaviour.
+enum class NumericMode { kExact };
 
 }  // namespace gasched::core

@@ -26,7 +26,7 @@ bool rebalance_once(ga::Chromosome& c, const ScheduleCodec& codec,
   // and it caches the heaviest processor and base fitness. Probe
   // positions are task positions, so they index `c` and the key alike.
   PricingMemo& memo = ws.memo;
-  const std::size_t e = eval.load_memo(codec, c, ws);
+  const std::size_t e = eval.load_memo(c, ws);
   const BatchEvaluation base = memo.evaluation(e);
   const std::size_t M = codec.num_procs();
   if (M < 2) return false;
@@ -53,7 +53,7 @@ bool rebalance_once(ga::Chromosome& c, const ScheduleCodec& codec,
     // Candidate: swap the two tasks between queues in the entry's key and
     // price only the two changed queues against its cached completions.
     memo.swap_genes(e, po, ph);
-    if (eval.try_memo_swap(codec, ws, e, other, heavy)) {
+    if (eval.try_memo_swap(ws, e, other, heavy)) {
       // The entry is now keyed by the schedule form of the swapped
       // chromosome and holds its full pricing: apply the swap to c (two
       // task genes; c's delimiters stay put).

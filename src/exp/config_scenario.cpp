@@ -1,10 +1,10 @@
 #include "exp/config_scenario.hpp"
 
 #include <algorithm>
+#include <cmath>
+#include <iterator>
 #include <sstream>
 #include <stdexcept>
-
-#include "core/kernels.hpp"
 
 #include "exp/registry.hpp"
 
@@ -27,14 +27,12 @@ Scenario scenario_from_config(const util::Config& cfg) {
   Scenario s;
   s.name = cfg.get("scenario.name", "config");
   s.seed = static_cast<std::uint64_t>(cfg.get_int("scenario.seed", 42));
-  s.replications =
-      static_cast<std::size_t>(cfg.get_int("scenario.replications", 5));
+  s.replications = cfg.get_size("scenario.replications", 5);
   s.sched_time_scale = cfg.get_double("scenario.sched_time_scale", 0.0);
   s.comm_nu = cfg.get_double("scenario.comm_nu", 0.5);
   s.rate_nu = cfg.get_double("scenario.rate_nu", 0.5);
 
-  s.cluster.num_processors =
-      static_cast<std::size_t>(cfg.get_int("cluster.processors", 50));
+  s.cluster.num_processors = cfg.get_size("cluster.processors", 50);
   s.cluster.rate_lo = cfg.get_double("cluster.rate_lo", 10.0);
   s.cluster.rate_hi = cfg.get_double("cluster.rate_hi", 100.0);
   s.cluster.availability =
@@ -58,8 +56,7 @@ Scenario scenario_from_config(const util::Config& cfg) {
   s.workload.param_a = cfg.get_double("workload.param_a", 1000.0);
   s.workload.param_b = cfg.get_double("workload.param_b", 9e5);
   s.workload.params = Params::from_config(cfg, "workload");
-  s.workload.count =
-      static_cast<std::size_t>(cfg.get_int("workload.count", 1000));
+  s.workload.count = cfg.get_size("workload.count", 1000);
   s.workload.all_at_start = cfg.get_bool("workload.all_at_start", true);
   s.workload.mean_interarrival =
       cfg.get_double("workload.mean_interarrival", 1.0);
@@ -89,37 +86,9 @@ metrics::RelaxationBoundOptions bounds_from_config(const util::Config& cfg) {
   metrics::RelaxationBoundOptions opts;
   opts.enabled = cfg.get_bool("bounds.enabled", false);
   opts.tolerance = cfg.get_double("bounds.tolerance", opts.tolerance);
-  opts.max_iterations = static_cast<std::size_t>(cfg.get_int(
-      "bounds.max_iterations",
-      static_cast<std::int64_t>(opts.max_iterations)));
+  opts.max_iterations =
+      cfg.get_size("bounds.max_iterations", opts.max_iterations);
   return opts;
-}
-
-EvalConfig eval_config_from_config(const util::Config& cfg) {
-  EvalConfig eval;
-  eval.numeric_mode = cfg.get("eval.numeric_mode", "");
-  if (!eval.numeric_mode.empty()) {
-    core::parse_numeric_mode(eval.numeric_mode);  // validate early
-  }
-  eval.audit.tolerance =
-      cfg.get_double("eval.tolerance", eval.audit.tolerance);
-  eval.audit.sample_period = static_cast<std::size_t>(cfg.get_int(
-      "eval.audit_sample_period",
-      static_cast<std::int64_t>(eval.audit.sample_period)));
-  return eval;
-}
-
-void apply_eval_config(const EvalConfig& eval) {
-  if (!eval.numeric_mode.empty()) {
-    core::set_default_numeric_mode(core::parse_numeric_mode(eval.numeric_mode));
-  }
-  if (core::default_numeric_mode() == core::NumericMode::kFast) {
-    // Resolve the kernel ISA now: a bad GASCHED_KERNEL_ISA override
-    // surfaces here as a clean config-time error instead of throwing
-    // from the first pricing call on a pool worker mid-sweep.
-    core::kernels::active_isa();
-  }
-  core::ToleranceAudit::global().configure(eval.audit);
 }
 
 namespace {
@@ -143,18 +112,29 @@ std::vector<std::string> split_list(const std::string& text) {
   return tokens;
 }
 
+/// The values of one [sweep] axis. A `count` axis (processors, tasks,
+/// replications) is cast to std::size_t, so each of its values must be
+/// a non-negative integer below 2^64: a negative, fractional, NaN or
+/// huge one would make that cast undefined.
 std::vector<double> parse_axis_values(const std::string& key,
-                                      const std::string& text) {
+                                      const std::string& text, bool count) {
   std::vector<double> values;
   for (const auto& token : split_list(text)) {
+    double v = 0.0;
     try {
       std::size_t pos = 0;
-      values.push_back(std::stod(token, &pos));
+      v = std::stod(token, &pos);
       if (pos != token.size()) throw std::invalid_argument(token);
     } catch (const std::exception&) {
       throw std::runtime_error("sweep config: key '" + key +
                                "' has non-numeric value '" + token + "'");
     }
+    if (count && !(v >= 0.0 && v < 0x1p64 && v == std::floor(v))) {
+      throw std::runtime_error("sweep config: key '" + key +
+                               "' needs a non-negative integer, not '" +
+                               token + "'");
+    }
+    values.push_back(v);
   }
   if (values.empty()) {
     throw std::runtime_error("sweep config: key '" + key +
@@ -164,6 +144,10 @@ std::vector<double> parse_axis_values(const std::string& key,
 }
 
 using ScenarioAxisApply = void (*)(SweepCell&, double);
+
+/// The first kCountAxes entries of kScenarioAxes set counts, whose
+/// values parse_axis_values() must check.
+constexpr std::size_t kCountAxes = 3;
 
 /// [sweep] keys that sweep the scenario itself; anything else becomes a
 /// [scheduler] parameter axis.
@@ -245,13 +229,13 @@ Sweep sweep_from_config(const util::Config& cfg,
   // order), so the flattening is reproducible from the file alone.
   for (const auto& [key, value] : cfg.section("sweep")) {
     if (key == "schedulers") continue;
-    const auto values = parse_axis_values(key, value);
-    ScenarioAxisApply apply = nullptr;
-    for (const auto& [name, fn] : kScenarioAxes) {
-      if (key == name) apply = fn;
-    }
-    if (apply != nullptr) {
-      sweep.axis(key, values, apply);
+    const auto* axis =
+        std::find_if(std::begin(kScenarioAxes), std::end(kScenarioAxes),
+                     [&](const auto& a) { return key == a.first; });
+    const auto values = parse_axis_values(
+        key, value, axis < std::begin(kScenarioAxes) + kCountAxes);
+    if (axis != std::end(kScenarioAxes)) {
+      sweep.axis(key, values, axis->second);
     } else {
       sweep.param_axis(key, values);
     }

@@ -3,7 +3,6 @@
 // defined, shared, and replayed without recompiling. See
 // examples/scenario_example.ini for the full key reference.
 
-#include "core/numeric.hpp"
 #include "exp/scenario.hpp"
 #include "exp/sweep.hpp"
 #include "metrics/bounds.hpp"
@@ -32,8 +31,9 @@ namespace gasched::exp {
 ///   [failures]  enabled (false), mean_uptime, mean_downtime, horizon,
 ///               failing_fraction
 ///
-/// Throws std::runtime_error on unknown enumeration values; the
-/// unknown-distribution error lists every registered family.
+/// Throws std::runtime_error on unknown enumeration values and on
+/// negative counts (replications, processors, count), naming the key;
+/// the unknown-distribution error lists every registered family.
 Scenario scenario_from_config(const util::Config& cfg);
 
 /// The [scheduler] section as a SchedulerParams view, handed verbatim to
@@ -49,31 +49,6 @@ SchedulerParams scheduler_params_from_config(const util::Config& cfg);
 /// certified-bound report — while RelaxationBoundOptions{} defaults to
 /// true for direct API callers. See docs/bounds.md.
 metrics::RelaxationBoundOptions bounds_from_config(const util::Config& cfg);
-
-/// The [eval] section: process-wide numeric-mode selection for the
-/// schedule evaluators (core/numeric.hpp).
-///
-///   [eval]  numeric_mode ("" = leave current default: the
-///           GASCHED_NUMERIC_MODE environment override if set, else
-///           exact; "exact" and "fast" pin explicitly — INI beats env),
-///           tolerance (1e-12), audit_sample_period (64)
-///
-/// `tolerance` and `audit_sample_period` configure the fast-mode
-/// tolerance audit; both are ignored in exact mode.
-struct EvalConfig {
-  /// Empty = keep the process default (env override or exact).
-  std::string numeric_mode;
-  core::AuditConfig audit;
-};
-
-/// Reads the [eval] section. Throws std::runtime_error on an unknown
-/// numeric_mode value (listing the legal ones).
-EvalConfig eval_config_from_config(const util::Config& cfg);
-
-/// Applies an EvalConfig process-wide: sets the default numeric mode
-/// (when `numeric_mode` is non-empty) and configures the global
-/// ToleranceAudit. Call once at startup, before evaluators exist.
-void apply_eval_config(const EvalConfig& eval);
 
 /// Expands a scheduler selector into canonical registry names: a
 /// comma-separated mix of registry names and the tag words `paper`,
@@ -94,7 +69,8 @@ std::vector<std::string> expand_scheduler_selector(
 ///            comm_nu, rate_nu, sched_time_scale, mean_interarrival,
 ///            burstiness, param_a, param_b — sweep the scenario; every
 ///            other key sweeps a [scheduler] parameter of that name.
-///            Scalar axes flatten in file key order (lexicographic).
+///            procs, tasks and replications take non-negative integers
+///            only. Scalar axes flatten in file key order (lexicographic).
 ///
 /// Without a [sweep] section the grid is the scheduler axis alone — the
 /// classic one-scenario scheduler comparison. `scheduler_override`, when

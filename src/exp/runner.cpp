@@ -1,6 +1,5 @@
 #include "exp/runner.hpp"
 
-#include "core/numeric.hpp"
 #include "exp/registry.hpp"
 #include "util/thread_pool.hpp"
 
@@ -36,18 +35,7 @@ sim::SimulationResult run_one(const Scenario& scenario,
                               scenario.cluster.num_processors, failure_rng);
     ecfg.failures = &trace;
   }
-  // Give this replication its own tolerance audit (configured like the
-  // global one) so evaluators created inside the run — potentially on a
-  // pool worker, but always on *this* thread because the Scope override is
-  // thread_local and the engine evaluates synchronously under run_one —
-  // record into it. The fold publishes the replication's max deviation to
-  // the global audit for process-level reporting.
-  core::ToleranceAudit audit;
-  const core::ToleranceAudit::Scope audit_scope(audit);
-  sim::SimulationResult result = sim::simulate(cluster, wl, *policy, sim_rng, ecfg);
-  result.audit_max_deviation = audit.max_deviation();
-  core::ToleranceAudit::global().fold(audit);
-  return result;
+  return sim::simulate(cluster, wl, *policy, sim_rng, ecfg);
 }
 
 std::vector<sim::SimulationResult> run_replications(

@@ -6,7 +6,6 @@
 #include <set>
 #include <stdexcept>
 
-#include "core/numeric.hpp"
 #include "exp/registry.hpp"
 #include "exp/runner.hpp"
 #include "util/csv.hpp"
@@ -258,18 +257,8 @@ CellOutcome default_cell_runner(const SweepCell& cell, bool parallel) {
 SweepResult Sweep::run() const {
   const std::vector<SweepCell> cells = flatten();
 
-  // Under the fast numeric mode every row additionally reports the
-  // tolerance audit's max relative deviation (core/numeric.hpp), so fast
-  // sweeps are self-documenting about how far they strayed from the exact
-  // arithmetic. Exact-mode output is completely unchanged — the extra
-  // column never appears, keeping the figure CSVs byte-identical.
-  const bool fast_mode =
-      core::default_numeric_mode() == core::NumericMode::kFast;
-  std::vector<std::string> extra_columns = extra_columns_;
-  if (fast_mode) extra_columns.emplace_back("audit_max_dev");
-
   SweepResult result;
-  result.header = {name_, axis_names(), std::move(extra_columns)};
+  result.header = {name_, axis_names(), extra_columns_};
   result.rows.resize(cells.size());
 
   for (auto* sink : sinks_) sink->begin(result.header);
@@ -345,10 +334,6 @@ SweepResult Sweep::run() const {
                                 : default_cell_runner(cells[i], parallel_);
       row.cell = std::move(out.summary);
       row.extras = std::move(out.extras);
-      if (fast_mode) {
-        row.extras.emplace_back("audit_max_dev",
-                                row.cell.audit_max_deviation);
-      }
     } catch (const std::exception& e) {
       row.error = e.what();
     } catch (...) {

@@ -330,16 +330,12 @@ FederationConfig federation_from_config(const util::Config& cfg) {
         "federation config: [federation] clusters = a, b, ... is required");
   }
   f.seed = static_cast<std::uint64_t>(cfg.get_int("federation.seed", 42));
-  f.replications =
-      static_cast<std::size_t>(cfg.get_int("federation.replications", 3));
+  f.replications = cfg.get_size("federation.replications", 3);
   f.comm_nu = cfg.get_double("federation.comm_nu", 0.5);
   f.rate_nu = cfg.get_double("federation.rate_nu", 0.5);
-  f.max_event_factor = static_cast<std::size_t>(
-      cfg.get_int("federation.max_event_factor", 64));
-  f.migration_threshold = static_cast<std::size_t>(
-      cfg.get_int("federation.migration_threshold", 32));
-  f.migration_chunk = static_cast<std::size_t>(
-      cfg.get_int("federation.migration_chunk", 8));
+  f.max_event_factor = cfg.get_size("federation.max_event_factor", 64);
+  f.migration_threshold = cfg.get_size("federation.migration_threshold", 32);
+  f.migration_chunk = cfg.get_size("federation.migration_chunk", 8);
 
   const std::string router = cfg.get("federation.router", "round_robin");
   if (router == "round_robin") {
@@ -372,8 +368,7 @@ FederationConfig federation_from_config(const util::Config& cfg) {
     const std::string p = "cluster." + name + ".";
     ClusterSpec spec;
     spec.name = name;
-    spec.cluster.num_processors =
-        static_cast<std::size_t>(cfg.get_int(p + "processors", 50));
+    spec.cluster.num_processors = cfg.get_size(p + "processors", 50);
     spec.cluster.rate_lo = cfg.get_double(p + "rate_lo", 10.0);
     spec.cluster.rate_hi = cfg.get_double(p + "rate_hi", 100.0);
     spec.cluster.comm.mean_cost = cfg.get_double(p + "mean_comm_cost", 20.0);
@@ -439,8 +434,7 @@ FederationConfig federation_from_config(const util::Config& cfg) {
   f.workload.param_a = cfg.get_double("workload.param_a", 1000.0);
   f.workload.param_b = cfg.get_double("workload.param_b", 9e5);
   f.workload.params = exp::Params::from_config(cfg, "workload");
-  f.workload.count =
-      static_cast<std::size_t>(cfg.get_int("workload.count", 1000));
+  f.workload.count = cfg.get_size("workload.count", 1000);
   f.workload.all_at_start = cfg.get_bool("workload.all_at_start", true);
   f.workload.mean_interarrival =
       cfg.get_double("workload.mean_interarrival", 1.0);

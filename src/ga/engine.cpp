@@ -109,10 +109,7 @@ GaResult GaEngine::run_seeded(const GaProblem& problem,
   auto evaluate_all = [&] {
     // Evaluate only dirty individuals; cached entries are bit-identical
     // to a re-evaluation because evaluate() is pure. Both sweeps route
-    // through evaluate_batch so problems with a vectorized population
-    // path price each block at once; the default evaluate_batch is a
-    // plain evaluate() loop, preserving the historical behaviour bit
-    // for bit.
+    // through evaluate_batch (see GaProblem::evaluate_batch).
     dirty_idx.clear();
     for (std::size_t i = 0; i < P; ++i) {
       if (pop.dirty[i]) dirty_idx.push_back(i);

@@ -86,12 +86,12 @@ class GaProblem {
 
   /// Evaluates a block of individuals: for each k, out[k] receives the
   /// evaluation of pop[indices[k]]. The engine routes every evaluation
-  /// sweep (serial and per-chunk parallel) through this hook so problems
-  /// with a vectorized population path (core::ScheduleProblem under
-  /// NumericMode::kFast) can price the whole block at once. The default
-  /// loops evaluate() in index order — bit-identical to the engine
-  /// calling evaluate() itself. Same purity/concurrency contract as
-  /// evaluate(); `out` has indices.size() slots.
+  /// sweep (serial and per-chunk parallel) through this hook, and this
+  /// loop of evaluate() in index order is its only implementation in the
+  /// library. It stays a virtual because bench/e2e/gasched_bench.cpp's
+  /// TracedProblem overrides it to time the engine's pricing; the next
+  /// change to the benchmark can fold it into the engine. Same purity/
+  /// concurrency contract as evaluate(); `out` has indices.size() slots.
   virtual void evaluate_batch(std::span<const Chromosome> pop,
                               std::span<const std::size_t> indices,
                               Workspace* ws, Evaluation* out) const {
@@ -158,13 +158,11 @@ struct GaConfig {
   /// Populations at or below this size always evaluate serially (the
   /// paper's 20-individual micro GA does not amortise a fork/join).
   std::size_t parallel_eval_threshold = 64;
-  /// Numeric mode the problem's evaluators should price with
-  /// (core/numeric.hpp). The engine itself never sums — this knob rides
-  /// the config so schedulers that build an evaluator per invocation
-  /// (core::GeneticBatchScheduler) plumb one mode end to end. Defaults
-  /// to the process-wide default (exact unless GASCHED_NUMERIC_MODE or
-  /// an [eval] config section says fast).
-  core::NumericMode numeric_mode = core::default_numeric_mode();
+  /// Unused compatibility stub (core/numeric.hpp): read only by
+  /// bench/e2e/gasched_bench.cpp, which passes it to the
+  /// ScheduleEvaluator constructor. The next change to the benchmark
+  /// drops both.
+  core::NumericMode numeric_mode = core::NumericMode::kExact;
 };
 
 /// Outcome of one GA run.

@@ -34,8 +34,7 @@ sim::BatchAssignment LocalSearchBatchPolicy::invoke(
   }
 
   const core::ScheduleEvaluator eval(std::move(sizes), view,
-                                     cfg_.use_comm_estimates,
-                                     cfg_.numeric_mode);
+                                     cfg_.use_comm_estimates);
   core::list_schedule_flat(eval, cfg_.init_random_fraction, rng, scratch_);
   search(eval, scratch_, rng);
 

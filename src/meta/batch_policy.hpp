@@ -13,7 +13,6 @@
 
 #include "core/encoding.hpp"
 #include "core/fitness.hpp"
-#include "core/numeric.hpp"
 #include "sim/policy.hpp"
 
 namespace gasched::meta {
@@ -30,12 +29,6 @@ struct BatchSearchConfig {
   /// information model). Disable to get a comm-oblivious searcher for
   /// ablations.
   bool use_comm_estimates = true;
-  /// Numeric mode of the per-invocation evaluator (core/numeric.hpp).
-  /// The searchers track candidate loads with their own scalar sums
-  /// (meta::LoadTracker), so only evaluator-priced paths change under
-  /// kFast — but the mode rides here so one knob covers every batch
-  /// scheduler. Defaults to the process-wide default.
-  core::NumericMode numeric_mode = core::default_numeric_mode();
 };
 
 /// Batch scheduler skeleton: extracts the batch, builds the evaluator and

@@ -26,8 +26,6 @@ CellSummary aggregate(const std::string& scheduler,
     inv.push_back(static_cast<double>(r.scheduler_invocations));
     req.push_back(static_cast<double>(r.tasks_requeued));
     comp.push_back(static_cast<double>(r.tasks_completed));
-    cell.audit_max_deviation =
-        std::max(cell.audit_max_deviation, r.audit_max_deviation);
   }
   cell.makespan = util::summarize(mk);
   cell.efficiency = util::summarize(eff);

@@ -23,9 +23,6 @@ struct CellSummary {
   util::Summary invocations;    ///< scheduler invocations per run
   util::Summary requeued;       ///< tasks requeued by failures per run
   util::Summary completed;      ///< tasks completed per run
-  /// Max over runs of the fast-mode tolerance-audit deviation
-  /// (sim::SimulationResult::audit_max_deviation). 0.0 in exact mode.
-  double audit_max_deviation = 0.0;
 };
 
 /// Aggregates `runs` into a CellSummary labelled `scheduler`.

@@ -48,7 +48,7 @@ double burn_mflops(double mflops) {
 RoutePolicy parse_route_policy(const std::string& name) {
   if (name == "rr") return RoutePolicy::kRoundRobin;
   if (name == "least_loaded") return RoutePolicy::kLeastLoaded;
-  if (name == "fastest") return RoutePolicy::kFastestDrain;
+  if (name == "fastest") return RoutePolicy::kShortestDrain;
   throw std::runtime_error("unknown routing policy '" + name +
                            "' (valid: rr, least_loaded, fastest)");
 }
@@ -352,7 +352,7 @@ std::size_t Runtime::route(RoutePolicy policy, double size_mflops) {
       }
       return best;
     }
-    case RoutePolicy::kFastestDrain: {
+    case RoutePolicy::kShortestDrain: {
       std::size_t best = kNoWorker;
       double best_eta = 0.0;
       for (std::size_t j = 0; j < n; ++j) {

@@ -107,9 +107,9 @@ struct RuntimeResult {
 /// Serve-mode routing policy: which worker gets the next admitted task.
 /// Immediate-mode counterparts of the paper's RR / LL / EF.
 enum class RoutePolicy {
-  kRoundRobin,    ///< "rr": cyclic, skipping workers with a full inbox
-  kLeastLoaded,   ///< "least_loaded": fewest pending MFLOPs
-  kFastestDrain,  ///< "fastest": smallest pending/rate drain time
+  kRoundRobin,     ///< "rr": cyclic, skipping workers with a full inbox
+  kLeastLoaded,    ///< "least_loaded": fewest pending MFLOPs
+  kShortestDrain,  ///< "fastest": smallest pending/rate drain time
 };
 
 /// Parses a routing-policy name. Throws std::runtime_error listing the

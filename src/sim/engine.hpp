@@ -130,10 +130,6 @@ struct SimulationResult {
   std::size_t tasks_requeued = 0;
   /// Per-task lifecycle records (empty unless record_task_trace).
   std::vector<TaskRecord> task_trace;
-  /// Largest relative deviation recorded by the fast-mode tolerance audit
-  /// during this run (core/numeric.hpp). 0.0 in exact mode or when no
-  /// evaluation was sampled.
-  double audit_max_deviation = 0.0;
 
   /// Paper's efficiency metric: fraction of processor-time spent
   /// processing rather than communicating or idling, i.e.

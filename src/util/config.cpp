@@ -117,6 +117,17 @@ std::int64_t Config::get_int(const std::string& key,
   }
 }
 
+std::size_t Config::get_size(const std::string& key,
+                             std::size_t fallback) const {
+  if (!has(key)) return fallback;
+  const std::int64_t v = get_int(key, 0);
+  if (v < 0) {
+    throw std::runtime_error("Config: negative value for " + key + ": " +
+                             std::to_string(v));
+  }
+  return static_cast<std::size_t>(v);
+}
+
 bool Config::get_bool(const std::string& key, bool fallback) const {
   const auto v = raw(key);
   if (!v) return fallback;

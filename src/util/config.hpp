@@ -41,6 +41,9 @@ class Config {
   std::string get(const std::string& key, const std::string& fallback) const;
   double get_double(const std::string& key, double fallback) const;
   std::int64_t get_int(const std::string& key, std::int64_t fallback) const;
+  /// A count or size: get_int() that also throws std::runtime_error,
+  /// naming the key, on a negative value.
+  std::size_t get_size(const std::string& key, std::size_t fallback) const;
   bool get_bool(const std::string& key, bool fallback) const;
 
   /// True when the key is present.

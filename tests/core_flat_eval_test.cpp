@@ -18,14 +18,6 @@
 namespace gasched::core {
 namespace {
 
-// Every identity here asserts the canonical (exact-mode) bitwise
-// contract; pin the process default so a GASCHED_NUMERIC_MODE=fast CI
-// run cannot switch the default-constructed evaluators to the SIMD path
-// (whose results are tolerance-bounded, not bit-pinned).
-const struct PinExactMode {
-  PinExactMode() { set_default_numeric_mode(NumericMode::kExact); }
-} pin_exact_mode;
-
 sim::SystemView random_view(std::size_t procs, util::Rng& rng) {
   sim::SystemView v;
   v.procs.resize(procs);
@@ -279,6 +271,35 @@ TEST(FlatEval, LoadDecodedMatchesDecodeIntoPlusLoad) {
     EXPECT_EQ(fused_loads.dev_sq, staged_loads.dev_sq);
     EXPECT_EQ(fused_loads.sum_sq, staged_loads.sum_sq);
     EXPECT_EQ(fused_loads.heaviest, staged_loads.heaviest);
+  }
+}
+
+// The identity all goldens and figure CSVs rest on: the fused decode +
+// load, a fresh load, and the stateless single-pass evaluate agree bit
+// for bit, with reused and with fresh scratch.
+TEST(FlatEval, PricingPathsStayBitIdenticalToStatelessEvaluate) {
+  util::Rng rng(33);
+  FlatSchedule flat;
+  QueueLoads loads;
+  for (int round = 0; round < 80; ++round) {
+    const std::size_t tasks = 1 + rng.index(50);
+    const std::size_t procs = 1 + rng.index(10);
+    const ScheduleCodec codec(tasks, procs);
+    const ScheduleEvaluator eval(random_sizes(tasks, rng),
+                                 random_view(procs, rng), rng.bernoulli(0.5));
+    const ga::Chromosome c = random_chromosome(codec, rng);
+
+    const BatchEvaluation fused = eval.load_decoded(codec, c, flat, loads);
+    const BatchEvaluation stateless = eval.evaluate(flat);
+    ASSERT_EQ(fused.fitness, stateless.fitness);
+    ASSERT_EQ(fused.makespan, stateless.makespan);
+    ASSERT_EQ(fused.relative_error, stateless.relative_error);
+
+    QueueLoads reloaded;
+    const BatchEvaluation loaded = eval.load(flat, reloaded);
+    ASSERT_EQ(loaded.fitness, stateless.fitness);
+    ASSERT_EQ(loaded.makespan, stateless.makespan);
+    ASSERT_EQ(loaded.relative_error, stateless.relative_error);
   }
 }
 

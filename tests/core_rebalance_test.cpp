@@ -291,10 +291,8 @@ void expect_entry_is_fresh_pricing(const ScheduleCodec& codec,
   ASSERT_EQ(got.size(), fresh.completion.size());
   for (std::size_t j = 0; j < got.size(); ++j) {
     EXPECT_EQ(got[j], fresh.completion[j]) << "C_" << j;
-    if (eval.numeric_mode() == NumericMode::kExact) {
-      const double dev = eval.psi() - got[j];
-      EXPECT_EQ(dev * dev, fresh.dev_sq[j]) << "(psi - C_" << j << ")^2";
-    }
+    const double dev = eval.psi() - got[j];
+    EXPECT_EQ(dev * dev, fresh.dev_sq[j]) << "(psi - C_" << j << ")^2";
   }
   EXPECT_EQ(ws.memo.sum_sq(e), fresh.sum_sq);
   EXPECT_EQ(ws.memo.evaluation(e).makespan, fresh.max_completion);
@@ -310,94 +308,128 @@ void expect_entry_is_fresh_pricing(const ScheduleCodec& codec,
 }
 
 /// Shapes covering one-task batches (most queues empty), N ≈ M, and long
-/// queues (N ≥ 8M: the kFast gather shape).
+/// queues (N ≥ 8M).
 const std::pair<std::size_t, std::size_t> kShapes[] = {
     {1, 6}, {5, 9}, {24, 6}, {64, 4}};
 
 TEST(PricingMemo, RepeatedChromosomesHitWithFreshPricing) {
-  for (const NumericMode mode : {NumericMode::kExact, NumericMode::kFast}) {
-    util::Rng rng(31);
-    for (const auto& [tasks, procs] : kShapes) {
-      const ScheduleCodec codec(tasks, procs);
-      const ScheduleEvaluator eval(random_sizes(tasks, rng),
-                                   random_view(procs, rng), true, mode);
-      const ScheduleProblem problem(codec, eval);
-      EvalWorkspace ws;
-      std::vector<ga::Chromosome> pool;
-      for (int k = 0; k < 3; ++k) pool.push_back(random_chromosome(codec, rng));
-      for (int round = 0; round < 4; ++round) {
-        for (const ga::Chromosome& c : pool) {
-          const auto ev = problem.evaluate(c, &ws);
-          FlatSchedule fs;
-          QueueLoads fl;
-          const BatchEvaluation want = eval.load_decoded(codec, c, fs, fl);
-          EXPECT_EQ(ev.fitness, want.fitness);
-          EXPECT_EQ(ev.objective, want.makespan);
-          const std::size_t e = eval.load_memo(codec, c, ws);
-          expect_entry_is_fresh_pricing(codec, eval, ws, e, c);
-        }
+  util::Rng rng(31);
+  for (const auto& [tasks, procs] : kShapes) {
+    const ScheduleCodec codec(tasks, procs);
+    const ScheduleEvaluator eval(random_sizes(tasks, rng),
+                                 random_view(procs, rng), true);
+    const ScheduleProblem problem(codec, eval);
+    EvalWorkspace ws;
+    std::vector<ga::Chromosome> pool;
+    for (int k = 0; k < 3; ++k) pool.push_back(random_chromosome(codec, rng));
+    for (int round = 0; round < 4; ++round) {
+      for (const ga::Chromosome& c : pool) {
+        const auto ev = problem.evaluate(c, &ws);
+        FlatSchedule fs;
+        QueueLoads fl;
+        const BatchEvaluation want = eval.load_decoded(codec, c, fs, fl);
+        EXPECT_EQ(ev.fitness, want.fitness);
+        EXPECT_EQ(ev.objective, want.makespan);
+        const std::size_t e = eval.load_memo(c, ws);
+        expect_entry_is_fresh_pricing(codec, eval, ws, e, c);
       }
-      // Every repeat was a hit: one entry per distinct chromosome (random
-      // one-task chromosomes may coincide).
-      EXPECT_LE(ws.memo.size(), pool.size());
-      EXPECT_GE(ws.memo.size(), 1u);
     }
+    // Every repeat was a hit: one entry per distinct chromosome (random
+    // one-task chromosomes may coincide).
+    EXPECT_LE(ws.memo.size(), pool.size());
+    EXPECT_GE(ws.memo.size(), 1u);
   }
 }
 
 TEST(PricingMemo, RebalanceMatchesMemoFreePassProbeByProbe) {
   // Rejected probes must leave the entry holding the unchanged chromosome
   // and its base pricing; accepted ones must rekey it to the swapped one.
-  for (const NumericMode mode : {NumericMode::kExact, NumericMode::kFast}) {
-    util::Rng rng(32);
-    std::size_t accepted = 0, rejected = 0;
-    for (const auto& [tasks, procs] : kShapes) {
-      const ScheduleCodec codec(tasks, procs);
-      const ScheduleEvaluator eval(random_sizes(tasks, rng),
-                                   random_view(procs, rng), true, mode);
-      EvalWorkspace ws;
-      FlatSchedule ref_s;
-      QueueLoads ref_loads;
-      // A small pool that the passes keep improving: chromosomes repeat
-      // (memo hits) and change (rekeys, then misses on the old key).
-      std::vector<ga::Chromosome> pool;
-      for (int k = 0; k < 5; ++k) pool.push_back(random_chromosome(codec, rng));
-      for (int step = 0; step < 400; ++step) {
-        ga::Chromosome& c = pool[rng.index(pool.size())];
-        ga::Chromosome ref_c = c;
-        const std::uint64_t seed = 5000 + static_cast<std::uint64_t>(step);
-        util::Rng r_memo(seed), r_ref(seed);
-        ws.has_improve_evaluation = false;
-        const bool changed = rebalance_once(c, codec, eval, r_memo, 5, ws);
-        const ReferenceResult ref =
-            reference_rebalance(ref_c, codec, eval, r_ref, 5, ref_s, ref_loads);
-        ASSERT_EQ(changed, ref.changed);
-        ASSERT_EQ(c, ref_c);
-        ASSERT_EQ(ws.has_improve_evaluation, ref.supplied);
-        if (ref.supplied) {
-          EXPECT_EQ(ws.improve_evaluation.fitness, ref.eval.fitness);
-          EXPECT_EQ(ws.improve_evaluation.objective, ref.eval.makespan);
-        }
-        EXPECT_EQ(r_memo.next_u64(), r_ref.next_u64());
-        (changed ? accepted : rejected) += 1;
-        // c must be a hit on the first entry keyed by its schedule form
-        // (the one find() scans to first). A size check cannot tell: once
-        // the memo is full a miss evicts one entry and inserts another.
-        std::size_t held = PricingMemo::kCapacity;
-        for (std::size_t i = 0; i < PricingMemo::kCapacity; ++i) {
-          if (is_schedule_form_of(ws.memo.key(i), c)) {
-            held = i;
-            break;
-          }
-        }
-        ASSERT_NE(held, PricingMemo::kCapacity) << "no entry holds c";
-        const std::size_t e = eval.load_memo(codec, c, ws);
-        EXPECT_EQ(e, held) << "entry must hold c: a hit";
-        expect_entry_is_fresh_pricing(codec, eval, ws, e, c);
+  util::Rng rng(32);
+  std::size_t accepted = 0, rejected = 0;
+  for (const auto& [tasks, procs] : kShapes) {
+    const ScheduleCodec codec(tasks, procs);
+    const ScheduleEvaluator eval(random_sizes(tasks, rng),
+                                 random_view(procs, rng), true);
+    EvalWorkspace ws;
+    FlatSchedule ref_s;
+    QueueLoads ref_loads;
+    // A small pool that the passes keep improving: chromosomes repeat
+    // (memo hits) and change (rekeys, then misses on the old key).
+    std::vector<ga::Chromosome> pool;
+    for (int k = 0; k < 5; ++k) pool.push_back(random_chromosome(codec, rng));
+    for (int step = 0; step < 400; ++step) {
+      ga::Chromosome& c = pool[rng.index(pool.size())];
+      ga::Chromosome ref_c = c;
+      const std::uint64_t seed = 5000 + static_cast<std::uint64_t>(step);
+      util::Rng r_memo(seed), r_ref(seed);
+      ws.has_improve_evaluation = false;
+      const bool changed = rebalance_once(c, codec, eval, r_memo, 5, ws);
+      const ReferenceResult ref =
+          reference_rebalance(ref_c, codec, eval, r_ref, 5, ref_s, ref_loads);
+      ASSERT_EQ(changed, ref.changed);
+      ASSERT_EQ(c, ref_c);
+      ASSERT_EQ(ws.has_improve_evaluation, ref.supplied);
+      if (ref.supplied) {
+        EXPECT_EQ(ws.improve_evaluation.fitness, ref.eval.fitness);
+        EXPECT_EQ(ws.improve_evaluation.objective, ref.eval.makespan);
       }
+      EXPECT_EQ(r_memo.next_u64(), r_ref.next_u64());
+      (changed ? accepted : rejected) += 1;
+      // c must be a hit on the first entry keyed by its schedule form
+      // (the one find() scans to first). A size check cannot tell: once
+      // the memo is full a miss evicts one entry and inserts another.
+      std::size_t held = PricingMemo::kCapacity;
+      for (std::size_t i = 0; i < PricingMemo::kCapacity; ++i) {
+        if (is_schedule_form_of(ws.memo.key(i), c)) {
+          held = i;
+          break;
+        }
+      }
+      ASSERT_NE(held, PricingMemo::kCapacity) << "no entry holds c";
+      const std::size_t e = eval.load_memo(c, ws);
+      EXPECT_EQ(e, held) << "entry must hold c: a hit";
+      expect_entry_is_fresh_pricing(codec, eval, ws, e, c);
     }
-    EXPECT_GT(accepted, 20u);
-    EXPECT_GT(rejected, 20u);
+  }
+  EXPECT_GT(accepted, 20u);
+  EXPECT_GT(rejected, 20u);
+}
+
+TEST(PricingMemo, InterleavedEvaluateAndRebalanceMatchMemoFreeReplay) {
+  // The engine's order of calls: full evaluations (memo hits or misses)
+  // between re-balance passes that rekey entries. Every evaluation must
+  // be the memo-free pricing of the chromosome as the passes left it.
+  for (const auto& [tasks, procs] : kShapes) {
+    util::Rng rng(36);
+    const ScheduleCodec codec(tasks, procs);
+    const ScheduleEvaluator eval(random_sizes(tasks, rng),
+                                 random_view(procs, rng), true);
+    const ScheduleProblem problem(codec, eval);
+    EvalWorkspace ws;
+    FlatSchedule ref_s;
+    QueueLoads ref_loads;
+    std::vector<ga::Chromosome> pool;
+    for (int k = 0; k < 4; ++k) pool.push_back(random_chromosome(codec, rng));
+    std::size_t evaluations = 0;
+    for (int step = 0; step < 300; ++step) {
+      ga::Chromosome& c = pool[rng.index(pool.size())];
+      if (step % 3 == 0) {
+        const auto got = problem.evaluate(c, &ws);
+        const BatchEvaluation want =
+            eval.load_decoded(codec, c, ref_s, ref_loads);
+        ASSERT_EQ(got.fitness, want.fitness) << "step " << step;
+        ASSERT_EQ(got.objective, want.makespan) << "step " << step;
+        ++evaluations;
+        continue;
+      }
+      ga::Chromosome ref_c = c;
+      util::Rng r_memo(step), r_ref(step);
+      ws.has_improve_evaluation = false;
+      rebalance_once(c, codec, eval, r_memo, 5, ws);
+      reference_rebalance(ref_c, codec, eval, r_ref, 5, ref_s, ref_loads);
+      ASSERT_EQ(c, ref_c) << "step " << step;
+    }
+    EXPECT_EQ(evaluations, 100u);
   }
 }
 
@@ -420,12 +452,12 @@ TEST(PricingMemo, AcceptedSwapRekeysEntryToSwappedChromosome) {
   const auto swapped = problem.evaluate(c, &ws);
   EXPECT_EQ(ws.memo.size(), entries);
   EXPECT_EQ(swapped.fitness, eval.fitness(codec.decode(c)));
-  expect_entry_is_fresh_pricing(codec, eval, ws, eval.load_memo(codec, c, ws),
+  expect_entry_is_fresh_pricing(codec, eval, ws, eval.load_memo(c, ws),
                                 c);
   problem.evaluate(skewed, &ws);
   EXPECT_EQ(ws.memo.size(), entries + 1);
   expect_entry_is_fresh_pricing(codec, eval, ws,
-                                eval.load_memo(codec, skewed, ws), skewed);
+                                eval.load_memo(skewed, ws), skewed);
 }
 
 TEST(PricingMemo, EvaluatorSwitchClearsEntries) {
@@ -443,7 +475,7 @@ TEST(PricingMemo, EvaluatorSwitchClearsEntries) {
       for (const ga::Chromosome* c : {&c1, &c2}) {
         EXPECT_EQ(p->evaluate(*c, &ws).fitness, ev.fitness(codec.decode(*c)));
         expect_entry_is_fresh_pricing(codec, ev, ws,
-                                      ev.load_memo(codec, *c, ws), *c);
+                                      ev.load_memo(*c, ws), *c);
       }
       // Only the current evaluator's pricings are live.
       EXPECT_EQ(ws.memo.size(), 2u);
@@ -465,10 +497,10 @@ TEST(PricingMemo, EvictsLeastRecentlyUsedEntry) {
     cs.push_back(random_chromosome(codec, rng));
   }
   for (std::size_t k = 0; k < PricingMemo::kCapacity; ++k) {
-    eval.load_memo(codec, cs[k], ws);
+    eval.load_memo(cs[k], ws);
   }
-  eval.load_memo(codec, cs[0], ws);  // refresh the oldest: cs[1] is LRU now
-  const std::size_t e = eval.load_memo(codec, cs.back(), ws);
+  eval.load_memo(cs[0], ws);  // refresh the oldest: cs[1] is LRU now
+  const std::size_t e = eval.load_memo(cs.back(), ws);
   EXPECT_EQ(ws.memo.size(), PricingMemo::kCapacity);
   expect_entry_is_fresh_pricing(codec, eval, ws, e, cs.back());
   auto held = [&](const ga::Chromosome& c) {
@@ -486,31 +518,29 @@ TEST(PricingMemo, DelimiterPermutationsShareOneEntry) {
   // Chromosomes that differ only in delimiter order decode to the same
   // queues: the first is priced, every other is a hit on its entry and
   // bit-identical to its own fresh pricing.
-  for (const NumericMode mode : {NumericMode::kExact, NumericMode::kFast}) {
-    util::Rng rng(37);
-    for (const auto& [tasks, procs] : kShapes) {
-      const ScheduleCodec codec(tasks, procs);
-      const ScheduleEvaluator eval(random_sizes(tasks, rng),
-                                   random_view(procs, rng), true, mode);
-      const ScheduleProblem problem(codec, eval);
-      for (int trial = 0; trial < 5; ++trial) {
-        EvalWorkspace ws;
-        const ga::Chromosome c = random_chromosome(codec, rng);
-        const std::size_t e = eval.load_memo(codec, c, ws);
-        for (int k = 0; k < 12; ++k) {
-          const ga::Chromosome v = permute_delimiters(c, rng);
-          ASSERT_EQ(codec.decode(v), codec.decode(c));
-          const auto ev = problem.evaluate(v, &ws);
-          FlatSchedule fs;
-          QueueLoads fl;
-          const BatchEvaluation want = eval.load_decoded(codec, v, fs, fl);
-          EXPECT_EQ(ev.fitness, want.fitness);
-          EXPECT_EQ(ev.objective, want.makespan);
-          ASSERT_EQ(eval.load_memo(codec, v, ws), e);
-          expect_entry_is_fresh_pricing(codec, eval, ws, e, v);
-        }
-        EXPECT_EQ(ws.memo.size(), 1u);
+  util::Rng rng(37);
+  for (const auto& [tasks, procs] : kShapes) {
+    const ScheduleCodec codec(tasks, procs);
+    const ScheduleEvaluator eval(random_sizes(tasks, rng),
+                                 random_view(procs, rng), true);
+    const ScheduleProblem problem(codec, eval);
+    for (int trial = 0; trial < 5; ++trial) {
+      EvalWorkspace ws;
+      const ga::Chromosome c = random_chromosome(codec, rng);
+      const std::size_t e = eval.load_memo(c, ws);
+      for (int k = 0; k < 12; ++k) {
+        const ga::Chromosome v = permute_delimiters(c, rng);
+        ASSERT_EQ(codec.decode(v), codec.decode(c));
+        const auto ev = problem.evaluate(v, &ws);
+        FlatSchedule fs;
+        QueueLoads fl;
+        const BatchEvaluation want = eval.load_decoded(codec, v, fs, fl);
+        EXPECT_EQ(ev.fitness, want.fitness);
+        EXPECT_EQ(ev.objective, want.makespan);
+        ASSERT_EQ(eval.load_memo(v, ws), e);
+        expect_entry_is_fresh_pricing(codec, eval, ws, e, v);
       }
+      EXPECT_EQ(ws.memo.size(), 1u);
     }
   }
 }
@@ -520,94 +550,48 @@ TEST(PricingMemo, RebalanceOnDelimiterPermutedHitKeepsCallerDelimiters) {
   // delimiter values works on that entry in place. It must swap only
   // task genes of the caller's chromosome, leave its delimiters where
   // they were, and match the memo-free pass probe by probe.
-  for (const NumericMode mode : {NumericMode::kExact, NumericMode::kFast}) {
-    util::Rng rng(38);
-    std::size_t accepted = 0, rejected = 0;
-    for (const auto& [tasks, procs] : kShapes) {
-      const ScheduleCodec codec(tasks, procs);
-      const ScheduleEvaluator eval(random_sizes(tasks, rng),
-                                   random_view(procs, rng), true, mode);
-      EvalWorkspace ws;
-      FlatSchedule ref_s;
-      QueueLoads ref_loads;
-      ga::Chromosome c = random_chromosome(codec, rng);
-      eval.load_memo(codec, c, ws);
-      for (int step = 0; step < 150; ++step) {
-        // The memo holds one entry, the schedule of c; v shares it.
-        ga::Chromosome v = permute_delimiters(c, rng);
-        const ga::Chromosome before = v;
-        ga::Chromosome ref_v = v;
-        const std::uint64_t seed = 7000 + static_cast<std::uint64_t>(step);
-        util::Rng r_memo(seed), r_ref(seed);
-        ws.has_improve_evaluation = false;
-        const bool changed = rebalance_once(v, codec, eval, r_memo, 5, ws);
-        const ReferenceResult ref =
-            reference_rebalance(ref_v, codec, eval, r_ref, 5, ref_s, ref_loads);
-        ASSERT_EQ(ws.memo.size(), 1u) << "the pass must hit c's entry";
-        ASSERT_EQ(changed, ref.changed);
-        ASSERT_EQ(v, ref_v);
-        for (std::size_t i = 0; i < v.size(); ++i) {
-          if (before[i] < 0) ASSERT_EQ(v[i], before[i]);
-        }
-        ASSERT_EQ(ws.has_improve_evaluation, ref.supplied);
-        if (ref.supplied) {
-          EXPECT_EQ(ws.improve_evaluation.fitness, ref.eval.fitness);
-          EXPECT_EQ(ws.improve_evaluation.objective, ref.eval.makespan);
-        }
-        EXPECT_EQ(r_memo.next_u64(), r_ref.next_u64());
-        (changed ? accepted : rejected) += 1;
-        expect_entry_is_fresh_pricing(codec, eval, ws,
-                                      eval.load_memo(codec, v, ws), v);
-        c = v;
-      }
-    }
-    EXPECT_GT(accepted, 10u);
-    EXPECT_GT(rejected, 10u);
-  }
-}
-
-TEST(PricingMemo, FastModeAuditStreamMatchesMemoFreeReplay) {
-  // A hit stands in for one full pricing and a memo probe for one delta
-  // pricing, so the kFast audit sees the same tick count and shadow-
-  // prices the same schedules (same samples, same max deviation).
+  util::Rng rng(38);
+  std::size_t accepted = 0, rejected = 0;
   for (const auto& [tasks, procs] : kShapes) {
-    util::Rng rng(36);
-    const auto sizes = random_sizes(tasks, rng);
-    const auto view = random_view(procs, rng);
-    ToleranceAudit memo_audit(AuditConfig{1e-12, 3});
-    ToleranceAudit ref_audit(AuditConfig{1e-12, 3});
-    auto build = [&](ToleranceAudit& audit) {
-      ToleranceAudit::Scope scope(audit);
-      return ScheduleEvaluator(sizes, view, true, NumericMode::kFast);
-    };
-    const ScheduleEvaluator memo_eval = build(memo_audit);
-    const ScheduleEvaluator ref_eval = build(ref_audit);
     const ScheduleCodec codec(tasks, procs);
-    const ScheduleProblem problem(codec, memo_eval);
+    const ScheduleEvaluator eval(random_sizes(tasks, rng),
+                                 random_view(procs, rng), true);
     EvalWorkspace ws;
     FlatSchedule ref_s;
     QueueLoads ref_loads;
-    std::vector<ga::Chromosome> pool;
-    for (int k = 0; k < 4; ++k) pool.push_back(random_chromosome(codec, rng));
-    for (int step = 0; step < 300; ++step) {
-      ga::Chromosome& c = pool[rng.index(pool.size())];
-      if (step % 3 == 0) {
-        // ScheduleProblem::evaluate: one full pricing either way.
-        problem.evaluate(c, &ws);
-        ref_eval.load_decoded(codec, c, ref_s, ref_loads);
-        continue;
+    ga::Chromosome c = random_chromosome(codec, rng);
+    eval.load_memo(c, ws);
+    for (int step = 0; step < 150; ++step) {
+      // The memo holds one entry, the schedule of c; v shares it.
+      ga::Chromosome v = permute_delimiters(c, rng);
+      const ga::Chromosome before = v;
+      ga::Chromosome ref_v = v;
+      const std::uint64_t seed = 7000 + static_cast<std::uint64_t>(step);
+      util::Rng r_memo(seed), r_ref(seed);
+      ws.has_improve_evaluation = false;
+      const bool changed = rebalance_once(v, codec, eval, r_memo, 5, ws);
+      const ReferenceResult ref =
+          reference_rebalance(ref_v, codec, eval, r_ref, 5, ref_s, ref_loads);
+      ASSERT_EQ(ws.memo.size(), 1u) << "the pass must hit c's entry";
+      ASSERT_EQ(changed, ref.changed);
+      ASSERT_EQ(v, ref_v);
+      for (std::size_t i = 0; i < v.size(); ++i) {
+        if (before[i] < 0) ASSERT_EQ(v[i], before[i]);
       }
-      ga::Chromosome ref_c = c;
-      util::Rng r_memo(step), r_ref(step);
-      rebalance_once(c, codec, memo_eval, r_memo, 5, ws);
-      reference_rebalance(ref_c, codec, ref_eval, r_ref, 5, ref_s, ref_loads);
-      ASSERT_EQ(c, ref_c);
+      ASSERT_EQ(ws.has_improve_evaluation, ref.supplied);
+      if (ref.supplied) {
+        EXPECT_EQ(ws.improve_evaluation.fitness, ref.eval.fitness);
+        EXPECT_EQ(ws.improve_evaluation.objective, ref.eval.makespan);
+      }
+      EXPECT_EQ(r_memo.next_u64(), r_ref.next_u64());
+      (changed ? accepted : rejected) += 1;
+      expect_entry_is_fresh_pricing(codec, eval, ws,
+                                    eval.load_memo(v, ws), v);
+      c = v;
     }
-    EXPECT_EQ(ws.loads.audit_tick, ref_loads.audit_tick);
-    EXPECT_GT(memo_audit.samples(), 50u);
-    EXPECT_EQ(memo_audit.samples(), ref_audit.samples());
-    EXPECT_EQ(memo_audit.max_deviation(), ref_audit.max_deviation());
   }
+  EXPECT_GT(accepted, 10u);
+  EXPECT_GT(rejected, 10u);
 }
 
 TEST(PricingMemo, CertifiedRejectionsMatchExactProbesOnRandomShapes) {
@@ -616,54 +600,52 @@ TEST(PricingMemo, CertifiedRejectionsMatchExactProbesOnRandomShapes) {
   // chromosome, published evaluation and RNG state. Every probe whose Δ
   // exceeds the certificate's slack is also checked against its exact
   // candidate directly: that candidate must never be fitter.
-  for (const NumericMode mode : {NumericMode::kExact, NumericMode::kFast}) {
-    util::Rng rng(39);
-    std::vector<std::pair<std::size_t, std::size_t>> shapes(
-        std::begin(kShapes), std::end(kShapes));
-    shapes.insert(shapes.end(), {{50, 50}, {3, 64}, {120, 64}, {400, 64}});
-    for (int k = 0; k < 8; ++k) {
-      shapes.emplace_back(1 + rng.index(150), 2 + rng.index(63));
-    }
-    std::size_t probes = 0, certified = 0, accepted = 0;
-    for (const auto& [tasks, procs] : shapes) {
-      const ScheduleCodec codec(tasks, procs);
-      const ScheduleEvaluator eval(random_sizes(tasks, rng),
-                                   random_view(procs, rng), true, mode);
-      EvalWorkspace ws;
-      FlatSchedule ref_s;
-      QueueLoads ref_loads;
-      std::vector<ga::Chromosome> pool;
-      for (int k = 0; k < 3; ++k) pool.push_back(random_chromosome(codec, rng));
-      for (int step = 0; step < 600; ++step) {
-        ga::Chromosome& c = pool[rng.index(pool.size())];
-        ga::Chromosome ref_c = c;
-        const std::uint64_t seed = 9000 + static_cast<std::uint64_t>(step);
-        util::Rng r_memo(seed), r_ref(seed);
-        ws.has_improve_evaluation = false;
-        const bool changed = rebalance_once(c, codec, eval, r_memo, 5, ws);
-        const ReferenceResult ref =
-            reference_rebalance(ref_c, codec, eval, r_ref, 5, ref_s, ref_loads);
-        ASSERT_EQ(changed, ref.changed) << tasks << "x" << procs;
-        ASSERT_EQ(c, ref_c);
-        ASSERT_EQ(ws.has_improve_evaluation, ref.supplied);
-        if (ref.supplied) {
-          EXPECT_EQ(ws.improve_evaluation.fitness, ref.eval.fitness);
-          EXPECT_EQ(ws.improve_evaluation.objective, ref.eval.makespan);
-        }
-        ASSERT_EQ(r_memo.next_u64(), r_ref.next_u64());
-        if (!ref.probed) continue;
-        ++probes;
-        accepted += ref.changed;
-        if (probe_delta(ref, eval.psi()) >
-            certificate_slack(ref, eval.psi(), procs, true)) {
-          ++certified;
-          ASSERT_FALSE(ref.changed) << "a certified probe was fitter";
-        }
+  util::Rng rng(39);
+  std::vector<std::pair<std::size_t, std::size_t>> shapes(
+      std::begin(kShapes), std::end(kShapes));
+  shapes.insert(shapes.end(), {{50, 50}, {3, 64}, {120, 64}, {400, 64}});
+  for (int k = 0; k < 8; ++k) {
+    shapes.emplace_back(1 + rng.index(150), 2 + rng.index(63));
+  }
+  std::size_t probes = 0, certified = 0, accepted = 0;
+  for (const auto& [tasks, procs] : shapes) {
+    const ScheduleCodec codec(tasks, procs);
+    const ScheduleEvaluator eval(random_sizes(tasks, rng),
+                                 random_view(procs, rng), true);
+    EvalWorkspace ws;
+    FlatSchedule ref_s;
+    QueueLoads ref_loads;
+    std::vector<ga::Chromosome> pool;
+    for (int k = 0; k < 3; ++k) pool.push_back(random_chromosome(codec, rng));
+    for (int step = 0; step < 600; ++step) {
+      ga::Chromosome& c = pool[rng.index(pool.size())];
+      ga::Chromosome ref_c = c;
+      const std::uint64_t seed = 9000 + static_cast<std::uint64_t>(step);
+      util::Rng r_memo(seed), r_ref(seed);
+      ws.has_improve_evaluation = false;
+      const bool changed = rebalance_once(c, codec, eval, r_memo, 5, ws);
+      const ReferenceResult ref =
+          reference_rebalance(ref_c, codec, eval, r_ref, 5, ref_s, ref_loads);
+      ASSERT_EQ(changed, ref.changed) << tasks << "x" << procs;
+      ASSERT_EQ(c, ref_c);
+      ASSERT_EQ(ws.has_improve_evaluation, ref.supplied);
+      if (ref.supplied) {
+        EXPECT_EQ(ws.improve_evaluation.fitness, ref.eval.fitness);
+        EXPECT_EQ(ws.improve_evaluation.objective, ref.eval.makespan);
+      }
+      ASSERT_EQ(r_memo.next_u64(), r_ref.next_u64());
+      if (!ref.probed) continue;
+      ++probes;
+      accepted += ref.changed;
+      if (probe_delta(ref, eval.psi()) >
+          certificate_slack(ref, eval.psi(), procs, true)) {
+        ++certified;
+        ASSERT_FALSE(ref.changed) << "a certified probe was fitter";
       }
     }
-    EXPECT_GT(certified, probes / 2);
-    EXPECT_GT(accepted, 100u);
   }
+  EXPECT_GT(certified, probes / 2);
+  EXPECT_GT(accepted, 100u);
 }
 
 TEST(PricingMemo, NearTieProbeWithPositiveDeltaIsPricedInFull) {
@@ -678,80 +660,76 @@ TEST(PricingMemo, NearTieProbeWithPositiveDeltaIsPricedInFull) {
   // and whose exact candidate is fitter all the same. The memo's pass
   // must keep that swap: a bare Δ > 0 test, or a slack without S, would
   // reject it.
-  for (const NumericMode mode : {NumericMode::kExact, NumericMode::kFast}) {
-    util::Rng rng(40);
-    const ScheduleCodec codec(4, 3);
-    FlatSchedule ref_s;
-    QueueLoads ref_loads;
-    bool found = false;
-    int tries = 0;
-    for (; tries < 20000 && !found; ++tries) {
-      const double x = rng.uniform(500.0, 1500.0);
-      const double ulps = static_cast<double>(rng.index(129)) - 64.0;
-      const double y = x * (1.0 + ulps * 0x1p-52);
-      const double small = rng.uniform(10.0, 100.0);
-      const double big = small + rng.uniform(0.5, 10.0);
-      const ScheduleEvaluator eval({small, x, big, y},
-                                   make_view({0.5, 10.0, 10.0}), false, mode);
-      std::vector<std::size_t> qa{0, 1}, qb{2, 3};
-      if (rng.bernoulli(0.5)) std::swap(qa[0], qa[1]);
-      if (rng.bernoulli(0.5)) std::swap(qb[0], qb[1]);
-      const ga::Chromosome c = codec.encode(ProcQueues{{}, qa, qb});
-      const std::uint64_t seed = rng.next_u64();
-      ga::Chromosome ref_c = c;
-      util::Rng r_ref(seed);
-      const ReferenceResult ref =
-          reference_rebalance(ref_c, codec, eval, r_ref, 5, ref_s, ref_loads);
-      if (!ref.probed || !ref.changed ||
-          !(probe_delta(ref, eval.psi()) >
-            certificate_slack(ref, eval.psi(), 3, false))) {
-        continue;
-      }
-      found = true;
-      EvalWorkspace ws;
-      ga::Chromosome memo_c = c;
-      util::Rng r_memo(seed);
-      EXPECT_TRUE(rebalance_once(memo_c, codec, eval, r_memo, 5, ws))
-          << "the near-tie swap was rejected";
-      EXPECT_EQ(memo_c, ref_c);
-      EXPECT_EQ(ws.improve_evaluation.fitness, ref.eval.fitness);
-      EXPECT_EQ(r_memo.next_u64(), r_ref.next_u64());
+  util::Rng rng(40);
+  const ScheduleCodec codec(4, 3);
+  FlatSchedule ref_s;
+  QueueLoads ref_loads;
+  bool found = false;
+  int tries = 0;
+  for (; tries < 20000 && !found; ++tries) {
+    const double x = rng.uniform(500.0, 1500.0);
+    const double ulps = static_cast<double>(rng.index(129)) - 64.0;
+    const double y = x * (1.0 + ulps * 0x1p-52);
+    const double small = rng.uniform(10.0, 100.0);
+    const double big = small + rng.uniform(0.5, 10.0);
+    const ScheduleEvaluator eval({small, x, big, y},
+                                 make_view({0.5, 10.0, 10.0}), false);
+    std::vector<std::size_t> qa{0, 1}, qb{2, 3};
+    if (rng.bernoulli(0.5)) std::swap(qa[0], qa[1]);
+    if (rng.bernoulli(0.5)) std::swap(qb[0], qb[1]);
+    const ga::Chromosome c = codec.encode(ProcQueues{{}, qa, qb});
+    const std::uint64_t seed = rng.next_u64();
+    ga::Chromosome ref_c = c;
+    util::Rng r_ref(seed);
+    const ReferenceResult ref =
+        reference_rebalance(ref_c, codec, eval, r_ref, 5, ref_s, ref_loads);
+    if (!ref.probed || !ref.changed ||
+        !(probe_delta(ref, eval.psi()) >
+          certificate_slack(ref, eval.psi(), 3, false))) {
+      continue;
     }
-    ASSERT_TRUE(found) << "no near-tie in " << tries << " tries";
+    found = true;
+    EvalWorkspace ws;
+    ga::Chromosome memo_c = c;
+    util::Rng r_memo(seed);
+    EXPECT_TRUE(rebalance_once(memo_c, codec, eval, r_memo, 5, ws))
+        << "the near-tie swap was rejected";
+    EXPECT_EQ(memo_c, ref_c);
+    EXPECT_EQ(ws.improve_evaluation.fitness, ref.eval.fitness);
+    EXPECT_EQ(r_memo.next_u64(), r_ref.next_u64());
   }
+  ASSERT_TRUE(found) << "no near-tie in " << tries << " tries";
 }
 
 TEST(PricingMemo, TooManyDelimitersThrowAndLeaveEveryEntryAsItWas) {
-  for (const NumericMode mode : {NumericMode::kExact, NumericMode::kFast}) {
-    util::Rng rng(41);
-    for (const auto& [tasks, procs] : kShapes) {
-      const ScheduleCodec codec(tasks, procs);
-      const ScheduleEvaluator eval(random_sizes(tasks, rng),
-                                   random_view(procs, rng), true, mode);
-      EvalWorkspace ws;
-      std::vector<ga::Chromosome> priced;
-      // Throw into a partly filled memo, then into a full one.
-      for (std::size_t k = 0; k < PricingMemo::kCapacity + 3; ++k) {
-        priced.push_back(random_chromosome(codec, rng));
-        eval.load_memo(codec, priced.back(), ws);
-        ga::Chromosome bad = random_chromosome(codec, rng);
-        *std::find_if(bad.begin(), bad.end(), [](ga::Gene g) {
-          return !ScheduleCodec::is_delimiter(g);
-        }) = ScheduleCodec::delimiter_gene(0);
-        const std::size_t live = ws.memo.size();
-        EXPECT_THROW(eval.load_memo(codec, bad, ws), std::invalid_argument);
-        ASSERT_EQ(ws.memo.size(), live);
-        std::size_t held = 0;
-        for (std::size_t e = 0; e < PricingMemo::kCapacity; ++e) {
-          for (const ga::Chromosome& c : priced) {
-            if (!is_schedule_form_of(ws.memo.key(e), c)) continue;
-            ++held;
-            expect_entry_is_fresh_pricing(codec, eval, ws, e, c);
-            break;
-          }
+  util::Rng rng(41);
+  for (const auto& [tasks, procs] : kShapes) {
+    const ScheduleCodec codec(tasks, procs);
+    const ScheduleEvaluator eval(random_sizes(tasks, rng),
+                                 random_view(procs, rng), true);
+    EvalWorkspace ws;
+    std::vector<ga::Chromosome> priced;
+    // Throw into a partly filled memo, then into a full one.
+    for (std::size_t k = 0; k < PricingMemo::kCapacity + 3; ++k) {
+      priced.push_back(random_chromosome(codec, rng));
+      eval.load_memo(priced.back(), ws);
+      ga::Chromosome bad = random_chromosome(codec, rng);
+      *std::find_if(bad.begin(), bad.end(), [](ga::Gene g) {
+        return !ScheduleCodec::is_delimiter(g);
+      }) = ScheduleCodec::delimiter_gene(0);
+      const std::size_t live = ws.memo.size();
+      EXPECT_THROW(eval.load_memo(bad, ws), std::invalid_argument);
+      ASSERT_EQ(ws.memo.size(), live);
+      std::size_t held = 0;
+      for (std::size_t e = 0; e < PricingMemo::kCapacity; ++e) {
+        for (const ga::Chromosome& c : priced) {
+          if (!is_schedule_form_of(ws.memo.key(e), c)) continue;
+          ++held;
+          expect_entry_is_fresh_pricing(codec, eval, ws, e, c);
+          break;
         }
-        EXPECT_GE(held, live);
       }
+      EXPECT_GE(held, live);
     }
   }
 }

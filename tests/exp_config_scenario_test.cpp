@@ -4,6 +4,9 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <utility>
+
 #include "exp/registry.hpp"
 #include "exp/runner.hpp"
 
@@ -74,6 +77,62 @@ TEST(ConfigScenario, UnknownEnumsThrow) {
       std::runtime_error);
 }
 
+TEST(ConfigScenario, NegativeCountsThrowNamingTheKey) {
+  // Cast straight to std::size_t, -1 used to become a 2^64 − 1 count.
+  const std::pair<std::string, std::string> counts[] = {
+      {"scenario", "replications"},
+      {"cluster", "processors"},
+      {"workload", "count"},
+      {"bounds", "max_iterations"}};
+  for (const auto& [section, key] : counts) {
+    const util::Config cfg =
+        util::Config::parse("[" + section + "]\n" + key + " = -1\n");
+    try {
+      scenario_from_config(cfg);
+      bounds_from_config(cfg);
+      FAIL() << section << "." << key << " = -1 was accepted";
+    } catch (const std::runtime_error& e) {
+      const std::string msg = e.what();
+      EXPECT_NE(msg.find(section + "." + key), std::string::npos) << msg;
+    }
+  }
+}
+
+TEST(ConfigScenario, NonIntegerCountsThrowNamingTheKey) {
+  const std::pair<std::string, std::string> counts[] = {
+      {"scenario", "replications"},
+      {"cluster", "processors"},
+      {"workload", "count"},
+      {"bounds", "max_iterations"}};
+  for (const auto& [section, key] : counts) {
+    for (const std::string value : {"2.5", "many"}) {
+      const util::Config cfg = util::Config::parse(
+          "[" + section + "]\n" + key + " = " + value + "\n");
+      try {
+        scenario_from_config(cfg);
+        bounds_from_config(cfg);
+        FAIL() << section << "." << key << " = " << value
+               << " was accepted";
+      } catch (const std::runtime_error& e) {
+        const std::string msg = e.what();
+        EXPECT_NE(msg.find(section + "." + key), std::string::npos) << msg;
+      }
+    }
+  }
+}
+
+TEST(ConfigScenario, BoundsMaxIterationsTakesZeroAndPositiveCounts) {
+  EXPECT_EQ(bounds_from_config(util::Config::parse("")).max_iterations, 60u);
+  EXPECT_EQ(bounds_from_config(
+                util::Config::parse("[bounds]\nmax_iterations = 0\n"))
+                .max_iterations,
+            0u);
+  EXPECT_EQ(bounds_from_config(
+                util::Config::parse("[bounds]\nmax_iterations = 250\n"))
+                .max_iterations,
+            250u);
+}
+
 TEST(ConfigScenario, UnknownDistErrorListsRegisteredFamilies) {
   try {
     scenario_from_config(util::Config::parse("[workload]\ndist = zipf\n"));
@@ -134,6 +193,32 @@ TEST(ConfigScenario, ConfiguredScenarioActuallyRuns) {
   const auto runs = run_replications(s, "PN", p);
   ASSERT_EQ(runs.size(), 2u);
   for (const auto& r : runs) EXPECT_EQ(r.tasks_completed, 40u);
+}
+
+// Sections no reader asks for are ignored: the run is the one the plain
+// config gives, bit for bit.
+TEST(ConfigScenario, UnknownSectionsLeaveTheRunUnchanged) {
+  const std::string base =
+      "[scenario]\nreplications = 1\n"
+      "[cluster]\nprocessors = 4\n"
+      "[comm]\nmean_cost = 2\n"
+      "[workload]\ndist = uniform\nparam_a = 10\nparam_b = 100\n"
+      "count = 40\n"
+      "[scheduler]\nmax_generations = 20\nbatch_size = 20\n";
+  const auto run = [](const std::string& ini) {
+    const auto cfg = util::Config::parse(ini);
+    return run_one(scenario_from_config(cfg), "PN",
+                   scheduler_params_from_config(cfg), 0);
+  };
+  const auto plain = run(base);
+  const auto extra = run(base +
+                         "[notes]\nmode = fast\ntolerance = 1e-9\n"
+                         "[cluster.spare]\nprocessors = -3\n");
+  EXPECT_EQ(extra.tasks_completed, 40u);
+  EXPECT_EQ(extra.tasks_completed, plain.tasks_completed);
+  EXPECT_EQ(extra.makespan, plain.makespan);
+  EXPECT_EQ(extra.mean_response_time, plain.mean_response_time);
+  EXPECT_EQ(extra.scheduler_invocations, plain.scheduler_invocations);
 }
 
 TEST(ConfigScenario, ParetoScenarioRunsFromConfig) {

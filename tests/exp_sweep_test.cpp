@@ -614,6 +614,83 @@ procs = 4, banana
   EXPECT_THROW(sweep_from_config(cfg), std::runtime_error);
 }
 
+TEST(SweepConfig, CountAxesTakeOnlyNonNegativeIntegers) {
+  // Each value is cast to std::size_t; for these that cast is undefined.
+  for (const std::string key : {"procs", "tasks", "replications"}) {
+    for (const std::string token : {"-1", "2.5", "nan", "inf", "1e300"}) {
+      const util::Config cfg =
+          util::Config::parse("[sweep]\n" + key + " = 4, " + token + "\n");
+      try {
+        sweep_from_config(cfg);
+        FAIL() << key << " = " << token << " was accepted";
+      } catch (const std::runtime_error& e) {
+        const std::string msg = e.what();
+        EXPECT_NE(msg.find("sweep config: key '" + key + "'"),
+                  std::string::npos)
+            << msg;
+        EXPECT_NE(msg.find("'" + token + "'"), std::string::npos) << msg;
+      }
+    }
+  }
+  // Other scenario axes are real-valued, and integral counts still pass.
+  EXPECT_NO_THROW(sweep_from_config(util::Config::parse(
+      "[sweep]\nprocs = 0, 4\ncomm_nu = -0.5, 2.5\n")));
+}
+
+TEST(SweepConfig, CountAxesSetIntegralValuesOnEveryCell) {
+  const util::Config cfg = util::Config::parse(R"(
+[sweep]
+schedulers = EF
+procs = 0, 4
+tasks = 1e2
+replications = 3.0
+)");
+  const auto cells = sweep_from_config(cfg).flatten();
+  ASSERT_EQ(cells.size(), 2u);
+  EXPECT_EQ(cells[0].scenario.cluster.num_processors, 0u);
+  EXPECT_EQ(cells[1].scenario.cluster.num_processors, 4u);
+  for (const auto& c : cells) {
+    EXPECT_EQ(c.scenario.workload.count, 100u);
+    EXPECT_EQ(c.scenario.replications, 3u);
+  }
+}
+
+TEST(SweepConfig, CountAxesStopJustBelowTwoToTheSixtyFour) {
+  // 2^64 itself does not fit a std::size_t; the double just below does.
+  try {
+    sweep_from_config(util::Config::parse(
+        "[sweep]\ntasks = 18446744073709551616\n"));
+    FAIL() << "tasks = 2^64 was accepted";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("'18446744073709551616'"),
+              std::string::npos)
+        << e.what();
+  }
+  const auto cells = sweep_from_config(util::Config::parse(
+                         "[sweep]\nschedulers = EF\n"
+                         "tasks = 18446744073709549568\n"))
+                         .flatten();
+  ASSERT_EQ(cells.size(), 1u);
+  EXPECT_EQ(cells[0].scenario.workload.count,
+            std::size_t{18446744073709549568u});
+}
+
+TEST(SweepConfig, RealValuedScenarioAxesKeepNegativeAndFractionalValues) {
+  const auto cells = sweep_from_config(util::Config::parse(R"(
+[sweep]
+schedulers = EF
+comm_nu = -0.5, 2.5
+mean_comm_cost = 1e300
+)"))
+                         .flatten();
+  ASSERT_EQ(cells.size(), 2u);
+  EXPECT_EQ(cells[0].scenario.comm_nu, -0.5);
+  EXPECT_EQ(cells[1].scenario.comm_nu, 2.5);
+  for (const auto& c : cells) {
+    EXPECT_EQ(c.scenario.cluster.comm.mean_cost, 1e300);
+  }
+}
+
 // End-to-end: a config-driven grid actually runs and streams JSONL.
 TEST(SweepConfig, ConfigGridRunsEndToEnd) {
   TempFile jsonl("grid.jsonl");

@@ -182,6 +182,52 @@ TEST(FederationConfigTest, RejectsUnknownNames) {
                std::runtime_error);
 }
 
+TEST(FederationConfigTest, NegativeCountsThrowNamingTheKey) {
+  // {line of kBaseIni, its replacement, the key the error must name}
+  const std::string cases[][3] = {
+      {"replications = 2", "replications = -2", "federation.replications"},
+      {"seed = 7", "seed = 7\nmax_event_factor = -1",
+       "federation.max_event_factor"},
+      {"migration_threshold = 8", "migration_threshold = -8",
+       "federation.migration_threshold"},
+      {"migration_chunk = 8", "migration_chunk = -8",
+       "federation.migration_chunk"},
+      {"processors = 6", "processors = -6", "cluster.core.processors"},
+      {"count = 240", "count = -240", "workload.count"}};
+  for (const auto& [find, replace, key] : cases) {
+    std::string ini(kBaseIni);
+    ini.replace(ini.find(find), find.size(), replace);
+    try {
+      federation_from_config(util::Config::parse(ini));
+      FAIL() << replace << " was accepted";
+    } catch (const std::runtime_error& e) {
+      const std::string msg = e.what();
+      EXPECT_NE(msg.find(key), std::string::npos) << msg;
+    }
+  }
+}
+
+TEST(FederationConfigTest, NonIntegerCountsThrowNamingTheKey) {
+  // {line of kBaseIni, its replacement, the key the error must name}
+  const std::string cases[][3] = {
+      {"replications = 2", "replications = 2.5", "federation.replications"},
+      {"migration_chunk = 8", "migration_chunk = eight",
+       "federation.migration_chunk"},
+      {"processors = 6", "processors = 6.0", "cluster.core.processors"},
+      {"count = 240", "count = 240 tasks", "workload.count"}};
+  for (const auto& [find, replace, key] : cases) {
+    std::string ini(kBaseIni);
+    ini.replace(ini.find(find), find.size(), replace);
+    try {
+      federation_from_config(util::Config::parse(ini));
+      FAIL() << replace << " was accepted";
+    } catch (const std::runtime_error& e) {
+      const std::string msg = e.what();
+      EXPECT_NE(msg.find(key), std::string::npos) << msg;
+    }
+  }
+}
+
 // --- runs: conservation, migration policies, determinism ---------------
 
 FederationConfig base_config() {

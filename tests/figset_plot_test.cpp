@@ -14,7 +14,6 @@
 
 #include <gtest/gtest.h>
 
-#include "core/numeric.hpp"
 #include "exp/sweep.hpp"
 #include "metrics/sink.hpp"
 
@@ -22,14 +21,6 @@ namespace fs = std::filesystem;
 using namespace gasched;
 
 namespace {
-
-// The emitted plot scripts are validated against the exact-mode CSV
-// header; under the fast numeric mode sweeps add an audit_max_dev column
-// the figure scripts don't reference. Pin exact so the fast-mode CI run
-// keeps validating the canonical header set.
-const struct PinExactMode {
-  PinExactMode() { core::set_default_numeric_mode(core::NumericMode::kExact); }
-} pin_exact_mode;
 
 fs::path temp_dir(const std::string& name) {
   const fs::path dir = fs::temp_directory_path() / name;

@@ -14,19 +14,10 @@
 
 #include <gtest/gtest.h>
 
-#include "core/numeric.hpp"
 #include "exp/runner.hpp"
 
 namespace gasched::exp {
 namespace {
-
-// The goldens below pin the *exact* numeric mode's doubles. Pin the
-// process default so a GASCHED_NUMERIC_MODE=fast CI run (which exercises
-// the SIMD path everywhere else) cannot disturb them — fast-mode results
-// are tolerance-bounded, not bit-pinned (docs/evaluation.md).
-const struct PinExactMode {
-  PinExactMode() { core::set_default_numeric_mode(core::NumericMode::kExact); }
-} pin_exact_mode;
 
 Scenario golden_scenario() {
   Scenario s;

@@ -185,6 +185,23 @@ TEST(RuntimeServe, CompletesAndAccounts) {
   EXPECT_EQ(tasks, r.completed);
 }
 
+TEST(RuntimeServe, RoutePolicyNamesParse) {
+  EXPECT_EQ(parse_route_policy("rr"), RoutePolicy::kRoundRobin);
+  EXPECT_EQ(parse_route_policy("least_loaded"), RoutePolicy::kLeastLoaded);
+  // "fastest" keeps its config name: smallest pending/rate drain time.
+  EXPECT_EQ(parse_route_policy("fastest"), RoutePolicy::kShortestDrain);
+  for (const char* bad : {"", "FASTEST", "shortest_drain", "random"}) {
+    try {
+      parse_route_policy(bad);
+      FAIL() << "'" << bad << "' was accepted";
+    } catch (const std::exception& e) {
+      EXPECT_NE(std::string(e.what()).find("rr, least_loaded, fastest"),
+                std::string::npos)
+          << e.what();
+    }
+  }
+}
+
 TEST(RuntimeServe, AllRoutePoliciesServe) {
   const workload::ConstantSizes sizes(1.0);
   for (const char* policy : {"rr", "least_loaded", "fastest"}) {

@@ -12,8 +12,7 @@
 //
 // The constants were captured from the per-heuristic scans that predate
 // the shared kernel; a change that alters them changed the schedules, not
-// just their speed. None of these heuristics touches the GA's numeric
-// mode, so the pins hold in every build type and numeric mode.
+// just their speed. The pins hold in every build type.
 
 #include <gtest/gtest.h>
 

@@ -18,7 +18,6 @@
 
 #include <string>
 
-#include "core/numeric.hpp"
 #include "exp/registry.hpp"
 #include "exp/scenario.hpp"
 #include "fed/federation.hpp"
@@ -28,12 +27,6 @@
 
 namespace gasched::sim {
 namespace {
-
-// PN's pins are exact-mode doubles; keep a GASCHED_NUMERIC_MODE=fast run
-// from moving them (see golden_determinism_test).
-const struct PinExactMode {
-  PinExactMode() { core::set_default_numeric_mode(core::NumericMode::kExact); }
-} pin_exact_mode;
 
 constexpr std::size_t kProcs = 96;
 constexpr std::size_t kTasks = 600;

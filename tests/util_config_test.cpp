@@ -4,8 +4,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <stdexcept>
+#include <string>
 
 namespace gasched::util {
 namespace {
@@ -23,6 +26,53 @@ TEST(Config, ParsesSectionsAndKeys) {
   EXPECT_DOUBLE_EQ(cfg.get_double("cluster.rate_lo", 0.0), 10.5);
   EXPECT_EQ(cfg.get("workload.dist", ""), "normal");
   EXPECT_EQ(cfg.size(), 4u);
+}
+
+TEST(Config, GetSizeRejectsNegativeValuesNamingTheKey) {
+  const auto cfg = Config::parse(
+      "[cluster]\n"
+      "processors = 12\n"
+      "spares = -3\n");
+  EXPECT_EQ(cfg.get_size("cluster.processors", 0), 12u);
+  EXPECT_EQ(cfg.get_size("cluster.missing", SIZE_MAX), SIZE_MAX);
+  try {
+    cfg.get_size("cluster.spares", 0);
+    FAIL() << "a negative size was accepted";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("cluster.spares"),
+              std::string::npos)
+        << e.what();
+  }
+}
+
+TEST(Config, GetSizeAcceptsZeroAndTheLargestInt64) {
+  const auto cfg = Config::parse(
+      "[cluster]\n"
+      "spares = 0\n"
+      "huge = 9223372036854775807\n");
+  // A present key wins over the fallback, even when it is zero.
+  EXPECT_EQ(cfg.get_size("cluster.spares", 7), 0u);
+  EXPECT_EQ(cfg.get_size("cluster.huge", 0),
+            static_cast<std::size_t>(INT64_MAX));
+}
+
+TEST(Config, GetSizeRejectsNonIntegerTextNamingTheKey) {
+  const auto cfg = Config::parse(
+      "[cluster]\n"
+      "fraction = 2.5\n"
+      "word = twelve\n"
+      "suffix = 12 procs\n"
+      "overflow = 99999999999999999999\n");
+  for (const std::string key : {"cluster.fraction", "cluster.word",
+                                "cluster.suffix", "cluster.overflow"}) {
+    try {
+      cfg.get_size(key, 0);
+      FAIL() << key << " was accepted";
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find(key), std::string::npos)
+          << e.what();
+    }
+  }
 }
 
 TEST(Config, IgnoresCommentsAndBlankLines) {
