@@ -249,6 +249,9 @@ class PricingMemo {
 
   /// Live entries.
   std::size_t size() const noexcept;
+  /// ScheduleEvaluator::id() of the evaluator that priced the entries
+  /// (0 before the first pricing).
+  std::uint64_t owner() const noexcept { return owner_; }
 
   /// Entry `e`'s key: the schedule form of the chromosome it was priced
   /// for (task genes at their chromosome positions, delimiters −1).
@@ -327,6 +330,11 @@ struct EvalWorkspace final : ga::GaProblem::Workspace {
   FlatSchedule schedule;
   QueueLoads loads;
   PricingMemo memo;
+  /// The memo entry the last rebalance_once() call on this workspace
+  /// left its chromosome in. A continuing pass (improve_continues) works
+  /// on it without a lookup while the memo's owner is still the pass's
+  /// evaluator (docs/evaluation.md "Pricing memo").
+  std::size_t rebalance_entry = PricingMemo::kCapacity;
 };
 
 /// GaProblem adapter: evaluates chromosomes through a codec + evaluator.

@@ -1,11 +1,41 @@
 #include "core/rebalance.hpp"
 
 #include <algorithm>
+#include <stdexcept>
 #include <utility>
 
 namespace gasched::core {
 
 namespace {
+
+/// The memo entry holding the schedule form of `c`. A continuing pass
+/// (the engine's improve_continues: `c` is what the previous pass on
+/// this workspace left) reuses that pass's entry: an accepted probe
+/// rekeyed it to `c`, a rejected one swapped it back, and it is already
+/// the most recently used entry, so skipping the lookup changes neither
+/// LRU order nor any result. Everything else goes through load_memo().
+std::size_t entry_for(const ga::Chromosome& c, const ScheduleEvaluator& eval,
+                      EvalWorkspace& ws) {
+  const std::size_t last = ws.rebalance_entry;
+  if (!ws.improve_continues || last == PricingMemo::kCapacity ||
+      ws.memo.owner() != eval.id()) {
+    return eval.load_memo(c, ws);
+  }
+#ifndef NDEBUG
+  // Checked builds hold the engine to its side of the contract.
+  const std::span<const ga::Gene> key = ws.memo.key(last);
+  bool same = key.size() == c.size();
+  for (std::size_t i = 0; same && i < c.size(); ++i) {
+    same = key[i] == ScheduleCodec::schedule_gene(c[i]);
+  }
+  if (!same) {
+    throw std::logic_error(
+        "rebalance_once: a continuing pass got a chromosome other than the "
+        "one the previous pass left");
+  }
+#endif
+  return last;
+}
 
 /// Publishes the evaluation of the chromosome as this pass leaves it, so
 /// the engine can skip its evaluation sweep (see GaProblem::Workspace).
@@ -19,14 +49,16 @@ void supply_evaluation(EvalWorkspace& ws, const BatchEvaluation& e) {
 bool rebalance_once(ga::Chromosome& c, const ScheduleCodec& codec,
                     const ScheduleEvaluator& eval, util::Rng& rng,
                     std::size_t probes, EvalWorkspace& ws) {
-  // Price through the workspace memo — a lookup when `c` decodes to one
-  // of the recently priced schedules, else one fused decode + full
-  // pricing — and work on the memo entry in place: its key is the
+  // Price through the workspace memo — the previous pass's entry when
+  // this pass continues it, a lookup when `c` decodes to one of the
+  // recently priced schedules, else one fused decode + full pricing —
+  // and work on the memo entry in place: its key is the
   // schedule form of `c` (task genes where `c` has them, delimiters −1),
   // and it caches the heaviest processor and base fitness. Probe
   // positions are task positions, so they index `c` and the key alike.
   PricingMemo& memo = ws.memo;
-  const std::size_t e = eval.load_memo(c, ws);
+  const std::size_t e = entry_for(c, eval, ws);
+  ws.rebalance_entry = e;
   const BatchEvaluation base = memo.evaluation(e);
   const std::size_t M = codec.num_procs();
   if (M < 2) return false;

@@ -17,7 +17,10 @@ namespace gasched::core {
 /// workspace's pricing memo and probing on the memo entry in place
 /// (allocation-free once warmed up). Returns
 /// true when a fitter schedule was found and kept. `probes` bounds the
-/// random searches for a smaller task (paper: 5).
+/// random searches for a smaller task (paper: 5). When
+/// `ws.improve_continues` is set, `c` must be the chromosome the previous
+/// call on `ws` left: the pass then reuses that call's memo entry without
+/// a lookup (checked builds throw std::logic_error when `c` differs).
 bool rebalance_once(ga::Chromosome& c, const ScheduleCodec& codec,
                     const ScheduleEvaluator& eval, util::Rng& rng,
                     std::size_t probes, EvalWorkspace& ws);

@@ -21,18 +21,30 @@ sim::AvailabilityKind availability_from_name(const std::string& name) {
                            "'");
 }
 
+/// A count of `key` that must be at least 1: a run with no replications,
+/// processors or tasks has nothing to show.
+std::size_t positive_size(const util::Config& cfg, const std::string& key,
+                          std::size_t fallback) {
+  const std::size_t v = cfg.get_size(key, fallback);
+  if (v == 0) {
+    throw std::runtime_error("scenario config: key '" + key +
+                             "' must be at least 1");
+  }
+  return v;
+}
+
 }  // namespace
 
 Scenario scenario_from_config(const util::Config& cfg) {
   Scenario s;
   s.name = cfg.get("scenario.name", "config");
   s.seed = static_cast<std::uint64_t>(cfg.get_int("scenario.seed", 42));
-  s.replications = cfg.get_size("scenario.replications", 5);
+  s.replications = positive_size(cfg, "scenario.replications", 5);
   s.sched_time_scale = cfg.get_double("scenario.sched_time_scale", 0.0);
   s.comm_nu = cfg.get_double("scenario.comm_nu", 0.5);
   s.rate_nu = cfg.get_double("scenario.rate_nu", 0.5);
 
-  s.cluster.num_processors = cfg.get_size("cluster.processors", 50);
+  s.cluster.num_processors = positive_size(cfg, "cluster.processors", 50);
   s.cluster.rate_lo = cfg.get_double("cluster.rate_lo", 10.0);
   s.cluster.rate_hi = cfg.get_double("cluster.rate_hi", 100.0);
   s.cluster.availability =
@@ -56,7 +68,7 @@ Scenario scenario_from_config(const util::Config& cfg) {
   s.workload.param_a = cfg.get_double("workload.param_a", 1000.0);
   s.workload.param_b = cfg.get_double("workload.param_b", 9e5);
   s.workload.params = Params::from_config(cfg, "workload");
-  s.workload.count = cfg.get_size("workload.count", 1000);
+  s.workload.count = positive_size(cfg, "workload.count", 1000);
   s.workload.all_at_start = cfg.get_bool("workload.all_at_start", true);
   s.workload.mean_interarrival =
       cfg.get_double("workload.mean_interarrival", 1.0);
@@ -114,8 +126,8 @@ std::vector<std::string> split_list(const std::string& text) {
 
 /// The values of one [sweep] axis. A `count` axis (processors, tasks,
 /// replications) is cast to std::size_t, so each of its values must be
-/// a non-negative integer below 2^64: a negative, fractional, NaN or
-/// huge one would make that cast undefined.
+/// an integer in [1, 2^64): a negative, fractional, NaN or huge one
+/// would make that cast undefined, and a zero would make an empty run.
 std::vector<double> parse_axis_values(const std::string& key,
                                       const std::string& text, bool count) {
   std::vector<double> values;
@@ -129,10 +141,10 @@ std::vector<double> parse_axis_values(const std::string& key,
       throw std::runtime_error("sweep config: key '" + key +
                                "' has non-numeric value '" + token + "'");
     }
-    if (count && !(v >= 0.0 && v < 0x1p64 && v == std::floor(v))) {
+    if (count && !(v >= 1.0 && v < 0x1p64 && v == std::floor(v))) {
       throw std::runtime_error("sweep config: key '" + key +
-                               "' needs a non-negative integer, not '" +
-                               token + "'");
+                               "' needs a positive integer, not '" + token +
+                               "'");
     }
     values.push_back(v);
   }

@@ -32,7 +32,8 @@ namespace gasched::exp {
 ///               failing_fraction
 ///
 /// Throws std::runtime_error on unknown enumeration values and on
-/// negative counts (replications, processors, count), naming the key;
+/// negative or zero counts (replications, processors, count), naming the
+/// key;
 /// the unknown-distribution error lists every registered family.
 Scenario scenario_from_config(const util::Config& cfg);
 
@@ -69,7 +70,7 @@ std::vector<std::string> expand_scheduler_selector(
 ///            comm_nu, rate_nu, sched_time_scale, mean_interarrival,
 ///            burstiness, param_a, param_b — sweep the scenario; every
 ///            other key sweeps a [scheduler] parameter of that name.
-///            procs, tasks and replications take non-negative integers
+///            procs, tasks and replications take positive integers
 ///            only. Scalar axes flatten in file key order (lexicographic).
 ///
 /// Without a [sweep] section the grid is the scheduler axis alone — the

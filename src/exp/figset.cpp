@@ -377,7 +377,8 @@ FigureDef fig04_def() {
 
 /// Extension grid quantifying the paper's unquantified "near-optimal"
 /// claim: four schedulers on the H=600-task / M=50-processor batch, with
-/// certified lower-bound columns from exp::certified_bounds. `lb_qp`
+/// certified lower-bound columns from exp::BoundMemo (certified_bounds,
+/// solved once per replication). `lb_qp`
 /// (interior-point relaxation, docs/bounds.md) must dominate `lb_comb`
 /// (combinatorial) on every cell — by construction it is their max — and
 /// `gap_pct` is the scheduler's certified distance from optimal.
@@ -402,13 +403,16 @@ FigureDef extgap_def() {
                             /*pn_dynamic_batch=*/true);
     sweep.schedulers({"PN", "EF", "MM", "RR"});
     sweep.extra_columns({"lb_comb", "lb_qp", "gap_pct"});
-    sweep.runner([](const SweepCell& cell, bool parallel) {
+    // The four scheduler cells of a replication share its workload and
+    // cluster, so the memo solves each replication's relaxation once per
+    // run (run() calls a fresh copy of the runner, and with it an empty
+    // memo).
+    sweep.runner([memo = BoundMemo()](const SweepCell& cell, bool parallel) {
       CellOutcome out;
       out.summary =
           run_cell(cell.scenario, cell.scheduler, cell.params, parallel);
       const metrics::RelaxationBoundOptions opts;  // enabled, 1e-8, 60
-      const CertifiedBounds b =
-          certified_bounds(cell.scenario, opts, parallel);
+      const CertifiedBounds b = memo.bounds(cell.scenario, opts, parallel);
       out.extras.emplace_back("lb_comb", b.lb_comb);
       out.extras.emplace_back("lb_qp", b.lb_qp);
       out.extras.emplace_back(

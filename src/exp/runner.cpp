@@ -1,5 +1,8 @@
 #include "exp/runner.hpp"
 
+#include <cstring>
+#include <exception>
+
 #include "exp/registry.hpp"
 #include "util/thread_pool.hpp"
 
@@ -94,15 +97,23 @@ metrics::BoundInstance bound_instance(const Scenario& scenario,
   return inst;
 }
 
-CertifiedBounds certified_bounds(const Scenario& scenario,
-                                 const metrics::RelaxationBoundOptions& options,
-                                 bool parallel) {
+namespace {
+
+CertifiedBounds solve_instance(const metrics::BoundInstance& inst,
+                               const metrics::RelaxationBoundOptions& options) {
+  return {metrics::makespan_lower_bound(inst),
+          metrics::relaxation_lower_bound(inst, options)};
+}
+
+/// The mean of `bounds_of(bound_instance(scenario, rep))` over the
+/// replications, summed in replication order at any thread count.
+template <typename BoundsOf>
+CertifiedBounds mean_bounds(const Scenario& scenario, bool parallel,
+                            const BoundsOf& bounds_of) {
   const std::size_t reps = scenario.replications;
   std::vector<CertifiedBounds> per_rep(reps);
   auto body = [&](std::size_t rep) {
-    const metrics::BoundInstance inst = bound_instance(scenario, rep);
-    per_rep[rep].lb_comb = metrics::makespan_lower_bound(inst);
-    per_rep[rep].lb_qp = metrics::relaxation_lower_bound(inst, options);
+    per_rep[rep] = bounds_of(bound_instance(scenario, rep));
   };
   if (parallel && reps > 1) {
     util::global_pool().parallel_for(0, reps, body);
@@ -119,6 +130,78 @@ CertifiedBounds certified_bounds(const Scenario& scenario,
     mean.lb_qp /= static_cast<double>(reps);
   }
   return mean;
+}
+
+bool same_bits(const std::vector<double>& a, const std::vector<double>& b) {
+  return a.size() == b.size() &&
+         (a.empty() ||
+          std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0);
+}
+
+bool same_bits(const metrics::RelaxationBoundOptions& a,
+               const metrics::RelaxationBoundOptions& b) {
+  return a.enabled == b.enabled && a.max_iterations == b.max_iterations &&
+         std::memcmp(&a.tolerance, &b.tolerance, sizeof(double)) == 0;
+}
+
+}  // namespace
+
+CertifiedBounds certified_bounds(const Scenario& scenario,
+                                 const metrics::RelaxationBoundOptions& options,
+                                 bool parallel) {
+  return mean_bounds(scenario, parallel,
+                     [&](const metrics::BoundInstance& inst) {
+                       return solve_instance(inst, options);
+                     });
+}
+
+CertifiedBounds BoundMemo::bounds(
+    const Scenario& scenario, const metrics::RelaxationBoundOptions& options,
+    bool parallel) const {
+  return mean_bounds(scenario, parallel,
+                     [&](const metrics::BoundInstance& inst) {
+                       return replication(inst, options);
+                     });
+}
+
+std::size_t BoundMemo::solves() const {
+  std::lock_guard lk(mu_);
+  return entries_.size();
+}
+
+CertifiedBounds BoundMemo::replication(
+    const metrics::BoundInstance& instance,
+    const metrics::RelaxationBoundOptions& options) const {
+  std::promise<CertifiedBounds> solve;
+  std::shared_future<CertifiedBounds> result;
+  bool solver = false;
+  {
+    std::lock_guard lk(mu_);
+    for (const Entry& e : entries_) {
+      if (same_bits(e.instance.task_sizes, instance.task_sizes) &&
+          same_bits(e.instance.rates, instance.rates) &&
+          same_bits(e.instance.pending_mflops, instance.pending_mflops) &&
+          same_bits(e.instance.comm_costs, instance.comm_costs) &&
+          same_bits(e.options, options)) {
+        result = e.bounds;
+        break;
+      }
+    }
+    if (!result.valid()) {
+      result = solve.get_future().share();
+      entries_.push_back({instance, options, result});
+      solver = true;
+    }
+  }
+  if (!solver) return result.get();
+  // Solved outside the lock, by this caller alone; the solve is serial,
+  // so callers waiting on `result` always see it finish.
+  try {
+    solve.set_value(solve_instance(instance, options));
+  } catch (...) {
+    solve.set_exception(std::current_exception());
+  }
+  return result.get();
 }
 
 }  // namespace gasched::exp

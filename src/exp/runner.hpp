@@ -8,6 +8,9 @@
 // Schedulers are addressed by SchedulerRegistry name (case-insensitive),
 // so any registered entry — built-in or user-added — can run a cell.
 
+#include <cstddef>
+#include <future>
+#include <mutex>
 #include <string>
 #include <vector>
 
@@ -63,5 +66,42 @@ struct CertifiedBounds {
 CertifiedBounds certified_bounds(const Scenario& scenario,
                                  const metrics::RelaxationBoundOptions& options,
                                  bool parallel = true);
+
+/// certified_bounds that solves each replication's instance once: cells
+/// that share a replication's workload and cluster (a grid over
+/// schedulers) reuse its bounds instead of solving the relaxation again.
+/// Entries are keyed by the bound_instance vectors and the options,
+/// compared bit for bit, never by labels. Thread-safe: concurrent
+/// callers of one instance wait for its single solve. A copy starts
+/// empty, so a memo a Sweep runner captures by value lives for one
+/// Sweep::run() (run() calls a fresh copy of its runner) and copied
+/// Sweeps never share solves.
+class BoundMemo {
+ public:
+  BoundMemo() = default;
+  BoundMemo(const BoundMemo&) noexcept {}
+  BoundMemo& operator=(const BoundMemo&) = delete;
+
+  /// certified_bounds(scenario, options, parallel), bit for bit.
+  CertifiedBounds bounds(const Scenario& scenario,
+                         const metrics::RelaxationBoundOptions& options,
+                         bool parallel = true) const;
+  /// Distinct instances seen so far; each is solved exactly once.
+  std::size_t solves() const;
+
+ private:
+  struct Entry {
+    metrics::BoundInstance instance;
+    metrics::RelaxationBoundOptions options;
+    std::shared_future<CertifiedBounds> bounds;
+  };
+  /// The bounds of one replication's instance, solved at most once.
+  CertifiedBounds replication(
+      const metrics::BoundInstance& instance,
+      const metrics::RelaxationBoundOptions& options) const;
+
+  mutable std::mutex mu_;
+  mutable std::vector<Entry> entries_;
+};
 
 }  // namespace gasched::exp

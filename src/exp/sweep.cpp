@@ -323,6 +323,7 @@ SweepResult Sweep::run() const {
   };
   flush_ready();  // advance past any leading skipped cells
 
+  const CellRunner runner = runner_;  // a fresh copy: per-run runner state
   auto run_cell_at = [&](std::size_t job) {
     const std::size_t i = to_run[job];
     metrics::SweepRow row;
@@ -330,7 +331,7 @@ SweepResult Sweep::run() const {
     row.coords = cells[i].coords;
     row.scheduler = cells[i].scheduler;
     try {
-      CellOutcome out = runner_ ? runner_(cells[i], parallel_)
+      CellOutcome out = runner ? runner(cells[i], parallel_)
                                 : default_cell_runner(cells[i], parallel_);
       row.cell = std::move(out.summary);
       row.extras = std::move(out.extras);

@@ -137,6 +137,8 @@ class Sweep {
       std::vector<std::pair<std::string, WorkloadSpec>> specs);
 
   /// Replaces the default cell runner (run_replications + aggregate).
+  /// Each run() calls a fresh copy of `fn`, so state it captures by
+  /// value (extgap's BoundMemo) lives for one run.
   Sweep& runner(CellRunner fn);
   /// Declares the extras columns custom runners emit, so streaming sinks
   /// can fix their schema before the first row.

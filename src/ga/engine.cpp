@@ -217,6 +217,8 @@ GaResult GaEngine::run_seeded(const GaProblem& problem,
     // guarantees bit-identity with evaluate()) so improved individuals
     // skip the evaluation sweep entirely. A captured evaluation is
     // discarded if a later pass changes the chromosome without supplying.
+    // Passes after an individual's first continue on the chromosome the
+    // previous pass left in the same workspace, and say so.
     if (cfg_.improvement_passes > 0) {
       GaProblem::Workspace* iws = serial_ws.get();
       for (std::size_t i = 0; i < P; ++i) {
@@ -224,7 +226,10 @@ GaResult GaEngine::run_seeded(const GaProblem& problem,
         bool have = false;
         GaProblem::Evaluation supplied;
         for (std::size_t r = 0; r < cfg_.improvement_passes; ++r) {
-          if (iws != nullptr) iws->has_improve_evaluation = false;
+          if (iws != nullptr) {
+            iws->has_improve_evaluation = false;
+            iws->improve_continues = r > 0;
+          }
           const bool changed =
               problem.improve(next.chrom[i], rng, iws);
           changed_any |= changed;

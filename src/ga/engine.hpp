@@ -65,6 +65,17 @@ class GaProblem {
     /// chromosome without re-supplying.
     bool has_improve_evaluation = false;
     Evaluation improve_evaluation{};
+
+    /// Continuation flag, set by the engine before every improve()
+    /// call: true exactly when `c` is the chromosome the previous
+    /// improve() call on this workspace left and nothing has used the
+    /// workspace since — passes 2..k of one individual's
+    /// GaConfig::improvement_passes, never a new individual, a new
+    /// generation or the elite copy. An improve() implementation may
+    /// then reuse what its previous call left in the workspace instead
+    /// of looking `c` up again (the re-balancing heuristic reuses its
+    /// pricing-memo entry). Ignoring it is always safe.
+    bool improve_continues = false;
   };
 
   virtual ~GaProblem() = default;

@@ -29,6 +29,21 @@ void validate(const BoundInstance& inst) {
       inst.comm_costs.size() != inst.rates.size()) {
     throw std::invalid_argument("BoundInstance: comm size mismatch");
   }
+  // A NaN or negative size or load is no instance. Rejecting them also
+  // keeps the work bound at +0 or above and every std::min/std::max
+  // below independent of argument order.
+  for (const double t : inst.task_sizes) {
+    if (!(t >= 0.0)) {
+      throw std::invalid_argument(
+          "BoundInstance: task sizes must be non-negative numbers");
+    }
+  }
+  for (const double l : inst.pending_mflops) {
+    if (!(l >= 0.0)) {
+      throw std::invalid_argument(
+          "BoundInstance: pending loads must be non-negative numbers");
+    }
+  }
 }
 
 double pending(const BoundInstance& inst, std::size_t j) {
@@ -81,8 +96,14 @@ double makespan_lower_bound(const BoundInstance& inst) {
   }
 
   // Critical-task bound: every task must run somewhere; its best case is
-  // an empty best processor.
-  for (const double t : inst.task_sizes) {
+  // an empty best processor. A rounded division by P_j > 0 and a rounded
+  // addition of c_j are both monotone non-decreasing in t, so
+  // min_j fl(fl(t / P_j) + c_j) is too, and its maximum over the tasks is
+  // its value at the (first) largest task: O(N + M) for the double the
+  // N × M scan over every task returned.
+  if (N > 0) {
+    const double t =
+        *std::max_element(inst.task_sizes.begin(), inst.task_sizes.end());
     double best = std::numeric_limits<double>::infinity();
     for (std::size_t j = 0; j < M; ++j) {
       best = std::min(best, t / inst.rates[j] + comm(inst, j));

@@ -45,7 +45,9 @@ struct BoundInstance {
 
 /// Valid makespan lower bound for any assignment of the instance's tasks
 /// (maximum of the four bounds documented above; each is individually
-/// valid, so their maximum is).
+/// valid, so their maximum is). O(N + M). Throws std::invalid_argument
+/// on non-positive or NaN rates, NaN or negative task sizes or pending
+/// loads, and per-processor vectors of the wrong length.
 double makespan_lower_bound(const BoundInstance& inst);
 
 /// Exact optimal makespan by branch-and-bound over all M^N assignments

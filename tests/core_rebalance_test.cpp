@@ -701,6 +701,83 @@ TEST(PricingMemo, NearTieProbeWithPositiveDeltaIsPricedInFull) {
   ASSERT_TRUE(found) << "no near-tie in " << tries << " tries";
 }
 
+TEST(PricingMemo, ContinuingPassesMatchFreshLookupsPassByPass) {
+  // The engine's order: k passes per individual, then the next one, with
+  // evaluations between generations. `cont` flags passes 2..k as
+  // continuations (they reuse the previous pass's entry), `fresh` looks
+  // every pass up; both must see the same chromosome, supplied
+  // evaluation, accept sequence and RNG state.
+  std::size_t accepted = 0;
+  for (const std::size_t k : {1u, 2u, 50u}) {
+    for (const auto& [tasks, procs] : kShapes) {
+      util::Rng rng(37 + k);
+      const ScheduleCodec codec(tasks, procs);
+      const ScheduleEvaluator eval(random_sizes(tasks, rng),
+                                   random_view(procs, rng), true);
+      const ScheduleProblem problem(codec, eval);
+      EvalWorkspace cont, fresh;
+      std::vector<ga::Chromosome> pop;
+      for (int i = 0; i < 6; ++i) pop.push_back(random_chromosome(codec, rng));
+      std::vector<ga::Chromosome> ref = pop;
+      util::Rng r_cont(90 + k), r_fresh(90 + k);
+      for (int gen = 0; gen < 4; ++gen) {
+        for (std::size_t i = 0; i < pop.size(); ++i) {
+          for (std::size_t r = 0; r < k; ++r) {
+            cont.has_improve_evaluation = false;
+            fresh.has_improve_evaluation = false;
+            cont.improve_continues = r > 0;
+            const bool a = rebalance_once(pop[i], codec, eval, r_cont, 5, cont);
+            const bool b =
+                rebalance_once(ref[i], codec, eval, r_fresh, 5, fresh);
+            ASSERT_EQ(a, b) << "k " << k << " pass " << r;
+            ASSERT_EQ(pop[i], ref[i]) << "k " << k << " pass " << r;
+            ASSERT_EQ(cont.has_improve_evaluation,
+                      fresh.has_improve_evaluation);
+            EXPECT_EQ(cont.improve_evaluation.fitness,
+                      fresh.improve_evaluation.fitness);
+            EXPECT_EQ(cont.improve_evaluation.objective,
+                      fresh.improve_evaluation.objective);
+            accepted += a;
+          }
+        }
+        // Evaluations between generations, like the engine's sweep.
+        for (std::size_t i = 0; i < pop.size(); i += 2) {
+          const auto x = problem.evaluate(pop[i], &cont);
+          const auto y = problem.evaluate(ref[i], &fresh);
+          ASSERT_EQ(x.fitness, y.fitness);
+          ASSERT_EQ(x.objective, y.objective);
+        }
+      }
+      EXPECT_EQ(r_cont.next_u64(), r_fresh.next_u64());
+    }
+  }
+  EXPECT_GT(accepted, 100u);
+}
+
+#ifndef NDEBUG
+TEST(PricingMemo, ContinuingPassOnAnotherChromosomeThrowsInCheckedBuilds) {
+  util::Rng rng(38);
+  const ScheduleCodec codec(24, 6);
+  const ScheduleEvaluator eval(random_sizes(24, rng), random_view(6, rng),
+                               true);
+  EvalWorkspace ws;
+  ga::Chromosome c = random_chromosome(codec, rng);
+  rebalance_once(c, codec, eval, rng, 5, ws);
+  // Swap the first two task genes: a different schedule form.
+  ga::Chromosome other = c;
+  std::vector<std::size_t> task_pos;
+  for (std::size_t i = 0; i < other.size(); ++i) {
+    if (!ScheduleCodec::is_delimiter(other[i])) task_pos.push_back(i);
+  }
+  std::swap(other[task_pos[0]], other[task_pos[1]]);
+  ws.improve_continues = true;
+  EXPECT_THROW(rebalance_once(other, codec, eval, rng, 5, ws),
+               std::logic_error);
+  // The chromosome the pass left continues fine.
+  EXPECT_NO_THROW(rebalance_once(c, codec, eval, rng, 5, ws));
+}
+#endif
+
 TEST(PricingMemo, TooManyDelimitersThrowAndLeaveEveryEntryAsItWas) {
   util::Rng rng(41);
   for (const auto& [tasks, procs] : kShapes) {

@@ -121,6 +121,29 @@ TEST(ConfigScenario, NonIntegerCountsThrowNamingTheKey) {
   }
 }
 
+TEST(ConfigScenario, ZeroCountsThrowNamingTheKey) {
+  // Zero replications or tasks used to run to exit status 0 with an empty
+  // table, and zero processors failed only per cell at run time.
+  for (const std::string key :
+       {"scenario.replications", "cluster.processors", "workload.count"}) {
+    const std::string section = key.substr(0, key.find('.'));
+    const std::string name = key.substr(key.find('.') + 1);
+    const util::Config cfg =
+        util::Config::parse("[" + section + "]\n" + name + " = 0\n");
+    try {
+      scenario_from_config(cfg);
+      FAIL() << key << " = 0 was accepted";
+    } catch (const std::runtime_error& e) {
+      const std::string msg = e.what();
+      EXPECT_NE(msg.find("'" + key + "'"), std::string::npos) << msg;
+    }
+    // One is the smallest count that runs.
+    const util::Config one =
+        util::Config::parse("[" + section + "]\n" + name + " = 1\n");
+    EXPECT_NO_THROW(scenario_from_config(one)) << key;
+  }
+}
+
 TEST(ConfigScenario, BoundsMaxIterationsTakesZeroAndPositiveCounts) {
   EXPECT_EQ(bounds_from_config(util::Config::parse("")).max_iterations, 60u);
   EXPECT_EQ(bounds_from_config(

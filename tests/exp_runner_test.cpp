@@ -6,6 +6,12 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+
+#include "exp/sweep.hpp"
+#include "util/thread_pool.hpp"
+
 namespace gasched::exp {
 namespace {
 
@@ -165,6 +171,122 @@ TEST(Runner, UnknownSchedulerThrowsBeforeRunning) {
   const Scenario s = small_scenario();
   EXPECT_THROW(run_replications(s, "NOPE", quick_opts()),
                std::runtime_error);
+}
+
+void expect_same_bits(const CertifiedBounds& got,
+                      const CertifiedBounds& want) {
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(got.lb_comb),
+            std::bit_cast<std::uint64_t>(want.lb_comb));
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(got.lb_qp),
+            std::bit_cast<std::uint64_t>(want.lb_qp));
+}
+
+TEST(BoundMemo, ReturnsCertifiedBoundsAndSolvesEachInstanceOnce) {
+  const Scenario s = small_scenario();
+  const metrics::RelaxationBoundOptions opts;
+  const CertifiedBounds want = certified_bounds(s, opts, false);
+  const BoundMemo memo;
+  EXPECT_EQ(memo.solves(), 0u);
+  for (const bool parallel : {false, true, false}) {
+    expect_same_bits(memo.bounds(s, opts, parallel), want);
+    EXPECT_EQ(memo.solves(), s.replications);
+  }
+  // Another scheduler or label sees the same instances: no new solve.
+  Scenario renamed = s;
+  renamed.name = "other";
+  expect_same_bits(memo.bounds(renamed, opts), want);
+  EXPECT_EQ(memo.solves(), s.replications);
+  // Different options or a different workload are different instances.
+  metrics::RelaxationBoundOptions loose = opts;
+  loose.tolerance = 1e-6;
+  expect_same_bits(memo.bounds(s, loose), certified_bounds(s, loose));
+  EXPECT_EQ(memo.solves(), 2 * s.replications);
+  Scenario reseeded = s;
+  reseeded.seed = s.seed + 1;
+  expect_same_bits(memo.bounds(reseeded, opts),
+                   certified_bounds(reseeded, opts));
+  EXPECT_EQ(memo.solves(), 3 * s.replications);
+}
+
+TEST(BoundMemo, ConcurrentCallersShareOneSolvePerInstance) {
+  const Scenario s = small_scenario();
+  const metrics::RelaxationBoundOptions opts;
+  const CertifiedBounds want = certified_bounds(s, opts, false);
+  const BoundMemo memo;
+  std::vector<CertifiedBounds> got(8);
+  util::global_pool().parallel_for(0, got.size(), [&](std::size_t k) {
+    got[k] = memo.bounds(s, opts, k % 2 == 0);
+  });
+  for (const CertifiedBounds& b : got) expect_same_bits(b, want);
+  EXPECT_EQ(memo.solves(), s.replications);
+}
+
+TEST(BoundMemo, CopiesStartEmpty) {
+  const Scenario s = small_scenario();
+  const BoundMemo memo;
+  memo.bounds(s, {});
+  const BoundMemo copy(memo);
+  EXPECT_EQ(copy.solves(), 0u);
+  EXPECT_EQ(memo.solves(), s.replications);
+}
+
+TEST(BoundMemo, SweepRunnerMemoLivesForOneRun) {
+  // Each cell reports how many instances it solved itself. Serial cells
+  // make that deterministic: the first cell of every run solves all of
+  // them, the rest reuse them.
+  const Scenario s = small_scenario();
+  const metrics::RelaxationBoundOptions opts;
+  const CertifiedBounds want = certified_bounds(s, opts);
+  Sweep sweep("memo");
+  sweep.base(s).parallel(false).extra_columns(
+      {"solved", "lb_comb", "lb_qp"});
+  sweep.axis("scheduler", {{"a", {}}, {"b", {}}, {"c", {}}});
+  sweep.runner([memo = BoundMemo()](const SweepCell& cell, bool parallel) {
+    const std::size_t before = memo.solves();
+    const CertifiedBounds b = memo.bounds(cell.scenario, {}, parallel);
+    CellOutcome out;
+    out.extras = {{"solved", static_cast<double>(memo.solves() - before)},
+                  {"lb_comb", b.lb_comb},
+                  {"lb_qp", b.lb_qp}};
+    return out;
+  });
+  const Sweep copied = sweep;
+  // The same Sweep twice, then a copy: each run starts a fresh memo.
+  const Sweep* const runs[] = {&sweep, &sweep, &copied};
+  for (const Sweep* run : runs) {
+    const SweepResult r = run->run();
+    ASSERT_EQ(r.rows.size(), 3u);
+    for (std::size_t i = 0; i < r.rows.size(); ++i) {
+      ASSERT_TRUE(r.rows[i].ok()) << r.rows[i].error;
+      EXPECT_EQ(r.rows[i].extra("solved"),
+                i == 0 ? static_cast<double>(s.replications) : 0.0);
+      expect_same_bits({r.rows[i].extra("lb_comb"), r.rows[i].extra("lb_qp")},
+                       want);
+    }
+  }
+}
+
+TEST(BoundMemo, ParallelSweepCellsSolveEachInstanceOnce) {
+  const Scenario s = small_scenario();
+  const CertifiedBounds want = certified_bounds(s, {});
+  Sweep sweep("memo_parallel");
+  sweep.base(s).parallel(true).extra_columns({"solves", "lb_qp"});
+  sweep.axis("scheduler", {{"a", {}}, {"b", {}}, {"c", {}}, {"d", {}}});
+  sweep.runner([memo = BoundMemo()](const SweepCell& cell, bool parallel) {
+    const CertifiedBounds b = memo.bounds(cell.scenario, {}, parallel);
+    CellOutcome out;
+    out.extras = {{"solves", static_cast<double>(memo.solves())},
+                  {"lb_qp", b.lb_qp}};
+    return out;
+  });
+  const SweepResult r = sweep.run();
+  for (const auto& row : r.rows) {
+    ASSERT_TRUE(row.ok()) << row.error;
+    // Never more than one solve per instance, whichever cell ran first.
+    EXPECT_EQ(row.extra("solves"), static_cast<double>(s.replications));
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(row.extra("lb_qp")),
+              std::bit_cast<std::uint64_t>(want.lb_qp));
+  }
 }
 
 }  // namespace

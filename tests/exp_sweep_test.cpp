@@ -614,10 +614,12 @@ procs = 4, banana
   EXPECT_THROW(sweep_from_config(cfg), std::runtime_error);
 }
 
-TEST(SweepConfig, CountAxesTakeOnlyNonNegativeIntegers) {
-  // Each value is cast to std::size_t; for these that cast is undefined.
+TEST(SweepConfig, CountAxesTakeOnlyPositiveIntegers) {
+  // Each value is cast to std::size_t; for most of these that cast is
+  // undefined, and a zero count makes a run with nothing to show.
   for (const std::string key : {"procs", "tasks", "replications"}) {
-    for (const std::string token : {"-1", "2.5", "nan", "inf", "1e300"}) {
+    for (const std::string token :
+         {"-1", "2.5", "nan", "inf", "1e300", "0", "0.0"}) {
       const util::Config cfg =
           util::Config::parse("[sweep]\n" + key + " = 4, " + token + "\n");
       try {
@@ -634,20 +636,20 @@ TEST(SweepConfig, CountAxesTakeOnlyNonNegativeIntegers) {
   }
   // Other scenario axes are real-valued, and integral counts still pass.
   EXPECT_NO_THROW(sweep_from_config(util::Config::parse(
-      "[sweep]\nprocs = 0, 4\ncomm_nu = -0.5, 2.5\n")));
+      "[sweep]\nprocs = 1, 4\ncomm_nu = -0.5, 2.5\n")));
 }
 
 TEST(SweepConfig, CountAxesSetIntegralValuesOnEveryCell) {
   const util::Config cfg = util::Config::parse(R"(
 [sweep]
 schedulers = EF
-procs = 0, 4
+procs = 1, 4
 tasks = 1e2
 replications = 3.0
 )");
   const auto cells = sweep_from_config(cfg).flatten();
   ASSERT_EQ(cells.size(), 2u);
-  EXPECT_EQ(cells[0].scenario.cluster.num_processors, 0u);
+  EXPECT_EQ(cells[0].scenario.cluster.num_processors, 1u);
   EXPECT_EQ(cells[1].scenario.cluster.num_processors, 4u);
   for (const auto& c : cells) {
     EXPECT_EQ(c.scenario.workload.count, 100u);

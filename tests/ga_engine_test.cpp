@@ -6,6 +6,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <memory>
+#include <vector>
 
 namespace gasched::ga {
 namespace {
@@ -225,6 +227,74 @@ TEST(GaEngine, StallCounterResetsOnImprovement) {
   const GaResult r = engine.run(problem, random_population(12, 14, rng), rng);
   // The run should make progress well past the stall window's length.
   EXPECT_LT(r.best_objective, r.objective_history.front());
+}
+
+/// SortProblemWithImprove that records the continuation flag of every
+/// improve() call and whether a flagged call got the chromosome the
+/// previous call left. It never reads the flag for its own work.
+class RecordingProblem final : public GaProblem {
+ public:
+  double fitness(const Chromosome& c) const override {
+    return inner_.fitness(c);
+  }
+  double objective(const Chromosome& c) const override {
+    return inner_.objective(c);
+  }
+  std::unique_ptr<Workspace> make_workspace() const override {
+    return std::make_unique<Workspace>();
+  }
+  bool improve(Chromosome& c, util::Rng& rng, Workspace* ws) const override {
+    const bool flag = ws != nullptr && ws->improve_continues;
+    flags.push_back(flag);
+    if (flag && c != left) ++broken_continuations;
+    const bool changed = inner_.improve(c, rng, ws);
+    left = c;
+    return changed;
+  }
+
+  mutable std::vector<bool> flags;
+  mutable std::size_t broken_continuations = 0;
+
+ private:
+  SortProblemWithImprove inner_;
+  mutable Chromosome left;
+};
+
+TEST(GaEngine, ImproveContinuesExactlyOnRepeatPasses) {
+  for (const std::size_t passes : {1u, 2u, 5u}) {
+    GaConfig cfg;
+    cfg.population = 7;
+    cfg.max_generations = 12;
+    cfg.improvement_passes = passes;
+    cfg.record_history = true;
+    const GaEngine engine = make_engine(cfg);
+    util::Rng ra(40), rb(40);
+    const auto pop = random_population(7, 14, ra);
+    random_population(7, 14, rb);
+    RecordingProblem recording;
+    SortProblemWithImprove ignoring;
+    const GaResult x = engine.run(recording, pop, ra);
+    const GaResult y = engine.run(ignoring, pop, rb);
+    // Passes run individual by individual, generation by generation: call
+    // n is pass n % passes of its individual, and only passes 2..k
+    // continue — never an individual's first pass, a generation's first
+    // call (slot 0, which the elite copy overwrites afterwards), or any
+    // call with one pass per individual.
+    ASSERT_EQ(recording.flags.size(),
+              x.generations * cfg.population * passes);
+    for (std::size_t n = 0; n < recording.flags.size(); ++n) {
+      EXPECT_EQ(recording.flags[n], n % passes != 0) << "call " << n;
+    }
+    EXPECT_EQ(recording.broken_continuations, 0u);
+    // The flag changes nothing the engine computes.
+    EXPECT_EQ(x.best, y.best);
+    EXPECT_EQ(x.best_objective, y.best_objective);
+    EXPECT_EQ(x.best_fitness, y.best_fitness);
+    EXPECT_EQ(x.generations, y.generations);
+    EXPECT_EQ(x.evaluations, y.evaluations);
+    EXPECT_EQ(x.objective_history, y.objective_history);
+    EXPECT_EQ(ra.next_u64(), rb.next_u64());
+  }
 }
 
 TEST(GaEngine, ZeroGenerationsReturnsBestOfInitialPopulation) {

@@ -7,6 +7,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <cmath>
+#include <cstdint>
+#include <limits>
+
 #include "core/genetic_scheduler.hpp"
 #include "meta/aco.hpp"
 #include "meta/hill_climb.hpp"
@@ -25,6 +31,132 @@ TEST(Bounds, ValidatesInstances) {
                std::invalid_argument);
   EXPECT_THROW(makespan_lower_bound({{1.0}, {1.0}, {}, {1.0, 2.0}}),
                std::invalid_argument);
+}
+
+TEST(Bounds, RejectsNanAndNegativeSizesAndLoads) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_THROW(makespan_lower_bound({{1.0, nan}, {1.0}, {}, {}}),
+               std::invalid_argument);
+  EXPECT_THROW(makespan_lower_bound({{nan, 1.0}, {1.0}, {}, {}}),
+               std::invalid_argument);
+  EXPECT_THROW(makespan_lower_bound({{-1.0}, {1.0}, {}, {}}),
+               std::invalid_argument);
+  EXPECT_THROW(makespan_lower_bound({{1.0}, {1.0}, {nan}, {}}),
+               std::invalid_argument);
+  EXPECT_THROW(makespan_lower_bound({{1.0}, {1.0}, {-1.0}, {}}),
+               std::invalid_argument);
+  // Zero sizes, either sign, stay valid instances.
+  EXPECT_EQ(makespan_lower_bound({{0.0, -0.0}, {2.0}, {}, {}}), 0.0);
+}
+
+/// The critical-task bound as an N × M scan, the way makespan_lower_bound
+/// computed it before the O(N + M) form (left out when `critical` is
+/// false); the rest is copied unchanged.
+double reference_lower_bound(const BoundInstance& inst, bool critical) {
+  const std::size_t M = inst.rates.size();
+  const std::size_t N = inst.task_sizes.size();
+  auto pending = [&](std::size_t j) {
+    return inst.pending_mflops.empty() ? 0.0 : inst.pending_mflops[j];
+  };
+  auto comm = [&](std::size_t j) {
+    return inst.comm_costs.empty() ? 0.0 : inst.comm_costs[j];
+  };
+  double total_rate = 0.0;
+  double min_comm = std::numeric_limits<double>::infinity();
+  double min_comm_rate = std::numeric_limits<double>::infinity();
+  double max_delta = 0.0;
+  for (std::size_t j = 0; j < M; ++j) {
+    total_rate += inst.rates[j];
+    min_comm = std::min(min_comm, comm(j));
+    min_comm_rate = std::min(min_comm_rate, comm(j) * inst.rates[j]);
+    max_delta = std::max(max_delta, pending(j) / inst.rates[j]);
+  }
+  double total_work = 0.0;
+  for (const double t : inst.task_sizes) total_work += t;
+  double total_load = total_work;
+  for (std::size_t j = 0; j < M; ++j) total_load += pending(j);
+  const double comm_work =
+      N > 0 && std::isfinite(min_comm_rate)
+          ? static_cast<double>(N) * min_comm_rate
+          : 0.0;
+  double bound = (total_load + comm_work) / total_rate;
+  if (N > 0 && std::isfinite(min_comm)) {
+    const double per_proc =
+        std::ceil(static_cast<double>(N) / static_cast<double>(M));
+    bound = std::max(bound, per_proc * min_comm);
+  }
+  for (const double t : inst.task_sizes) {
+    if (!critical) break;
+    double best = std::numeric_limits<double>::infinity();
+    for (std::size_t j = 0; j < M; ++j) {
+      best = std::min(best, t / inst.rates[j] + comm(j));
+    }
+    bound = std::max(bound, best);
+  }
+  return std::max(bound, max_delta);
+}
+
+TEST(Bounds, LinearCriticalTaskBoundMatchesTheFullScanBitForBit) {
+  util::Rng rng(2024);
+  const double tiny = std::numeric_limits<double>::denorm_min();
+  const double huge = std::numeric_limits<double>::max();
+  // Draws a value from a mix of ordinary, tied, zero, subnormal and huge
+  // magnitudes, so rounding ties and overflow/underflow all occur.
+  auto draw = [&](double lo, double hi) {
+    switch (rng.index(8)) {
+      case 0:
+        return 0.0;
+      case 1:
+        return -0.0;
+      case 2:
+        return tiny * static_cast<double>(1 + rng.index(1000));
+      case 3:
+        return huge / static_cast<double>(1 + rng.index(4));
+      case 4:
+        return std::ldexp(1.0, static_cast<int>(rng.index(40)) - 20);
+      default:
+        return rng.uniform(lo, hi);
+    }
+  };
+  std::size_t critical_won = 0;
+  for (int trial = 0; trial < 4000; ++trial) {
+    BoundInstance inst;
+    const std::size_t M = 1 + rng.index(12);
+    const std::size_t N = rng.index(30);
+    for (std::size_t j = 0; j < M; ++j) {
+      double r = draw(0.5, 100.0);
+      if (!(r > 0.0)) r = 1.0;
+      inst.rates.push_back(r);
+    }
+    if (rng.bernoulli(0.7)) {
+      for (std::size_t j = 0; j < M; ++j) {
+        inst.comm_costs.push_back(draw(0.0, 5.0));
+      }
+    }
+    if (rng.bernoulli(0.3)) {
+      for (std::size_t j = 0; j < M; ++j) {
+        inst.pending_mflops.push_back(draw(0.0, 50.0));
+      }
+    }
+    // Few distinct sizes, so the largest is often tied.
+    std::vector<double> palette(1 + rng.index(4));
+    for (double& t : palette) t = draw(1.0, 1000.0);
+    for (std::size_t i = 0; i < N; ++i) {
+      inst.task_sizes.push_back(palette[rng.index(palette.size())]);
+    }
+    const double want = reference_lower_bound(inst, true);
+    const double got = makespan_lower_bound(inst);
+    ASSERT_EQ(std::bit_cast<std::uint64_t>(got),
+              std::bit_cast<std::uint64_t>(want))
+        << "trial " << trial << ": " << got << " vs " << want;
+    const double without = reference_lower_bound(inst, false);
+    if (std::bit_cast<std::uint64_t>(without) !=
+        std::bit_cast<std::uint64_t>(want)) {
+      ++critical_won;
+    }
+  }
+  // The critical-task term decided a good share of the instances.
+  EXPECT_GT(critical_won, 400u);
 }
 
 TEST(Bounds, WorkBoundForDivisibleLoad) {
