@@ -66,9 +66,8 @@ int main(int argc, char** argv) {
   }
   sweep.axis("variant", std::move(variants));
   // Custom runner: the hybrid policies live outside the registry, so the
-  // replication loop follows the runner's documented stream discipline
-  // (workload/cluster depend only on (seed, rep), identical across
-  // variants).
+  // replication loop runs them on exp::make_inputs (workload/cluster
+  // depend only on (seed, rep), identical across variants).
   sweep.runner([&](const exp::SweepCell& cell, bool parallel) {
     const auto mask = static_cast<int>(cell.index);
     const bool comm = (mask & 4) != 0;
@@ -77,16 +76,10 @@ int main(int argc, char** argv) {
     const auto& s = cell.scenario;
     std::vector<sim::SimulationResult> runs(s.replications);
     auto body = [&](std::size_t rep) {
-      const util::Rng base(s.seed);
-      util::Rng wrng = base.split(3 * rep);
-      util::Rng crng = base.split(3 * rep + 1);
-      util::Rng srng = base.split(3 * rep + 2);
-      const auto dist = exp::make_distribution(s.workload);
-      const auto wl = workload::generate(*dist, s.workload.count, wrng);
-      const auto cluster = sim::build_cluster(s.cluster, crng);
+      const exp::ReplicationInputs in = exp::make_inputs(s, rep);
       const auto policy = make_variant(comm, rebalance, dynamic, p,
                                        cell.coord("variant"));
-      runs[rep] = sim::simulate(cluster, wl, *policy, srng);
+      runs[rep] = sim::simulate(in.cluster, in.workload, *policy, in.sim_rng);
     };
     if (parallel && runs.size() > 1) {
       util::global_pool().parallel_for(0, runs.size(), body);

@@ -11,9 +11,7 @@
 #include "core/fitness.hpp"
 #include "core/init.hpp"
 #include "ga/engine.hpp"
-#include "sim/cluster.hpp"
 #include "util/thread_pool.hpp"
-#include "workload/generator.hpp"
 
 using namespace gasched;
 
@@ -26,7 +24,7 @@ int main(int argc, char** argv) {
       "probes at diminishing returns; GA wall time grows with the cap",
       p);
 
-  exp::WorkloadSpec spec;  // GA-batch study: sizes drawn directly below
+  exp::WorkloadSpec spec;  // GA batch: exp::steady_state_batch
   exp::Sweep sweep =
       bench::make_sweep("abl-probes", p, spec, /*mean_comm=*/20.0);
   sweep.axis("probes", {0, 1, 2, 5, 10, 20}, {});
@@ -39,23 +37,10 @@ int main(int argc, char** argv) {
     std::vector<double> finals(p.reps), reductions(p.reps), walls(p.reps);
     auto body = [&](std::size_t rep) {
       const util::Rng base(p.seed);
-      util::Rng cluster_rng = base.split(2 * rep);
-      util::Rng task_rng = base.split(2 * rep + 1);
-      const sim::Cluster cluster = sim::build_cluster(
-          exp::paper_cluster(20.0, p.procs), cluster_rng);
-      sim::SystemView view;
-      view.procs.resize(cluster.size());
-      for (std::size_t j = 0; j < cluster.size(); ++j) {
-        view.procs[j].id = static_cast<sim::ProcId>(j);
-        view.procs[j].rate = cluster.processors[j].base_rate;
-        view.procs[j].comm_estimate =
-            cluster.comm->true_mean(static_cast<sim::ProcId>(j));
-      }
-      workload::NormalSizes dist(1000.0, 9e5);
-      std::vector<double> sizes(p.tasks);
-      for (auto& s : sizes) s = dist.sample(task_rng);
-      const core::ScheduleCodec codec(p.tasks, cluster.size());
-      const core::ScheduleEvaluator eval(sizes, view, true);
+      const exp::BatchInstance batch =
+          exp::steady_state_batch(p.seed, rep, p.tasks, p.procs);
+      const core::ScheduleCodec codec(p.tasks, batch.view.size());
+      const core::ScheduleEvaluator eval(batch.sizes, batch.view, true);
       const core::ScheduleProblem problem(codec, eval, probes);
 
       ga::GaConfig cfg;

@@ -63,15 +63,7 @@ int main(int argc, char** argv) {
     const OverheadCase& oc = cases[cell.index];
     std::vector<sim::SimulationResult> runs(cell.scenario.replications);
     auto body = [&](std::size_t rep) {
-      const util::Rng base(cell.scenario.seed);
-      util::Rng workload_rng = base.split(3 * rep);
-      util::Rng cluster_rng = base.split(3 * rep + 1);
-      util::Rng sim_rng = base.split(3 * rep + 2);
-      const auto dist = exp::make_distribution(cell.scenario.workload);
-      const auto wl = workload::generate(
-          *dist, cell.scenario.workload.count, workload_rng);
-      const auto cluster =
-          sim::build_cluster(cell.scenario.cluster, cluster_rng);
+      const exp::ReplicationInputs in = exp::make_inputs(cell.scenario, rep);
       core::GeneticSchedulerConfig cfg;
       cfg.ga.max_generations = oc.gens;
       cfg.ga.population = p.population;
@@ -79,7 +71,7 @@ int main(int argc, char** argv) {
       const auto pn = core::make_pn_scheduler(cfg);
       sim::EngineConfig ecfg;
       ecfg.sched_time_scale = oc.time_scale;
-      runs[rep] = sim::simulate(cluster, wl, *pn, sim_rng, ecfg);
+      runs[rep] = sim::simulate(in.cluster, in.workload, *pn, in.sim_rng, ecfg);
     };
     if (parallel && runs.size() > 1) {
       util::global_pool().parallel_for(0, runs.size(), body);

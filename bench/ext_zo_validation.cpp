@@ -12,8 +12,6 @@
 
 #include "bench_common.hpp"
 #include "metrics/bounds.hpp"
-#include "sim/cluster.hpp"
-#include "workload/generator.hpp"
 
 using namespace gasched;
 
@@ -47,20 +45,15 @@ int main(int argc, char** argv) {
   sweep.schedulers({"ZO", "RR", "EF"});
   sweep.extra_columns({"bound_ratio"});
   // Custom runner: the default replication run plus the per-replication
-  // work lower bound (the workload depends only on rep, so the bound can
-  // be reconstructed from the runner's documented stream discipline).
+  // work lower bound over the tasks exp::make_inputs gives that run.
   sweep.runner([](const exp::SweepCell& cell, bool parallel) {
     const auto runs = exp::run_replications(cell.scenario, cell.scheduler,
                                             cell.params, parallel);
     double ratio = 0.0;
     for (std::size_t rep = 0; rep < runs.size(); ++rep) {
-      const util::Rng rng_base(cell.scenario.seed);
-      util::Rng wrng = rng_base.split(3 * rep);
-      const auto dist = exp::make_distribution(cell.scenario.workload);
-      const auto wl = workload::generate(
-          *dist, cell.scenario.workload.count, wrng);
+      const exp::ReplicationInputs in = exp::make_inputs(cell.scenario, rep);
       metrics::BoundInstance inst;
-      for (const auto& task : wl.tasks) {
+      for (const auto& task : in.workload.tasks) {
         inst.task_sizes.push_back(task.size_mflops);
       }
       inst.rates.assign(cell.scenario.cluster.num_processors, 50.0);

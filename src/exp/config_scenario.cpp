@@ -7,6 +7,7 @@
 #include <stdexcept>
 
 #include "exp/registry.hpp"
+#include "workload/arrival.hpp"
 
 namespace gasched::exp {
 
@@ -21,19 +22,43 @@ sim::AvailabilityKind availability_from_name(const std::string& name) {
                            "'");
 }
 
-/// A count of `key` that must be at least 1: a run with no replications,
-/// processors or tasks has nothing to show.
+}  // namespace
+
 std::size_t positive_size(const util::Config& cfg, const std::string& key,
                           std::size_t fallback) {
   const std::size_t v = cfg.get_size(key, fallback);
   if (v == 0) {
-    throw std::runtime_error("scenario config: key '" + key +
-                             "' must be at least 1");
+    throw std::runtime_error("config: key '" + key + "' must be at least 1");
   }
   return v;
 }
 
-}  // namespace
+WorkloadSpec workload_from_config(const util::Config& cfg) {
+  WorkloadSpec w;
+  // Resolve the family eagerly so a bad `dist` fails here, with the full
+  // list of registered families, not deep inside a replication run.
+  w.dist = DistributionRegistry::instance().canonical_name(
+      cfg.get("workload.dist", "normal"));
+  w.param_a = cfg.get_double("workload.param_a", 1000.0);
+  w.param_b = cfg.get_double("workload.param_b", 9e5);
+  w.params = Params::from_config(cfg, "workload");
+  w.count = positive_size(cfg, "workload.count", 1000);
+  w.all_at_start = cfg.get_bool("workload.all_at_start", true);
+  w.mean_interarrival = cfg.get_double("workload.mean_interarrival", 1.0);
+  w.burstiness = cfg.get_double("workload.burstiness", 1.0);
+  w.burst_dwell = cfg.get_double("workload.burst_dwell", 50.0);
+  w.arrival = cfg.get("workload.arrival", "constant");
+  // Fail on an unknown preset here, listing the valid names, not deep
+  // inside a replication run (mirrors the eager `dist` resolution above).
+  // A name all_at_start leaves unused is still checked; its shape keys
+  // are checked only where they shape a stream.
+  if (w.all_at_start) {
+    workload::make_rate_function(w.arrival, 1.0, {});
+  } else {
+    make_arrival(w);
+  }
+  return w;
+}
 
 Scenario scenario_from_config(const util::Config& cfg) {
   Scenario s;
@@ -61,23 +86,7 @@ Scenario scenario_from_config(const util::Config& cfg) {
   s.cluster.comm.jitter_cv = cfg.get_double("comm.jitter_cv", 0.2);
   s.cluster.comm.floor = cfg.get_double("comm.floor", 1e-3);
 
-  // Resolve the family eagerly so a bad `dist` fails here, with the full
-  // list of registered families, not deep inside a replication run.
-  s.workload.dist = DistributionRegistry::instance().canonical_name(
-      cfg.get("workload.dist", "normal"));
-  s.workload.param_a = cfg.get_double("workload.param_a", 1000.0);
-  s.workload.param_b = cfg.get_double("workload.param_b", 9e5);
-  s.workload.params = Params::from_config(cfg, "workload");
-  s.workload.count = positive_size(cfg, "workload.count", 1000);
-  s.workload.all_at_start = cfg.get_bool("workload.all_at_start", true);
-  s.workload.mean_interarrival =
-      cfg.get_double("workload.mean_interarrival", 1.0);
-  s.workload.burstiness = cfg.get_double("workload.burstiness", 1.0);
-  s.workload.burst_dwell = cfg.get_double("workload.burst_dwell", 50.0);
-  s.workload.arrival = cfg.get("workload.arrival", "constant");
-  // Fail on an unknown preset here, listing the valid names, not deep
-  // inside a replication run (mirrors the eager `dist` resolution above).
-  if (!s.workload.all_at_start) make_arrival(s.workload);
+  s.workload = workload_from_config(cfg);
 
   if (cfg.get_bool("failures.enabled", false)) {
     sim::FailureConfig f;

@@ -37,6 +37,20 @@ namespace gasched::exp {
 /// the unknown-distribution error lists every registered family.
 Scenario scenario_from_config(const util::Config& cfg);
 
+/// The [workload] section alone (keys as for scenario_from_config), the
+/// one parser every config surface shares — scenarios and federations.
+/// Resolves `dist` and the `arrival` preset name eagerly (the preset's
+/// shape keys only for streaming arrivals) and rejects count = 0; throws
+/// std::runtime_error naming the problem.
+WorkloadSpec workload_from_config(const util::Config& cfg);
+
+/// `key` as a count that must be at least 1 (`fallback` when absent): a
+/// run with no replications, processors or tasks has nothing to show.
+/// Throws std::runtime_error naming the key on 0 and on anything
+/// util::Config::get_size rejects.
+std::size_t positive_size(const util::Config& cfg, const std::string& key,
+                          std::size_t fallback);
+
 /// The [scheduler] section as a SchedulerParams view, handed verbatim to
 /// whichever scheduler factories the caller invokes. Shared keys are
 /// documented in exp/params.hpp, per-scheduler keys in exp/registry.hpp.

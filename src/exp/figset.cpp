@@ -15,12 +15,10 @@
 #include "core/init.hpp"
 #include "exp/runner.hpp"
 #include "ga/engine.hpp"
-#include "sim/cluster.hpp"
 #include "util/rng.hpp"
 #include "util/stats.hpp"
 #include "util/table.hpp"
 #include "util/thread_pool.hpp"
-#include "workload/generator.hpp"
 
 namespace gasched::exp {
 
@@ -181,22 +179,6 @@ FigureDef efficiency_figure(
 
 // --- Figure 3: GA convergence trajectories ----------------------------------
 
-/// Observable system view of a freshly built cluster: Linpack rates, no
-/// pending load, comm estimates primed at the true link means (the GA is
-/// studied in steady state here, as in the paper's Fig 3).
-sim::SystemView steady_state_view(const sim::Cluster& cluster) {
-  sim::SystemView v;
-  v.procs.resize(cluster.size());
-  for (std::size_t j = 0; j < cluster.size(); ++j) {
-    v.procs[j].id = static_cast<sim::ProcId>(j);
-    v.procs[j].rate = cluster.processors[j].base_rate;
-    v.procs[j].comm_estimate =
-        cluster.comm->true_mean(static_cast<sim::ProcId>(j));
-    v.procs[j].comm_observations = 1;
-  }
-  return v;
-}
-
 /// Sampling stride for the trajectory columns (~20 points per run).
 std::size_t fig3_step(std::size_t generations) {
   return std::max<std::size_t>(1, generations / 20);
@@ -211,18 +193,11 @@ std::vector<double> fig3_trajectory(const FigScale& s, std::size_t level,
       s.reps, std::vector<double>(s.generations + 1, 0.0));
   auto body = [&](std::size_t rep) {
     const util::Rng base(s.seed);
-    util::Rng cluster_rng = base.split(2 * rep);
-    util::Rng task_rng = base.split(2 * rep + 1);
-    const sim::Cluster cluster =
-        sim::build_cluster(paper_cluster(20.0, s.procs), cluster_rng);
-    const sim::SystemView view = steady_state_view(cluster);
-
-    workload::NormalSizes dist(1000.0, 9e5);
-    std::vector<double> sizes(s.tasks);
-    for (auto& sz : sizes) sz = dist.sample(task_rng);
-
-    const core::ScheduleCodec codec(s.tasks, cluster.size());
-    const core::ScheduleEvaluator eval(sizes, view, /*use_comm=*/true);
+    const BatchInstance batch =
+        steady_state_batch(s.seed, rep, s.tasks, s.procs);
+    const core::ScheduleCodec codec(s.tasks, batch.view.size());
+    const core::ScheduleEvaluator eval(batch.sizes, batch.view,
+                                       /*use_comm=*/true);
 
     // All three series start from the *same* initial population so the
     // re-balance levels are compared like-for-like.

@@ -8,37 +8,65 @@
 
 namespace gasched::exp {
 
+ReplicationStreams replication_streams(const WorkloadSpec& spec,
+                                       std::uint64_t seed, std::size_t rep) {
+  const util::Rng base(seed);
+  util::Rng workload_rng = base.split(3 * rep);
+  const auto dist = make_distribution(spec);
+  return {workload::generate(*dist, spec.count, workload_rng,
+                             make_arrival(spec)),
+          base.split(3 * rep + 1), base.split(3 * rep + 2),
+          base.split(3 * rep + 1'000'000)};
+}
+
+ReplicationInputs make_inputs(const Scenario& scenario, std::size_t rep) {
+  ReplicationStreams streams =
+      replication_streams(scenario.workload, scenario.seed, rep);
+  ReplicationInputs in{std::move(streams.workload),
+                       sim::build_cluster(scenario.cluster, streams.cluster),
+                       streams.sim, std::nullopt};
+  if (scenario.failures) {
+    in.failures.emplace(*scenario.failures, scenario.cluster.num_processors,
+                        streams.failures);
+  }
+  return in;
+}
+
+BatchInstance steady_state_batch(std::uint64_t seed, std::size_t rep,
+                                 std::size_t tasks, std::size_t procs) {
+  const util::Rng base(seed);
+  util::Rng cluster_rng = base.split(2 * rep);
+  util::Rng task_rng = base.split(2 * rep + 1);
+  const sim::Cluster cluster =
+      sim::build_cluster(paper_cluster(20.0, procs), cluster_rng);
+  BatchInstance inst;
+  inst.view.procs.resize(cluster.size());
+  for (std::size_t j = 0; j < cluster.size(); ++j) {
+    sim::ProcessorView& v = inst.view.procs[j];
+    v.id = static_cast<sim::ProcId>(j);
+    v.rate = cluster.processors[j].base_rate;
+    v.comm_estimate = cluster.comm->true_mean(static_cast<sim::ProcId>(j));
+    v.comm_observations = 1;
+  }
+  workload::NormalSizes dist(1000.0, 9e5);
+  inst.sizes.resize(tasks);
+  for (double& size : inst.sizes) size = dist.sample(task_rng);
+  return inst;
+}
+
 sim::SimulationResult run_one(const Scenario& scenario,
                               const std::string& scheduler,
                               const SchedulerParams& params, std::size_t rep,
                               bool record_task_trace) {
-  // Stream discipline: workload and cluster depend only on (seed, rep), so
-  // every scheduler sees identical tasks and machines in replication rep.
-  const util::Rng base(scenario.seed);
-  util::Rng workload_rng = base.split(3 * rep);
-  util::Rng cluster_rng = base.split(3 * rep + 1);
-  util::Rng sim_rng = base.split(3 * rep + 2);
-
-  const auto dist = make_distribution(scenario.workload);
-  const workload::ArrivalConfig arrivals = make_arrival(scenario.workload);
-  const workload::Workload wl = workload::generate(
-      *dist, scenario.workload.count, workload_rng, arrivals);
-  const sim::Cluster cluster = sim::build_cluster(scenario.cluster, cluster_rng);
+  const ReplicationInputs in = make_inputs(scenario, rep);
   const auto policy = SchedulerRegistry::instance().create(scheduler, params);
-
   sim::EngineConfig ecfg;
   ecfg.record_task_trace = record_task_trace;
   ecfg.sched_time_scale = scenario.sched_time_scale;
   ecfg.comm_nu = scenario.comm_nu;
   ecfg.rate_nu = scenario.rate_nu;
-  sim::FailureTrace trace;
-  if (scenario.failures) {
-    util::Rng failure_rng = base.split(3 * rep + 1'000'000);
-    trace = sim::FailureTrace(*scenario.failures,
-                              scenario.cluster.num_processors, failure_rng);
-    ecfg.failures = &trace;
-  }
-  return sim::simulate(cluster, wl, *policy, sim_rng, ecfg);
+  if (in.failures) ecfg.failures = &*in.failures;
+  return sim::simulate(in.cluster, in.workload, *policy, in.sim_rng, ecfg);
 }
 
 std::vector<sim::SimulationResult> run_replications(
@@ -71,28 +99,18 @@ metrics::CellSummary run_cell(const Scenario& scenario,
 
 metrics::BoundInstance bound_instance(const Scenario& scenario,
                                       std::size_t rep) {
-  // Mirror run_one's stream discipline exactly: workload and cluster
-  // depend only on (seed, rep), so these are the tasks and machines every
-  // scheduler saw in replication rep.
-  const util::Rng base(scenario.seed);
-  util::Rng workload_rng = base.split(3 * rep);
-  util::Rng cluster_rng = base.split(3 * rep + 1);
-  const auto dist = make_distribution(scenario.workload);
-  const workload::ArrivalConfig arrivals = make_arrival(scenario.workload);
-  const workload::Workload wl = workload::generate(
-      *dist, scenario.workload.count, workload_rng, arrivals);
-  const sim::Cluster cluster =
-      sim::build_cluster(scenario.cluster, cluster_rng);
-
+  const ReplicationInputs in = make_inputs(scenario, rep);
   metrics::BoundInstance inst;
-  inst.task_sizes.reserve(wl.tasks.size());
-  for (const auto& task : wl.tasks) inst.task_sizes.push_back(task.size_mflops);
-  inst.rates.reserve(cluster.size());
-  inst.comm_costs.reserve(cluster.size());
-  for (std::size_t j = 0; j < cluster.size(); ++j) {
-    inst.rates.push_back(cluster.processors[j].base_rate);
+  inst.task_sizes.reserve(in.workload.tasks.size());
+  for (const auto& task : in.workload.tasks) {
+    inst.task_sizes.push_back(task.size_mflops);
+  }
+  inst.rates.reserve(in.cluster.size());
+  inst.comm_costs.reserve(in.cluster.size());
+  for (std::size_t j = 0; j < in.cluster.size(); ++j) {
+    inst.rates.push_back(in.cluster.processors[j].base_rate);
     inst.comm_costs.push_back(
-        cluster.comm->true_mean(static_cast<sim::ProcId>(j)));
+        in.cluster.comm->true_mean(static_cast<sim::ProcId>(j)));
   }
   return inst;
 }

@@ -11,6 +11,7 @@
 #include <cstddef>
 #include <future>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -18,8 +19,48 @@
 #include "metrics/aggregate.hpp"
 #include "metrics/bounds.hpp"
 #include "sim/engine.hpp"
+#include "util/rng.hpp"
 
 namespace gasched::exp {
+
+/// The stream discipline: replication `rep` of a run seeded `seed` draws
+/// its workload from stream 3·rep, its cluster from 3·rep + 1, its
+/// simulation from 3·rep + 2 and its failures from 3·rep + 1'000'000.
+/// Workload and cluster depend only on (seed, rep), so every scheduler
+/// sees identical tasks and machines in replication rep. The workload
+/// (the global stream, for a federation) is drawn here from `spec`.
+struct ReplicationStreams {
+  workload::Workload workload;
+  util::Rng cluster;
+  util::Rng sim;
+  util::Rng failures;
+};
+ReplicationStreams replication_streams(const WorkloadSpec& spec,
+                                       std::uint64_t seed, std::size_t rep);
+
+/// Everything replication `rep` of `scenario` runs on, realised from
+/// replication_streams: the tasks, the machines, the simulation stream
+/// and, when the scenario has failures, the outage trace.
+struct ReplicationInputs {
+  workload::Workload workload;
+  sim::Cluster cluster;
+  util::Rng sim_rng;
+  std::optional<sim::FailureTrace> failures;
+};
+ReplicationInputs make_inputs(const Scenario& scenario, std::size_t rep);
+
+/// One steady-state GA batch (the paper's Fig. 3 setting, shared by
+/// figure 3 and the GA ablation benches): replication `rep` of `seed`
+/// draws the paper cluster (mean comm cost 20) on stream 2·rep and
+/// `tasks` Normal(1000, 9e5) sizes on stream 2·rep + 1. The view is that
+/// cluster as the GA sees it in steady state: Linpack rates, no pending
+/// load, comm estimates primed at the true link means.
+struct BatchInstance {
+  sim::SystemView view;
+  std::vector<double> sizes;
+};
+BatchInstance steady_state_batch(std::uint64_t seed, std::size_t rep,
+                                 std::size_t tasks, std::size_t procs);
 
 /// Runs `scenario` under the named scheduler for scenario.replications
 /// runs and returns the per-run results in replication order. Thread-safe
@@ -46,10 +87,10 @@ sim::SimulationResult run_one(const Scenario& scenario,
                               const SchedulerParams& params, std::size_t rep,
                               bool record_task_trace = false);
 
-/// The scheduler-visible bound instance of replication `rep`: the same
-/// workload and cluster streams as run_one (so every scheduler's run in
-/// that replication is bounded by it), Linpack base rates, true per-link
-/// comm means, no pending load. Feed to metrics::makespan_lower_bound /
+/// The scheduler-visible bound instance of replication `rep`: the tasks
+/// and machines of make_inputs (so every scheduler's run in that
+/// replication is bounded by it), Linpack base rates, true per-link comm
+/// means, no pending load. Feed to metrics::makespan_lower_bound /
 /// relaxation_lower_bound / optimal_makespan_exact.
 metrics::BoundInstance bound_instance(const Scenario& scenario,
                                       std::size_t rep);

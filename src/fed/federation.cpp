@@ -4,9 +4,10 @@
 #include <limits>
 #include <stdexcept>
 
+#include "exp/config_scenario.hpp"
 #include "exp/registry.hpp"
+#include "exp/runner.hpp"
 #include "util/thread_pool.hpp"
-#include "workload/generator.hpp"
 
 namespace gasched::fed {
 
@@ -104,32 +105,22 @@ Federation::Federation(const FederationConfig& cfg, std::size_t rep)
   ecfg.rate_nu = cfg_.rate_nu;
   ecfg.max_event_factor = cfg_.max_event_factor;
 
-  // Stream discipline mirrors exp::run_one — (seed, rep) decides the
-  // global workload; each cluster sub-splits by its index, so cluster k's
-  // machines and simulation stream are independent of every other
-  // cluster and of the execution order of replications.
-  const util::Rng base(cfg_.seed);
-  const util::Rng cluster_base = base.split(3 * rep + 1);
-  const util::Rng sim_base = base.split(3 * rep + 2);
-  const util::Rng failure_base = base.split(3 * rep + 1'000'000);
+  // exp::replication_streams decides the global workload and the
+  // replication's streams; each cluster sub-splits them by its index, so
+  // cluster k's machines and simulation stream are independent of every
+  // other cluster and of the execution order of replications.
+  const exp::ReplicationStreams streams =
+      exp::replication_streams(cfg_.workload, cfg_.seed, rep);
   for (std::size_t k = 0; k < cfg_.clusters.size(); ++k) {
     nodes_.push_back(std::make_unique<ClusterNode>(
-        cfg_.clusters[k], cfg_.scheduler_params, ecfg, cluster_base.split(k),
-        failure_base.split(k), sim_base.split(k)));
+        cfg_.clusters[k], cfg_.scheduler_params, ecfg,
+        streams.cluster.split(k), streams.failures.split(k),
+        streams.sim.split(k)));
   }
 
-  util::Rng workload_rng = base.split(3 * rep);
-  const auto dist = exp::make_distribution(cfg_.workload);
-  workload::ArrivalConfig arrivals;
-  arrivals.all_at_start = cfg_.workload.all_at_start;
-  arrivals.mean_interarrival = cfg_.workload.mean_interarrival;
-  arrivals.burstiness = cfg_.workload.burstiness;
-  arrivals.burst_dwell = cfg_.workload.burst_dwell;
-  const workload::Workload wl = workload::generate(
-      *dist, cfg_.workload.count, workload_rng, arrivals);
-  total_tasks_ = wl.tasks.size();
+  total_tasks_ = streams.workload.tasks.size();
   transfers_.reserve(64);
-  for (const workload::Task& task : wl.tasks) {
+  for (const workload::Task& task : streams.workload.tasks) {
     const std::size_t k = route(task);
     nodes_[k]->engine().inject_task(task, task.arrival_time);
     ++nodes_[k]->routed;
@@ -330,7 +321,7 @@ FederationConfig federation_from_config(const util::Config& cfg) {
         "federation config: [federation] clusters = a, b, ... is required");
   }
   f.seed = static_cast<std::uint64_t>(cfg.get_int("federation.seed", 42));
-  f.replications = cfg.get_size("federation.replications", 3);
+  f.replications = exp::positive_size(cfg, "federation.replications", 3);
   f.comm_nu = cfg.get_double("federation.comm_nu", 0.5);
   f.rate_nu = cfg.get_double("federation.rate_nu", 0.5);
   f.max_event_factor = cfg.get_size("federation.max_event_factor", 64);
@@ -368,7 +359,8 @@ FederationConfig federation_from_config(const util::Config& cfg) {
     const std::string p = "cluster." + name + ".";
     ClusterSpec spec;
     spec.name = name;
-    spec.cluster.num_processors = cfg.get_size(p + "processors", 50);
+    spec.cluster.num_processors =
+        exp::positive_size(cfg, p + "processors", 50);
     spec.cluster.rate_lo = cfg.get_double(p + "rate_lo", 10.0);
     spec.cluster.rate_hi = cfg.get_double(p + "rate_hi", 100.0);
     spec.cluster.comm.mean_cost = cfg.get_double(p + "mean_comm_cost", 20.0);
@@ -429,19 +421,8 @@ FederationConfig federation_from_config(const util::Config& cfg) {
     }
   }
 
-  f.workload.dist = exp::DistributionRegistry::instance().canonical_name(
-      cfg.get("workload.dist", "normal"));
-  f.workload.param_a = cfg.get_double("workload.param_a", 1000.0);
-  f.workload.param_b = cfg.get_double("workload.param_b", 9e5);
-  f.workload.params = exp::Params::from_config(cfg, "workload");
-  f.workload.count = cfg.get_size("workload.count", 1000);
-  f.workload.all_at_start = cfg.get_bool("workload.all_at_start", true);
-  f.workload.mean_interarrival =
-      cfg.get_double("workload.mean_interarrival", 1.0);
-  f.workload.burstiness = cfg.get_double("workload.burstiness", 1.0);
-  f.workload.burst_dwell = cfg.get_double("workload.burst_dwell", 50.0);
-
-  f.scheduler_params = exp::Params::from_config(cfg, "scheduler");
+  f.workload = exp::workload_from_config(cfg);
+  f.scheduler_params = exp::scheduler_params_from_config(cfg);
   return f;
 }
 

@@ -199,9 +199,11 @@ std::vector<FederationResult> run_federation_replications(
     const FederationConfig& cfg, bool parallel = true);
 
 /// Parses the [federation]/[cluster.<name>]/[link.<a>.<b>] sections of an
-/// INI config (key reference in docs/federation.md). Throws
-/// std::runtime_error on unknown topology/router/migration names, unknown
-/// cluster references, or a missing cluster list.
+/// INI config (key reference in docs/federation.md); [workload] goes
+/// through exp::workload_from_config, the scenario parser. Throws
+/// std::runtime_error on unknown topology/router/migration/dist/arrival
+/// names, unknown cluster references, a missing cluster list, and zero
+/// replications, processors or tasks (naming the key).
 FederationConfig federation_from_config(const util::Config& cfg);
 
 }  // namespace gasched::fed

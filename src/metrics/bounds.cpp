@@ -10,9 +10,7 @@
 
 namespace gasched::metrics {
 
-namespace {
-
-void validate(const BoundInstance& inst) {
+void validate_instance(const BoundInstance& inst) {
   if (inst.rates.empty()) {
     throw std::invalid_argument("BoundInstance: no processors");
   }
@@ -46,6 +44,8 @@ void validate(const BoundInstance& inst) {
   }
 }
 
+namespace {
+
 double pending(const BoundInstance& inst, std::size_t j) {
   return inst.pending_mflops.empty() ? 0.0 : inst.pending_mflops[j];
 }
@@ -57,7 +57,7 @@ double comm(const BoundInstance& inst, std::size_t j) {
 }  // namespace
 
 double makespan_lower_bound(const BoundInstance& inst) {
-  validate(inst);
+  validate_instance(inst);
   const std::size_t M = inst.rates.size();
   const std::size_t N = inst.task_sizes.size();
 
@@ -213,7 +213,7 @@ double relaxation_lower_bound(const BoundInstance& inst,
 
 double optimal_makespan_exact(const BoundInstance& inst,
                               std::size_t max_states) {
-  validate(inst);
+  validate_instance(inst);
   if (inst.task_sizes.empty()) {
     double ms = 0.0;
     for (std::size_t j = 0; j < inst.rates.size(); ++j) {

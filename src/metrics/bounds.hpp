@@ -43,6 +43,12 @@ struct BoundInstance {
   std::vector<double> comm_costs;
 };
 
+/// The one validator every bound and the relaxation solver apply: throws
+/// std::invalid_argument on no processors, non-positive or NaN rates,
+/// NaN or negative task sizes or pending loads, and per-processor
+/// vectors of the wrong length.
+void validate_instance(const BoundInstance& inst);
+
 /// Valid makespan lower bound for any assignment of the instance's tasks
 /// (maximum of the four bounds documented above; each is individually
 /// valid, so their maximum is). O(N + M). Throws std::invalid_argument

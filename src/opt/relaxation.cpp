@@ -11,25 +11,6 @@ namespace gasched::opt {
 
 namespace {
 
-void rel_validate(const metrics::BoundInstance& inst) {
-  if (inst.rates.empty()) {
-    throw std::invalid_argument("BoundInstance: no processors");
-  }
-  for (const double r : inst.rates) {
-    if (!(r > 0.0)) {
-      throw std::invalid_argument("BoundInstance: rates must be positive");
-    }
-  }
-  if (!inst.pending_mflops.empty() &&
-      inst.pending_mflops.size() != inst.rates.size()) {
-    throw std::invalid_argument("BoundInstance: pending size mismatch");
-  }
-  if (!inst.comm_costs.empty() &&
-      inst.comm_costs.size() != inst.rates.size()) {
-    throw std::invalid_argument("BoundInstance: comm size mismatch");
-  }
-}
-
 double rel_pending(const metrics::BoundInstance& inst, std::size_t j) {
   return inst.pending_mflops.empty() ? 0.0 : inst.pending_mflops[j];
 }
@@ -50,7 +31,7 @@ double rel_delta(const metrics::BoundInstance& inst, std::size_t j) {
 
 double certified_bound_from_duals(const metrics::BoundInstance& inst,
                                   const std::vector<double>& lambda) {
-  rel_validate(inst);
+  metrics::validate_instance(inst);
   const std::size_t m = inst.rates.size();
   const std::size_t n = inst.task_sizes.size();
   if (lambda.size() != m) {
@@ -88,7 +69,7 @@ double certified_bound_from_duals(const metrics::BoundInstance& inst,
 
 RelaxationResult solve_makespan_relaxation(const metrics::BoundInstance& inst,
                                            const RelaxationOptions& options) {
-  rel_validate(inst);
+  metrics::validate_instance(inst);
   const std::size_t num_tasks = inst.task_sizes.size();
   const std::size_t num_procs = inst.rates.size();
 

@@ -61,8 +61,8 @@ struct RelaxationResult {
 /// Formulates and solves the relaxation of `inst` with the IP-PMM
 /// solver, then extracts the certified dual bound. Deterministic:
 /// identical instances yield bit-identical results. Throws
-/// std::invalid_argument on malformed instances (same validation as
-/// metrics::makespan_lower_bound).
+/// std::invalid_argument on malformed instances
+/// (metrics::validate_instance).
 RelaxationResult solve_makespan_relaxation(const metrics::BoundInstance& inst,
                                            const RelaxationOptions& options = {});
 
@@ -70,6 +70,8 @@ RelaxationResult solve_makespan_relaxation(const metrics::BoundInstance& inst,
 /// `lambda` (size M; negatives are clamped to 0). Plain double
 /// arithmetic plus a rounding margin — the result is a valid makespan
 /// lower bound for ANY lambda. Returns 0 when Σλ is not safely positive.
+/// Throws std::invalid_argument on malformed instances
+/// (metrics::validate_instance) or a lambda of the wrong size.
 double certified_bound_from_duals(const metrics::BoundInstance& inst,
                                   const std::vector<double>& lambda);
 

@@ -75,6 +75,14 @@ TEST(ConfigScenario, UnknownEnumsThrow) {
   EXPECT_THROW(
       scenario_from_config(util::Config::parse("[workload]\ndist = zipf\n")),
       std::runtime_error);
+  // An unknown arrival preset throws whether or not arrivals stream.
+  for (const char* streaming : {"true", "false"}) {
+    EXPECT_THROW(scenario_from_config(util::Config::parse(
+                     std::string("[workload]\narrival = lunar\n") +
+                     "all_at_start = " + streaming + "\n")),
+                 std::runtime_error)
+        << "all_at_start = " << streaming;
+  }
 }
 
 TEST(ConfigScenario, NegativeCountsThrowNamingTheKey) {

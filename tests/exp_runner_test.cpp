@@ -148,6 +148,67 @@ TEST(Runner, RunOneMatchesReplicationSlot) {
   EXPECT_DOUBLE_EQ(lone.makespan, runs[1].makespan);
 }
 
+/// A scenario that exercises every input: streaming diurnal arrivals,
+/// a non-default size family and processor failures.
+Scenario streaming_scenario() {
+  Scenario s = small_scenario();
+  s.workload.dist = "pareto";
+  s.workload.all_at_start = false;
+  s.workload.mean_interarrival = 0.5;
+  s.workload.arrival = "diurnal";
+  sim::FailureConfig f;
+  f.mean_uptime = 300.0;
+  f.mean_downtime = 20.0;
+  f.horizon = 5000.0;
+  s.failures = f;
+  return s;
+}
+
+TEST(ReplicationInputs, BoundInstanceSeesTheRunsTasksAndMachines) {
+  const Scenario s = streaming_scenario();
+  for (std::size_t rep = 0; rep < 2; ++rep) {
+    const ReplicationInputs in = make_inputs(s, rep);
+    ASSERT_TRUE(in.failures.has_value());
+    EXPECT_GT(in.failures->total_outages(), 0u);
+    ASSERT_EQ(in.workload.tasks.size(), s.workload.count);
+    EXPECT_GT(in.workload.tasks.back().arrival_time, 0.0);
+
+    const metrics::BoundInstance inst = bound_instance(s, rep);
+    ASSERT_EQ(inst.task_sizes.size(), in.workload.tasks.size());
+    for (std::size_t i = 0; i < inst.task_sizes.size(); ++i) {
+      EXPECT_EQ(inst.task_sizes[i], in.workload.tasks[i].size_mflops) << i;
+    }
+    ASSERT_EQ(inst.rates.size(), in.cluster.size());
+    ASSERT_EQ(inst.comm_costs.size(), in.cluster.size());
+    for (std::size_t j = 0; j < in.cluster.size(); ++j) {
+      EXPECT_EQ(inst.rates[j], in.cluster.processors[j].base_rate) << j;
+      EXPECT_EQ(inst.comm_costs[j],
+                in.cluster.comm->true_mean(static_cast<sim::ProcId>(j)))
+          << j;
+    }
+    EXPECT_TRUE(inst.pending_mflops.empty());
+  }
+  // Replications draw different tasks.
+  EXPECT_NE(bound_instance(s, 0).task_sizes, bound_instance(s, 1).task_sizes);
+}
+
+TEST(ReplicationInputs, SteadyStateBatchIsDeterministicPerReplication) {
+  const BatchInstance a = steady_state_batch(11, 2, 30, 5);
+  const BatchInstance b = steady_state_batch(11, 2, 30, 5);
+  ASSERT_EQ(a.sizes.size(), 30u);
+  ASSERT_EQ(a.view.size(), 5u);
+  EXPECT_EQ(a.sizes, b.sizes);
+  for (std::size_t j = 0; j < a.view.size(); ++j) {
+    EXPECT_EQ(a.view.procs[j].id, static_cast<sim::ProcId>(j));
+    EXPECT_EQ(a.view.procs[j].rate, b.view.procs[j].rate);
+    EXPECT_GE(a.view.procs[j].rate, 10.0);
+    EXPECT_LE(a.view.procs[j].rate, 100.0);
+    EXPECT_GT(a.view.procs[j].comm_estimate, 0.0);
+    EXPECT_EQ(a.view.procs[j].pending_mflops, 0.0);
+  }
+  EXPECT_NE(steady_state_batch(11, 3, 30, 5).sizes, a.sizes);
+}
+
 TEST(Runner, CellSummaryAggregates) {
   const Scenario s = small_scenario();
   const auto cell = run_cell(s, "EF", quick_opts());

@@ -7,6 +7,8 @@
 #include <cmath>
 #include <string>
 
+#include "exp/config_scenario.hpp"
+#include "exp/runner.hpp"
 #include "fed/federation.hpp"
 #include "fed/topology.hpp"
 #include "util/config.hpp"
@@ -228,6 +230,79 @@ TEST(FederationConfigTest, NonIntegerCountsThrowNamingTheKey) {
   }
 }
 
+TEST(FederationConfigTest, ZeroCountsThrowNamingTheKey) {
+  // Each used to parse: zero replications printed NaN means, zero tasks
+  // an all-zero table, and zero processors failed only at run time.
+  const std::string cases[][3] = {
+      {"replications = 2", "replications = 0", "federation.replications"},
+      {"processors = 6", "processors = 0", "cluster.core.processors"},
+      {"count = 240", "count = 0", "workload.count"}};
+  for (const auto& [find, replace, key] : cases) {
+    std::string ini(kBaseIni);
+    ini.replace(ini.find(find), find.size(), replace);
+    try {
+      federation_from_config(util::Config::parse(ini));
+      FAIL() << replace << " was accepted";
+    } catch (const std::runtime_error& e) {
+      const std::string msg = e.what();
+      EXPECT_NE(msg.find("'" + std::string(key) + "'"), std::string::npos)
+          << msg;
+    }
+  }
+}
+
+/// kBaseIni with streaming arrivals under the given `arrival` preset.
+std::string streaming_ini(const std::string& arrival) {
+  std::string ini(kBaseIni);
+  const std::string find = "count = 240";
+  ini.replace(ini.find(find), find.size(),
+              find + "\nall_at_start = false\nmean_interarrival = 0.5\n"
+                     "arrival = " + arrival);
+  return ini;
+}
+
+TEST(FederationConfigTest, UnknownArrivalPresetThrowsListingTheValidNames) {
+  // Streaming or not: an unused preset name is still a typo.
+  const std::string at_start =
+      std::string(kBaseIni) + "\n[workload]\narrival = bogus_preset\n";
+  for (const std::string& ini : {streaming_ini("bogus_preset"), at_start}) {
+    try {
+      federation_from_config(util::Config::parse(ini));
+      FAIL() << "arrival = bogus_preset was accepted";
+    } catch (const std::runtime_error& e) {
+      const std::string msg = e.what();
+      EXPECT_NE(msg.find("bogus_preset"), std::string::npos) << msg;
+      for (const char* name : {"constant", "diurnal", "flash", "ramp"}) {
+        EXPECT_NE(msg.find(name), std::string::npos) << msg;
+      }
+    }
+  }
+}
+
+TEST(FederationInputsTest, GlobalWorkloadIsTheScenarioWorkload) {
+  // The Federation constructor draws its global stream with
+  // exp::replication_streams, the function exp::make_inputs is built on:
+  // for the same seed, replication and [workload] section a federation
+  // and a scenario schedule the same tasks.
+  const std::string ini = streaming_ini("diurnal") +
+                          "\n[failures]\nenabled = true\n"
+                          "[scenario]\nseed = 7\n";
+  const auto fed = federation_from_config(util::Config::parse(ini));
+  const exp::Scenario s = exp::scenario_from_config(util::Config::parse(ini));
+  ASSERT_EQ(fed.seed, s.seed);
+  for (std::size_t rep = 0; rep < 2; ++rep) {
+    const workload::Workload global =
+        exp::replication_streams(fed.workload, fed.seed, rep).workload;
+    const exp::ReplicationInputs in = exp::make_inputs(s, rep);
+    ASSERT_EQ(global.tasks.size(), in.workload.tasks.size());
+    for (std::size_t i = 0; i < global.tasks.size(); ++i) {
+      EXPECT_EQ(global.tasks[i].size_mflops, in.workload.tasks[i].size_mflops);
+      EXPECT_EQ(global.tasks[i].arrival_time,
+                in.workload.tasks[i].arrival_time);
+    }
+  }
+}
+
 // --- runs: conservation, migration policies, determinism ---------------
 
 FederationConfig base_config() {
@@ -348,6 +423,21 @@ TEST(FederationRunTest, PerClusterFailuresStillConserve) {
   cfg.clusters[1].failures = fc;
   const FederationResult r = run_federation(cfg, 0);
   expect_conserved(r, cfg.workload.count);
+}
+
+TEST(FederationRunTest, ArrivalPresetShapesTheGlobalStream) {
+  // At streaming arrivals the preset reaches the run: a diurnal λ(t)
+  // moves arrival instants, so the federation finishes differently.
+  const auto constant =
+      federation_from_config(util::Config::parse(streaming_ini("constant")));
+  const auto diurnal =
+      federation_from_config(util::Config::parse(streaming_ini("diurnal")));
+  const FederationResult a = run_federation(constant, 0);
+  const FederationResult b = run_federation(diurnal, 0);
+  expect_conserved(a, constant.workload.count);
+  expect_conserved(b, diurnal.workload.count);
+  EXPECT_NE(a.makespan, b.makespan);
+  EXPECT_NE(a.mean_response_time, b.mean_response_time);
 }
 
 TEST(FederationRunTest, MismatchedTopologySizeThrows) {

@@ -205,5 +205,21 @@ TEST(RelaxationProperty, RejectsMalformedLambda) {
   EXPECT_DOUBLE_EQ(certified_bound_from_duals(inst, {-1.0, -2.0}), 0.0);
 }
 
+TEST(RelaxationProperty, RejectsNaNAndNegativeSizesAndLoads) {
+  // The solver shares metrics::validate_instance with the bounds, so a
+  // direct call rejects what makespan_lower_bound rejects.
+  metrics::BoundInstance inst;
+  inst.rates = {1.0, 2.0};
+  inst.task_sizes = {3.0, std::nan("")};
+  EXPECT_THROW(solve_makespan_relaxation(inst), std::invalid_argument);
+  EXPECT_THROW(certified_bound_from_duals(inst, {1.0, 1.0}),
+               std::invalid_argument);
+  inst.task_sizes = {3.0, -1.0};
+  EXPECT_THROW(solve_makespan_relaxation(inst), std::invalid_argument);
+  inst.task_sizes = {3.0, 1.0};
+  inst.pending_mflops = {0.0, -2.0};
+  EXPECT_THROW(solve_makespan_relaxation(inst), std::invalid_argument);
+}
+
 }  // namespace
 }  // namespace gasched::opt
