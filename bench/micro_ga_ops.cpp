@@ -53,17 +53,11 @@ struct BatchFixture {
         }()),
         chromosome([&] {
           util::Rng rng(2);
-          return codec.encode(core::list_schedule(eval, 0.5, rng));
+          core::FlatSchedule schedule;
+          core::list_schedule(eval, 0.5, rng, schedule);
+          return codec.encode(schedule);
         }()) {}
 };
-
-void BM_Decode(benchmark::State& state) {
-  BatchFixture f(static_cast<std::size_t>(state.range(0)), 50);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(f.codec.decode(f.chromosome));
-  }
-}
-BENCHMARK(BM_Decode)->Arg(50)->Arg(200)->Arg(1000);
 
 void BM_FlatDecode(benchmark::State& state) {
   // The zero-allocation decode path: reused FlatSchedule workspace.
@@ -77,10 +71,12 @@ void BM_FlatDecode(benchmark::State& state) {
 BENCHMARK(BM_FlatDecode)->Arg(50)->Arg(200)->Arg(1000);
 
 void BM_FitnessEval(benchmark::State& state) {
+  // Stateless reference pricing of a decoded schedule.
   BatchFixture f(static_cast<std::size_t>(state.range(0)), 50);
-  const auto queues = f.codec.decode(f.chromosome);
+  core::FlatSchedule flat;
+  f.codec.decode_into(f.chromosome, flat);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(f.eval.fitness(queues));
+    benchmark::DoNotOptimize(f.eval.evaluate(flat));
   }
 }
 BENCHMARK(BM_FitnessEval)->Arg(50)->Arg(200)->Arg(1000);
@@ -136,31 +132,6 @@ void BM_EvaluateWorkspaceMiss(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_EvaluateWorkspaceMiss)->Arg(50)->Arg(200)->Arg(1000);
-
-void BM_EvaluateSwapDelta(benchmark::State& state) {
-  // O(changed-queues) re-pricing after a cross-queue task swap, against
-  // the cached loads — the rebalance probe cost, versus a full O(N)
-  // pricing per probe before the delta stack.
-  BatchFixture f(static_cast<std::size_t>(state.range(0)), 50);
-  core::FlatSchedule flat;
-  core::QueueLoads loads;
-  f.codec.decode_into(f.chromosome, flat);
-  f.eval.load(flat, loads);
-  util::Rng rng(13);
-  const std::size_t procs = flat.num_procs();
-  for (auto _ : state) {
-    const std::size_t qa = rng.index(procs);
-    std::size_t qb = rng.index(procs - 1);
-    if (qb >= qa) ++qb;
-    const auto queue_a = flat.queue(qa);
-    const auto queue_b = flat.queue(qb);
-    if (queue_a.empty() || queue_b.empty()) continue;
-    std::swap(queue_a[rng.index(queue_a.size())],
-              queue_b[rng.index(queue_b.size())]);
-    benchmark::DoNotOptimize(f.eval.evaluate_swap(flat, loads, qa, qb));
-  }
-}
-BENCHMARK(BM_EvaluateSwapDelta)->Arg(50)->Arg(200)->Arg(1000);
 
 void BM_CompletionTimeKernel(benchmark::State& state) {
   // Canonical left-to-right queue pricing (table-served costs) of every
@@ -296,8 +267,10 @@ BENCHMARK(BM_GaGeneration)->Arg(200);
 void BM_ListScheduleInit(benchmark::State& state) {
   BatchFixture f(static_cast<std::size_t>(state.range(0)), 50);
   util::Rng rng(8);
+  core::FlatSchedule schedule;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(core::list_schedule(f.eval, 0.5, rng));
+    core::list_schedule(f.eval, 0.5, rng, schedule);
+    benchmark::DoNotOptimize(schedule.num_slots());
   }
 }
 BENCHMARK(BM_ListScheduleInit)->Arg(200);

@@ -5,25 +5,6 @@
 
 namespace gasched::core {
 
-void FlatSchedule::assign(const ProcQueues& queues) {
-  offsets_.resize(queues.size() + 1);
-  slots_.clear();
-  offsets_[0] = 0;
-  for (std::size_t j = 0; j < queues.size(); ++j) {
-    slots_.insert(slots_.end(), queues[j].begin(), queues[j].end());
-    offsets_[j + 1] = slots_.size();
-  }
-}
-
-ProcQueues FlatSchedule::to_queues() const {
-  ProcQueues q(num_procs());
-  for (std::size_t j = 0; j < q.size(); ++j) {
-    const auto view = queue(j);
-    q[j].assign(view.begin(), view.end());
-  }
-  return q;
-}
-
 void FlatSchedule::assign_grouped(std::span<const std::size_t> slot_proc,
                                   std::size_t num_procs) {
   offsets_.assign(num_procs + 1, 0);
@@ -56,28 +37,6 @@ ScheduleCodec::ScheduleCodec(std::size_t num_tasks, std::size_t num_procs)
   }
 }
 
-ga::Chromosome ScheduleCodec::encode(const ProcQueues& queues) const {
-  if (queues.size() != num_procs_) {
-    throw std::invalid_argument("ScheduleCodec::encode: wrong queue count");
-  }
-  ga::Chromosome c;
-  c.reserve(chromosome_length());
-  for (std::size_t j = 0; j < num_procs_; ++j) {
-    if (j > 0) c.push_back(delimiter_gene(j - 1));
-    for (const std::size_t slot : queues[j]) {
-      if (slot >= num_tasks_) {
-        throw std::invalid_argument("ScheduleCodec::encode: slot out of range");
-      }
-      c.push_back(task_gene(slot));
-    }
-  }
-  if (c.size() != chromosome_length()) {
-    throw std::invalid_argument(
-        "ScheduleCodec::encode: queues do not cover the batch exactly once");
-  }
-  return c;
-}
-
 ga::Chromosome ScheduleCodec::encode(const FlatSchedule& schedule) const {
   if (schedule.num_procs() != num_procs_) {
     throw std::invalid_argument("ScheduleCodec::encode: wrong queue count");
@@ -87,34 +46,14 @@ ga::Chromosome ScheduleCodec::encode(const FlatSchedule& schedule) const {
   for (std::size_t j = 0; j < num_procs_; ++j) {
     if (j > 0) c.push_back(delimiter_gene(j - 1));
     for (const std::size_t slot : schedule.queue(j)) {
-      if (slot >= num_tasks_) {
-        throw std::invalid_argument("ScheduleCodec::encode: slot out of range");
-      }
       c.push_back(task_gene(slot));
     }
   }
-  if (c.size() != chromosome_length()) {
+  if (!valid(c)) {
     throw std::invalid_argument(
         "ScheduleCodec::encode: queues do not cover the batch exactly once");
   }
   return c;
-}
-
-ProcQueues ScheduleCodec::decode(const ga::Chromosome& c) const {
-  ProcQueues queues(num_procs_);
-  std::size_t proc = 0;
-  for (const ga::Gene g : c) {
-    if (is_delimiter(g)) {
-      ++proc;
-      if (proc >= num_procs_) {
-        throw std::invalid_argument(
-            "ScheduleCodec::decode: too many delimiters");
-      }
-    } else {
-      queues[proc].push_back(task_slot(g));
-    }
-  }
-  return queues;
 }
 
 void ScheduleCodec::decode_into(std::span<const ga::Gene> c,
@@ -147,7 +86,7 @@ bool ScheduleCodec::valid(const ga::Chromosome& c) const {
   std::vector<bool> delim_seen(num_procs_ > 0 ? num_procs_ - 1 : 0, false);
   for (const ga::Gene g : c) {
     if (is_delimiter(g)) {
-      const auto k = static_cast<std::size_t>(-g - 1);
+      const auto k = static_cast<std::size_t>(-(g + 1));
       if (k >= delim_seen.size() || delim_seen[k]) return false;
       delim_seen[k] = true;
     } else {

@@ -19,16 +19,12 @@
 
 namespace gasched::core {
 
-/// Per-processor ordered queues of batch slots (0-based indices into the
-/// batch's task array).
-using ProcQueues = std::vector<std::vector<std::size_t>>;
-
-/// Flat decoded schedule: every batch slot in one contiguous array,
-/// grouped by processor, plus M+1 queue offsets. This is the
-/// zero-allocation decode target of the evaluation core — decoding into a
-/// reused FlatSchedule touches no heap once its buffers have grown to the
-/// batch size, unlike ProcQueues (one vector per processor per decode).
-/// Queue order is significant: it is the dispatch order of the schedule.
+/// Decoded schedule: every batch slot (0-based index into the batch's
+/// task array) in one contiguous array, grouped by processor, plus M+1
+/// queue offsets. The one decoded form of the evaluation core: decoding
+/// into a reused FlatSchedule touches no heap once its buffers have grown
+/// to the batch size. Queue order is significant: it is the dispatch
+/// order of the schedule.
 class FlatSchedule {
  public:
   /// Number of processors M (0 for a default-constructed schedule).
@@ -55,13 +51,8 @@ class FlatSchedule {
   /// offsets()[j+1]).
   std::span<const std::size_t> offsets() const noexcept { return offsets_; }
 
-  /// Rebuilds from per-processor queues (adapter for the legacy path).
-  void assign(const ProcQueues& queues);
-  /// Materialises per-processor queues (adapter for the legacy path).
-  ProcQueues to_queues() const;
-
   /// Rebuilds from a slot → processor map; slots are placed in ascending
-  /// slot order within each queue (matching meta::LoadTracker::to_queues).
+  /// slot order within each queue.
   void assign_grouped(std::span<const std::size_t> slot_proc,
                       std::size_t num_procs);
   /// Rebuilds from a slot → processor map, placing slots in the order
@@ -82,7 +73,7 @@ class FlatSchedule {
   std::vector<std::size_t> cursor_;   // scratch for the bucket builders
 };
 
-/// Translates between chromosomes and per-processor queues for a batch of
+/// Translates between chromosomes and decoded schedules for a batch of
 /// `num_tasks` tasks on `num_procs` processors.
 class ScheduleCodec {
  public:
@@ -124,28 +115,25 @@ class ScheduleCodec {
 
   /// Chromosome position of queue j's first task, given the number of
   /// tasks in queues 0..j−1 (its decoded slot offset): queues appear in
-  /// order, each after its j delimiters — decode(c)[j][i] is the slot of
-  /// c[queue_key_begin(offset_j, j) + i].
+  /// order, each after its j delimiters — queue(j)[i] of the decoded
+  /// schedule is the slot of c[queue_key_begin(offset_j, j) + i].
   static std::size_t queue_key_begin(std::size_t slot_offset,
                                      std::size_t j) noexcept {
     return slot_offset + j;
   }
 
-  /// Encodes per-processor queues into a chromosome. `queues` must have
-  /// exactly num_procs entries covering every batch slot exactly once.
-  ga::Chromosome encode(const ProcQueues& queues) const;
-
-  /// Encodes a flat schedule into a chromosome (same validation rules).
+  /// Encodes a schedule into a chromosome, delimiter k after queue k.
+  /// `schedule` must have exactly num_procs queues covering every batch
+  /// slot exactly once (the result is valid()); std::invalid_argument
+  /// otherwise.
   ga::Chromosome encode(const FlatSchedule& schedule) const;
 
-  /// Decodes a chromosome into per-processor queues. The k-th delimiter
-  /// *position* (not value) ends processor k's queue, matching the paper's
-  /// "-1 delimits different processor queues" reading.
-  ProcQueues decode(const ga::Chromosome& c) const;
-
-  /// Decodes into a caller-owned flat schedule, reusing its buffers:
-  /// allocation-free once `out` has reached the batch size. Produces the
-  /// same queues (content and order) as decode().
+  /// Decodes a chromosome into a caller-owned schedule, reusing its
+  /// buffers: allocation-free once `out` has reached the batch size. The
+  /// k-th delimiter *position* (not value) ends processor k's queue,
+  /// matching the paper's "-1 delimits different processor queues"
+  /// reading. More than num_procs − 1 delimiters throw
+  /// std::invalid_argument.
   void decode_into(std::span<const ga::Gene> c, FlatSchedule& out) const;
 
   /// Validates that `c` is a permutation of the expected symbol set.

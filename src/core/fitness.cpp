@@ -78,40 +78,6 @@ double ScheduleEvaluator::completion_time(
   return c;
 }
 
-double ScheduleEvaluator::makespan(const FlatSchedule& schedule) const {
-  double m = 0.0;
-  for (std::size_t j = 0; j < schedule.num_procs(); ++j) {
-    m = std::max(m, completion_time(j, schedule.queue(j)));
-  }
-  return m;
-}
-
-double ScheduleEvaluator::makespan(const ProcQueues& queues) const {
-  double m = 0.0;
-  for (std::size_t j = 0; j < queues.size(); ++j) {
-    m = std::max(m, completion_time(j, queues[j]));
-  }
-  return m;
-}
-
-double ScheduleEvaluator::relative_error(const FlatSchedule& schedule) const {
-  double sum_sq = 0.0;
-  for (std::size_t j = 0; j < schedule.num_procs(); ++j) {
-    const double dev = psi_ - completion_time(j, schedule.queue(j));
-    sum_sq += dev * dev;
-  }
-  return std::sqrt(sum_sq);
-}
-
-double ScheduleEvaluator::relative_error(const ProcQueues& queues) const {
-  double sum_sq = 0.0;
-  for (std::size_t j = 0; j < queues.size(); ++j) {
-    const double dev = psi_ - completion_time(j, queues[j]);
-    sum_sq += dev * dev;
-  }
-  return std::sqrt(sum_sq);
-}
-
 namespace {
 
 double fitness_of_error(double e) {
@@ -182,14 +148,6 @@ bool certified_no_gain(double S, double psi, std::size_t m, double a,
 
 }  // namespace
 
-double ScheduleEvaluator::fitness(const FlatSchedule& schedule) const {
-  return fitness_of_error(relative_error(schedule));
-}
-
-double ScheduleEvaluator::fitness(const ProcQueues& queues) const {
-  return fitness_of_error(relative_error(queues));
-}
-
 BatchEvaluation ScheduleEvaluator::evaluate(
     const FlatSchedule& schedule) const {
   double m = 0.0;
@@ -202,63 +160,6 @@ BatchEvaluation ScheduleEvaluator::evaluate(
   }
   const double e = std::sqrt(sum_sq);
   return {fitness_of_error(e), m, e};
-}
-
-BatchEvaluation ScheduleEvaluator::reduce(QueueLoads& loads) const {
-  // A delta re-price reduces the exact same completions through the exact
-  // same reduction as a full pricing: bit-identical sum_sq, makespan and
-  // first argmax.
-  const Reduction r =
-      reduce_row(loads.completion.data(), loads.completion.size(), psi_);
-  loads.sum_sq = r.sum_sq;
-  loads.max_completion = r.max;
-  loads.heaviest = r.argmax;
-  loads.eval = metrics_of(r);
-  return loads.eval;
-}
-
-void ScheduleEvaluator::reprice_queue(
-    QueueLoads& loads, std::size_t j,
-    std::span<const std::size_t> queue) const {
-  const double cj = completion_time(j, queue);
-  loads.completion[j] = cj;
-  const double dev = psi_ - cj;
-  loads.dev_sq[j] = dev * dev;
-}
-
-BatchEvaluation ScheduleEvaluator::load(const FlatSchedule& schedule,
-                                        QueueLoads& out) const {
-  const std::size_t M = schedule.num_procs();
-  out.completion.resize(M);
-  out.dev_sq.resize(M);
-  for (std::size_t j = 0; j < M; ++j) {
-    reprice_queue(out, j, schedule.queue(j));
-  }
-  return reduce(out);
-}
-
-BatchEvaluation ScheduleEvaluator::load_decoded(const ScheduleCodec& codec,
-                                                const ga::Chromosome& c,
-                                                FlatSchedule& schedule,
-                                                QueueLoads& out) const {
-  codec.decode_into(c, schedule);
-  return load(schedule, out);
-}
-
-BatchEvaluation ScheduleEvaluator::evaluate_swap(const FlatSchedule& schedule,
-                                                 QueueLoads& loads,
-                                                 std::size_t qa,
-                                                 std::size_t qb) const {
-  reprice_queue(loads, qa, schedule.queue(qa));
-  if (qb != qa) reprice_queue(loads, qb, schedule.queue(qb));
-  return reduce(loads);
-}
-
-BatchEvaluation ScheduleEvaluator::evaluate_move(const FlatSchedule& schedule,
-                                                 QueueLoads& loads,
-                                                 std::size_t from,
-                                                 std::size_t to) const {
-  return evaluate_swap(schedule, loads, from, to);
 }
 
 std::size_t ScheduleEvaluator::load_memo(const ga::Chromosome& c,
@@ -443,20 +344,25 @@ ScheduleProblem::ScheduleProblem(const ScheduleCodec& codec,
                                  std::size_t rebalance_probes)
     : codec_(codec), eval_(eval), probes_(rebalance_probes) {}
 
+BatchEvaluation ScheduleProblem::evaluate_decoded(
+    const ga::Chromosome& c) const {
+  FlatSchedule schedule;
+  codec_.decode_into(c, schedule);
+  return eval_.evaluate(schedule);
+}
+
 double ScheduleProblem::fitness(const ga::Chromosome& c) const {
-  return eval_.fitness(codec_.decode(c));
+  return evaluate_decoded(c).fitness;
 }
 
 double ScheduleProblem::objective(const ga::Chromosome& c) const {
-  return eval_.makespan(codec_.decode(c));
+  return evaluate_decoded(c).makespan;
 }
 
 ga::GaProblem::Evaluation ScheduleProblem::evaluate(const ga::Chromosome& c,
                                                     Workspace* ws) const {
   if (ws == nullptr) {
-    FlatSchedule schedule;
-    QueueLoads loads;
-    const BatchEvaluation e = eval_.load_decoded(codec_, c, schedule, loads);
+    const BatchEvaluation e = evaluate_decoded(c);
     return {e.fitness, e.makespan};
   }
   auto& w = static_cast<EvalWorkspace&>(*ws);

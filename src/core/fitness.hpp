@@ -39,29 +39,6 @@ struct BatchEvaluation {
   double relative_error = 0.0;  ///< E
 };
 
-/// Cached per-queue load state of one priced schedule: every C_j, its
-/// squared ψ-deviation, and the reduced metrics. Filled by
-/// ScheduleEvaluator::load()/load_decoded() and kept current by the
-/// evaluate_swap()/evaluate_move() delta paths, which re-price only the
-/// changed queues and reassemble the reductions from the cache.
-///
-/// Ownership/invalidation contract (docs/evaluation.md): a QueueLoads is
-/// valid only for (evaluator, schedule) pairs the caller controls — it
-/// holds no back-references, so any edit to the schedule outside the
-/// delta APIs, or pricing through a different evaluator, silently stales
-/// it. What outlives a pricing is the memo entry (see PricingMemo).
-///
-/// Reductions always recompute from `completion` in ascending j, which is
-/// what keeps delta pricing bit-identical to full pricing.
-struct QueueLoads {
-  std::vector<double> completion;  ///< C_j per processor
-  std::vector<double> dev_sq;      ///< (ψ − C_j)² per processor
-  double sum_sq = 0.0;             ///< Σ_j (ψ − C_j)², summed j-ascending
-  double max_completion = 0.0;     ///< max_j C_j (makespan)
-  std::size_t heaviest = 0;        ///< first argmax_j C_j
-  BatchEvaluation eval;            ///< reduced metrics of the cached state
-};
-
 /// Evaluates schedules for one batch against one system snapshot. Every
 /// path sums each C_j left to right in queue order and reduces the
 /// metrics in ascending j (docs/evaluation.md), so any two pricings of
@@ -86,63 +63,23 @@ class ScheduleEvaluator {
   double psi() const noexcept { return psi_; }
 
   /// Finish time C_j of processor j running `queue` (slots) after its
-  /// existing load. Accepts any contiguous slot sequence — a FlatSchedule
-  /// queue view or a legacy ProcQueues entry.
+  /// existing load, summed left to right in queue order.
   double completion_time(std::size_t j,
                          std::span<const std::size_t> queue) const;
 
-  /// Estimated makespan max_j C_j of a full decoded schedule.
-  double makespan(const FlatSchedule& schedule) const;
-  double makespan(const ProcQueues& queues) const;
-
-  /// Relative error E of a schedule (see header comment).
-  double relative_error(const FlatSchedule& schedule) const;
-  double relative_error(const ProcQueues& queues) const;
-
-  /// Fitness F = min(1, 1/E); E = 0 maps to 1 (perfect).
-  double fitness(const FlatSchedule& schedule) const;
-  double fitness(const ProcQueues& queues) const;
-
-  /// Fitness, makespan, and relative error in one pass over the
-  /// completion times — the hot-path form: no per-call containers, each
-  /// C_j computed once.
+  /// The stateless reference pricing: fitness F = min(1, 1/E) (E = 0 maps
+  /// to 1, perfect), makespan max_j C_j and relative error E (see header
+  /// comment) in one pass over completion_time() of every queue, reduced
+  /// in ascending j.
   BatchEvaluation evaluate(const FlatSchedule& schedule) const;
 
-  /// Full pricing into the per-queue load cache: computes every C_j with
-  /// the canonical left-to-right summation, caches the squared
-  /// deviations, and reduces sum/max/argmax in ascending j. The returned
-  /// metrics are bit-identical to evaluate(schedule).
-  BatchEvaluation load(const FlatSchedule& schedule, QueueLoads& out) const;
-
-  /// Decode + full pricing: decode_into(c, schedule), then load(). The
-  /// GA's hot path prices through load_memo() instead.
-  BatchEvaluation load_decoded(const ScheduleCodec& codec,
-                               const ga::Chromosome& c,
-                               FlatSchedule& schedule, QueueLoads& out) const;
-
-  /// Delta re-pricing after two queues changed (a task swap between
-  /// `qa` and `qb`, or any edit confined to those queues). `schedule`
-  /// must already reflect the change and `loads` must be current for the
-  /// pre-change schedule. Re-prices only the two queues with the
-  /// canonical left-to-right summation and reassembles the reductions
-  /// from the cache in ascending j, so the result — and the updated
-  /// `loads` — is bit-identical to a full load(schedule). O(|qa|+|qb|+M).
-  BatchEvaluation evaluate_swap(const FlatSchedule& schedule,
-                                QueueLoads& loads, std::size_t qa,
-                                std::size_t qb) const;
-
-  /// Delta re-pricing after a task moved from queue `from` to queue `to`
-  /// (same contract and cost as evaluate_swap; the two names document
-  /// intent — both re-price exactly the two changed queues).
-  BatchEvaluation evaluate_move(const FlatSchedule& schedule,
-                                QueueLoads& loads, std::size_t from,
-                                std::size_t to) const;
-
-  /// Memoized load_decoded: the index of the `ws.memo` entry holding the
+  /// Memoized pricing: the index of the `ws.memo` entry holding the
   /// schedule of `c` as this evaluator prices it — a lookup when `c`
   /// decodes to one of the memo's recent schedules, otherwise one fused
   /// decode + full pricing straight into the least recently used entry.
-  /// Either way the entry's metrics are bit-identical to load_decoded(c).
+  /// Either way the entry's completion times are completion_time() of
+  /// the decoded queues and its metrics are bit-identical to evaluate()
+  /// of decode_into(c).
   /// `c` must have num_tasks() + num_procs() − 1 genes; too many
   /// delimiters throw std::invalid_argument before any entry is touched.
   std::size_t load_memo(const ga::Chromosome& c, EvalWorkspace& ws) const;
@@ -152,10 +89,10 @@ class ScheduleEvaluator {
   /// key (PricingMemo::swap_genes) and is otherwise current. Returns true
   /// when the swapped key prices strictly fitter than the entry; the
   /// entry then holds the full pricing of its swapped key, bit-identical
-  /// to load_decoded of it, and is rekeyed. Otherwise the entry's loads
-  /// are unchanged and the caller swaps the genes back. Most rejections
-  /// are certified from the two re-priced queues alone, without the
-  /// O(M) reduction (docs/evaluation.md "Pricing memo").
+  /// to a fresh load_memo() of it, and is rekeyed. Otherwise the entry's
+  /// loads are unchanged and the caller swaps the genes back. Most
+  /// rejections are certified from the two re-priced queues alone,
+  /// without the O(M) reduction (docs/evaluation.md "Pricing memo").
   bool try_memo_swap(EvalWorkspace& ws, std::size_t e, std::size_t qa,
                      std::size_t qb) const;
 
@@ -186,14 +123,6 @@ class ScheduleEvaluator {
   std::uint64_t id() const noexcept { return id_; }
 
  private:
-  /// Recomputes the reductions (sum_sq/max/argmax/eval) of `loads` from
-  /// its completion array.
-  BatchEvaluation reduce(QueueLoads& loads) const;
-  /// Re-prices exactly queue `j` (its slots in queue order) into `loads`
-  /// (canonical left-to-right summation), without touching the
-  /// reductions.
-  void reprice_queue(QueueLoads& loads, std::size_t j,
-                     std::span<const std::size_t> queue) const;
   /// C_j of queue j of memo entry `e`, read off its key with
   /// completion_time()'s left-to-right sum.
   double entry_completion(const PricingMemo& memo, std::size_t e,
@@ -322,13 +251,10 @@ class PricingMemo {
   std::size_t procs_ = 0;
 };
 
-/// Caller-owned, reusable evaluation scratch: the flat decode target, the
-/// per-queue load cache the delta-pricing paths maintain, and the pricing
-/// memo. One workspace per evaluating thread; the GA engine obtains them
-/// via ScheduleProblem::make_workspace().
+/// Caller-owned, reusable evaluation scratch: the pricing memo. One
+/// workspace per evaluating thread; the GA engine obtains them via
+/// ScheduleProblem::make_workspace().
 struct EvalWorkspace final : ga::GaProblem::Workspace {
-  FlatSchedule schedule;
-  QueueLoads loads;
   PricingMemo memo;
   /// The memo entry the last rebalance_once() call on this workspace
   /// left its chromosome in. A continuing pass (improve_continues) works
@@ -338,9 +264,9 @@ struct EvalWorkspace final : ga::GaProblem::Workspace {
 };
 
 /// GaProblem adapter: evaluates chromosomes through a codec + evaluator.
-/// The workspace path (evaluate/improve) decodes into a reused
-/// FlatSchedule — no per-call containers; fitness()/objective() remain as
-/// allocating convenience adapters for one-off callers.
+/// The workspace path (evaluate/improve) prices through the workspace's
+/// memo; fitness()/objective() and a null workspace decode into a local
+/// FlatSchedule and price it with evaluate(), for one-off callers.
 class ScheduleProblem final : public ga::GaProblem {
  public:
   /// Both references must outlive the problem. `rebalance_probes` bounds
@@ -360,6 +286,9 @@ class ScheduleProblem final : public ga::GaProblem {
                Workspace* ws) const override;
 
  private:
+  /// evaluate() of `c` decoded into a local schedule.
+  BatchEvaluation evaluate_decoded(const ga::Chromosome& c) const;
+
   const ScheduleCodec& codec_;
   const ScheduleEvaluator& eval_;
   std::size_t probes_;

@@ -96,9 +96,9 @@ sim::BatchAssignment GeneticBatchScheduler::invoke(
     best = result.best;
   }
 
-  codec.decode_into(best, decode_scratch_.schedule);
+  codec.decode_into(best, decode_scratch_);
   for (std::size_t j = 0; j < M; ++j) {
-    for (const std::size_t slot : decode_scratch_.schedule.queue(j)) {
+    for (const std::size_t slot : decode_scratch_.queue(j)) {
       assignment.per_proc[j].push_back(tasks[slot].id);
     }
   }

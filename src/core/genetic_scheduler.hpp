@@ -95,7 +95,7 @@ class GeneticBatchScheduler final : public sim::SchedulingPolicy {
   GeneticSchedulerConfig cfg_;
   std::string name_;
   util::Smoother idle_smoother_;  // Γ over the s_p sequence
-  EvalWorkspace decode_scratch_;  // reused final-decode buffers
+  FlatSchedule decode_scratch_;   // reused final-decode buffers
 };
 
 /// Factory: the paper's scheduler with default parameters.

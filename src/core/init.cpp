@@ -21,8 +21,8 @@ ListScheduleScratch& ls_scratch() {
 
 }  // namespace
 
-void list_schedule_flat(const ScheduleEvaluator& eval, double random_fraction,
-                        util::Rng& rng, FlatSchedule& out) {
+void list_schedule(const ScheduleEvaluator& eval, double random_fraction,
+                   util::Rng& rng, FlatSchedule& out) {
   const std::size_t M = eval.num_procs();
   const std::size_t N = eval.num_tasks();
   auto& sc = ls_scratch();
@@ -57,13 +57,6 @@ void list_schedule_flat(const ScheduleEvaluator& eval, double random_fraction,
   out.assign_ordered(sc.order, sc.slot_proc, M);
 }
 
-ProcQueues list_schedule(const ScheduleEvaluator& eval, double random_fraction,
-                         util::Rng& rng) {
-  FlatSchedule flat;
-  list_schedule_flat(eval, random_fraction, rng, flat);
-  return flat.to_queues();
-}
-
 std::vector<ga::Chromosome> initial_population(const ScheduleCodec& codec,
                                                const ScheduleEvaluator& eval,
                                                std::size_t count,
@@ -73,7 +66,7 @@ std::vector<ga::Chromosome> initial_population(const ScheduleCodec& codec,
   pop.reserve(count);
   FlatSchedule flat;
   for (std::size_t i = 0; i < count; ++i) {
-    list_schedule_flat(eval, random_fraction, rng, flat);
+    list_schedule(eval, random_fraction, rng, flat);
     pop.push_back(codec.encode(flat));
   }
   return pop;

@@ -18,13 +18,8 @@ namespace gasched::core {
 /// otherwise to the processor that would finish it earliest given
 /// assignments so far (earliest-finish includes the evaluator's comm
 /// estimates when enabled). Queue order is the (shuffled) visit order.
-void list_schedule_flat(const ScheduleEvaluator& eval, double random_fraction,
-                        util::Rng& rng, FlatSchedule& out);
-
-/// Legacy adapter: the same schedule (same RNG stream, same queue
-/// contents and order) materialised as per-processor queues.
-ProcQueues list_schedule(const ScheduleEvaluator& eval, double random_fraction,
-                         util::Rng& rng);
+void list_schedule(const ScheduleEvaluator& eval, double random_fraction,
+                   util::Rng& rng, FlatSchedule& out);
 
 /// Builds `count` independent list schedules encoded as chromosomes.
 std::vector<ga::Chromosome> initial_population(const ScheduleCodec& codec,

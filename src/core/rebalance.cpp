@@ -103,11 +103,4 @@ bool rebalance_once(ga::Chromosome& c, const ScheduleCodec& codec,
   return false;
 }
 
-bool rebalance_once(ga::Chromosome& c, const ScheduleCodec& codec,
-                    const ScheduleEvaluator& eval, util::Rng& rng,
-                    std::size_t probes) {
-  EvalWorkspace ws;
-  return rebalance_once(c, codec, eval, rng, probes, ws);
-}
-
 }  // namespace gasched::core

@@ -25,9 +25,4 @@ bool rebalance_once(ga::Chromosome& c, const ScheduleCodec& codec,
                     const ScheduleEvaluator& eval, util::Rng& rng,
                     std::size_t probes, EvalWorkspace& ws);
 
-/// Convenience overload with a throwaway workspace.
-bool rebalance_once(ga::Chromosome& c, const ScheduleCodec& codec,
-                    const ScheduleEvaluator& eval, util::Rng& rng,
-                    std::size_t probes = 5);
-
 }  // namespace gasched::core

@@ -37,12 +37,10 @@ struct Move {
 /// maintained completion times.
 class LoadTracker {
  public:
-  /// Builds the tracker from an initial assignment. `queues` must cover
-  /// every batch slot of `eval` exactly once; the evaluator must outlive
+  /// Builds the tracker from an initial assignment. `schedule` must have
+  /// one queue per processor of `eval` and cover every batch slot exactly
+  /// once (std::invalid_argument otherwise); the evaluator must outlive
   /// the tracker.
-  LoadTracker(const core::ScheduleEvaluator& eval, core::ProcQueues queues);
-
-  /// Flat-schedule constructor: same validation, no per-queue containers.
   LoadTracker(const core::ScheduleEvaluator& eval,
               const core::FlatSchedule& schedule);
 
@@ -81,10 +79,6 @@ class LoadTracker {
   /// different target processor). Requires M >= 2 and N >= 1.
   Move random_move(util::Rng& rng) const;
 
-  /// Materialises the current assignment as per-processor queues (slot
-  /// order within a queue is ascending; order is irrelevant to C_j).
-  core::ProcQueues to_queues() const;
-
   /// Current slot → processor map (the flat snapshot form: copy this span
   /// into a reused vector to remember a best-so-far assignment without
   /// materialising queues).
@@ -93,7 +87,7 @@ class LoadTracker {
   }
 
   /// Writes the current assignment into `out`, slots ascending per queue
-  /// (identical content and order to to_queues()).
+  /// (order is irrelevant to C_j).
   void export_schedule(core::FlatSchedule& out) const {
     out.assign_grouped(slot_proc_, num_procs());
   }

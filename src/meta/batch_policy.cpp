@@ -35,7 +35,7 @@ sim::BatchAssignment LocalSearchBatchPolicy::invoke(
 
   const core::ScheduleEvaluator eval(std::move(sizes), view,
                                      cfg_.use_comm_estimates);
-  core::list_schedule_flat(eval, cfg_.init_random_fraction, rng, scratch_);
+  core::list_schedule(eval, cfg_.init_random_fraction, rng, scratch_);
   search(eval, scratch_, rng);
 
   for (std::size_t j = 0; j < M; ++j) {

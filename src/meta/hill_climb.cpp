@@ -35,7 +35,7 @@ void HillClimbScheduler::search(const core::ScheduleEvaluator& eval,
     // Restart 0 climbs from the provided start solution; later restarts
     // climb from fresh half-randomised list schedules.
     if (r > 0) {
-      core::list_schedule_flat(eval, 0.5, rng, restart);
+      core::list_schedule(eval, 0.5, rng, restart);
       state.reset(eval, restart);
     }
 

@@ -54,7 +54,7 @@ void SimulatedAnnealingScheduler::search(const core::ScheduleEvaluator& eval,
 
   // Best-so-far as a flat slot → processor snapshot: an O(N) copy into a
   // reused buffer instead of materialising per-processor queues on every
-  // improvement (the old to_queues() hot-loop allocation).
+  // improvement.
   std::vector<std::size_t> best(state.assignment().begin(),
                                 state.assignment().end());
   double best_makespan = state.makespan();

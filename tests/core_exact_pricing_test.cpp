@@ -176,14 +176,13 @@ TEST(ExactPricing, RelativeErrorMatchesLongDoubleReference) {
     EXPECT_LE(deviation(e.relative_error, std::sqrt(sum_sq), eval.psi()),
               1e-12)
         << "round " << round;
-    EXPECT_EQ(eval.relative_error(flat), e.relative_error);
   }
 }
 
 TEST(ExactPricing, ReductionsRunInAscendingJWithTheFirstArgmax) {
   util::Rng rng(55);
   FlatSchedule flat;
-  QueueLoads loads;
+  EvalWorkspace ws;
   for (int round = 0; round < 60; ++round) {
     const std::size_t procs = 1 + rng.index(12);
     const std::size_t tasks = procs * (1 + rng.index(6));
@@ -197,14 +196,17 @@ TEST(ExactPricing, ReductionsRunInAscendingJWithTheFirstArgmax) {
     if (ties) {
       for (auto& p : view.procs) p = view.procs[0];
       std::fill(sizes.begin(), sizes.end(), sizes[0]);
-      ProcQueues queues(procs);
-      for (std::size_t s = 0; s < tasks; ++s) queues[s % procs].push_back(s);
-      flat.assign(queues);
+      std::vector<std::size_t> slot_proc(tasks);
+      for (std::size_t s = 0; s < tasks; ++s) slot_proc[s] = s % procs;
+      flat.assign_grouped(slot_proc, procs);
     } else {
       codec.decode_into(random_chromosome(codec, rng), flat);
     }
     const ScheduleEvaluator eval(sizes, view, true);
-    const BatchEvaluation e = eval.load(flat, loads);
+    const BatchEvaluation e = eval.evaluate(flat);
+    // The memo's pricing is the one that keeps sum, max and argmax.
+    const std::size_t entry = eval.load_memo(codec.encode(flat), ws);
+    const PricingMemo& memo = ws.memo;
 
     double max = 0.0;
     std::size_t argmax = 0;
@@ -218,13 +220,13 @@ TEST(ExactPricing, ReductionsRunInAscendingJWithTheFirstArgmax) {
       const long double dev = static_cast<long double>(eval.psi()) - cj;
       sum_sq += dev * dev;
     }
-    EXPECT_EQ(loads.max_completion, max);
+    EXPECT_EQ(memo.evaluation(entry).makespan, max);
     EXPECT_EQ(e.makespan, max);
-    EXPECT_EQ(loads.heaviest, argmax);
-    if (ties) EXPECT_EQ(loads.heaviest, 0u);
-    EXPECT_LE(deviation(loads.sum_sq, sum_sq, eval.psi() * eval.psi()),
+    EXPECT_EQ(memo.heaviest(entry), argmax);
+    if (ties) EXPECT_EQ(memo.heaviest(entry), 0u);
+    EXPECT_LE(deviation(memo.sum_sq(entry), sum_sq, eval.psi() * eval.psi()),
               1e-13);
-    EXPECT_EQ(e.relative_error, std::sqrt(loads.sum_sq));
+    EXPECT_EQ(e.relative_error, std::sqrt(memo.sum_sq(entry)));
   }
 }
 
@@ -253,7 +255,6 @@ TEST(ExactPricing, FitnessIsTheClampedReciprocalOfRelativeError) {
       EXPECT_EQ(e.fitness, 1.0 / e.relative_error);
       saw_reciprocal = true;
     }
-    EXPECT_EQ(eval.fitness(flat), e.fitness);
   }
   EXPECT_TRUE(saw_clamped);
   EXPECT_TRUE(saw_reciprocal);
@@ -266,7 +267,7 @@ TEST(ExactPricing, NumericModeStubChangesNothing) {
   EXPECT_EQ(ga::GaConfig{}.numeric_mode, NumericMode::kExact);
   util::Rng rng(57);
   FlatSchedule flat;
-  QueueLoads plain_loads, stub_loads;
+  EvalWorkspace plain_ws, stub_ws;
   for (int round = 0; round < 40; ++round) {
     const std::size_t tasks = 1 + rng.index(60);
     const std::size_t procs = 1 + rng.index(10);
@@ -277,13 +278,18 @@ TEST(ExactPricing, NumericModeStubChangesNothing) {
     const ScheduleEvaluator plain(sizes, view, use_comm);
     const ScheduleEvaluator stub(sizes, view, use_comm,
                                  ga::GaConfig{}.numeric_mode);
-    codec.decode_into(random_chromosome(codec, rng), flat);
+    const ga::Chromosome c = random_chromosome(codec, rng);
+    codec.decode_into(c, flat);
 
     EXPECT_EQ(plain.psi(), stub.psi());
     expect_same(plain.evaluate(flat), stub.evaluate(flat));
-    expect_same(plain.load(flat, plain_loads), stub.load(flat, stub_loads));
-    EXPECT_EQ(plain_loads.completion, stub_loads.completion);
-    EXPECT_EQ(plain_loads.sum_sq, stub_loads.sum_sq);
+    const std::size_t pe = plain.load_memo(c, plain_ws);
+    const std::size_t se = stub.load_memo(c, stub_ws);
+    expect_same(plain_ws.memo.evaluation(pe), stub_ws.memo.evaluation(se));
+    const auto pc = plain_ws.memo.completions(pe);
+    const auto sc = stub_ws.memo.completions(se);
+    EXPECT_TRUE(std::equal(pc.begin(), pc.end(), sc.begin(), sc.end()));
+    EXPECT_EQ(plain_ws.memo.sum_sq(pe), stub_ws.memo.sum_sq(se));
   }
 }
 
@@ -347,10 +353,9 @@ TEST(ExactPricing, EvaluateBatchMatchesPerChromosomeEvaluate) {
   problem.evaluate_batch(pop, indices, ws.get(), got.data());
 
   FlatSchedule flat;
-  QueueLoads loads;
   for (std::size_t k = 0; k < indices.size(); ++k) {
-    const BatchEvaluation want =
-        eval.load_decoded(codec, pop[indices[k]], flat, loads);
+    codec.decode_into(pop[indices[k]], flat);
+    const BatchEvaluation want = eval.evaluate(flat);
     EXPECT_EQ(got[k].fitness, want.fitness) << k;
     EXPECT_EQ(got[k].objective, want.makespan) << k;
     const auto single = problem.evaluate(pop[indices[k]], nullptr);
@@ -396,8 +401,8 @@ TEST(ExactPricing, GaRunIsReproducibleAndReportsItsBestPricing) {
 
   // The reported best is the best chromosome's own pricing.
   FlatSchedule flat;
-  QueueLoads loads;
-  const BatchEvaluation best = eval.load_decoded(codec, a.best, flat, loads);
+  codec.decode_into(a.best, flat);
+  const BatchEvaluation best = eval.evaluate(flat);
   EXPECT_EQ(a.best_fitness, best.fitness);
   EXPECT_EQ(a.best_objective, best.makespan);
 }

@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 namespace gasched::core {
 namespace {
 
@@ -21,6 +23,16 @@ sim::SystemView make_view(std::vector<double> rates,
     v.procs[j].comm_estimate = j < comm.size() ? comm[j] : 0.0;
   }
   return v;
+}
+
+/// The schedule a chromosome in the paper's notation (Fig. 2: batch
+/// slots, −1 between processor queues) decodes to on `procs` processors.
+FlatSchedule decoded(std::size_t procs, const ga::Chromosome& c) {
+  const auto tasks = static_cast<std::size_t>(
+      std::count_if(c.begin(), c.end(), [](ga::Gene g) { return g >= 0; }));
+  FlatSchedule s;
+  ScheduleCodec(tasks, procs).decode_into(c, s);
+  return s;
 }
 
 TEST(Evaluator, PsiMatchesPaperFormula) {
@@ -54,18 +66,18 @@ TEST(Evaluator, PerfectBalanceHasZeroErrorAndFitnessOne) {
   // gives C_j = 10 = ψ exactly.
   const ScheduleEvaluator eval({100.0, 100.0}, make_view({10.0, 10.0}),
                                false);
-  const ProcQueues balanced{{0}, {1}};
-  EXPECT_DOUBLE_EQ(eval.relative_error(balanced), 0.0);
-  EXPECT_DOUBLE_EQ(eval.fitness(balanced), 1.0);
+  const BatchEvaluation balanced = eval.evaluate(decoded(2, {0, -1, 1}));
+  EXPECT_DOUBLE_EQ(balanced.relative_error, 0.0);
+  EXPECT_DOUBLE_EQ(balanced.fitness, 1.0);
 }
 
 TEST(Evaluator, ImbalanceIncreasesErrorAndLowersFitness) {
   const ScheduleEvaluator eval({100.0, 100.0}, make_view({10.0, 10.0}),
                                false);
-  const ProcQueues balanced{{0}, {1}};
-  const ProcQueues skewed{{0, 1}, {}};
-  EXPECT_GT(eval.relative_error(skewed), eval.relative_error(balanced));
-  EXPECT_LT(eval.fitness(skewed), eval.fitness(balanced));
+  const BatchEvaluation balanced = eval.evaluate(decoded(2, {0, -1, 1}));
+  const BatchEvaluation skewed = eval.evaluate(decoded(2, {0, 1, -1}));
+  EXPECT_GT(skewed.relative_error, balanced.relative_error);
+  EXPECT_LT(skewed.fitness, balanced.fitness);
 }
 
 TEST(Evaluator, FitnessAlwaysInUnitInterval) {
@@ -73,10 +85,10 @@ TEST(Evaluator, FitnessAlwaysInUnitInterval) {
                                make_view({10.0, 20.0}, {0.0, 300.0},
                                          {1.0, 9.0}),
                                true);
-  for (const ProcQueues& q :
-       {ProcQueues{{0, 1, 2}, {}}, ProcQueues{{}, {0, 1, 2}},
-        ProcQueues{{0}, {1, 2}}, ProcQueues{{2, 1}, {0}}}) {
-    const double f = eval.fitness(q);
+  for (const ga::Chromosome& c :
+       {ga::Chromosome{0, 1, 2, -1}, ga::Chromosome{-1, 0, 1, 2},
+        ga::Chromosome{0, -1, 1, 2}, ga::Chromosome{2, 1, -1, 0}}) {
+    const double f = eval.evaluate(decoded(2, c)).fitness;
     EXPECT_GE(f, 0.0);
     EXPECT_LE(f, 1.0);
   }
@@ -85,8 +97,8 @@ TEST(Evaluator, FitnessAlwaysInUnitInterval) {
 TEST(Evaluator, MakespanIsMaxCompletion) {
   const ScheduleEvaluator eval({100.0, 300.0},
                                make_view({10.0, 10.0}), false);
-  const ProcQueues q{{0}, {1}};  // C = {10, 30}
-  EXPECT_DOUBLE_EQ(eval.makespan(q), 30.0);
+  // C = {10, 30}
+  EXPECT_DOUBLE_EQ(eval.evaluate(decoded(2, {0, -1, 1})).makespan, 30.0);
 }
 
 TEST(Evaluator, CommAwareFitnessPrefersCheapLinks) {
@@ -95,10 +107,11 @@ TEST(Evaluator, CommAwareFitnessPrefersCheapLinks) {
   const ScheduleEvaluator eval({10.0, 10.0},
                                make_view({10.0, 10.0}, {}, {0.0, 20.0}),
                                true);
-  const ProcQueues cheap_only{{0, 1}, {}};
-  const ProcQueues split{{0}, {1}};
+  const FlatSchedule cheap_only = decoded(2, {0, 1, -1});
+  const FlatSchedule split = decoded(2, {0, -1, 1});
   // split: C = {1, 21}, ψ = 0.1 ... cheap: C = {2, 0}.
-  EXPECT_LT(eval.relative_error(cheap_only), eval.relative_error(split));
+  EXPECT_LT(eval.evaluate(cheap_only).relative_error,
+            eval.evaluate(split).relative_error);
 }
 
 TEST(Evaluator, RejectsInvalidInputs) {
@@ -117,10 +130,10 @@ TEST(ScheduleProblem, AdapterMatchesEvaluatorThroughCodec) {
   const ScheduleEvaluator eval({10.0, 20.0, 30.0},
                                make_view({10.0, 10.0}), false);
   const ScheduleProblem problem(codec, eval);
-  const ProcQueues q{{0, 2}, {1}};
-  const ga::Chromosome c = codec.encode(q);
-  EXPECT_DOUBLE_EQ(problem.fitness(c), eval.fitness(q));
-  EXPECT_DOUBLE_EQ(problem.objective(c), eval.makespan(q));
+  const FlatSchedule s = decoded(2, {0, 2, -1, 1});
+  const ga::Chromosome c = codec.encode(s);
+  EXPECT_EQ(problem.fitness(c), eval.evaluate(s).fitness);
+  EXPECT_EQ(problem.objective(c), eval.evaluate(s).makespan);
 }
 
 TEST(Evaluator, HeterogeneousRatesFavourFastProcessor) {
@@ -128,8 +141,8 @@ TEST(Evaluator, HeterogeneousRatesFavourFastProcessor) {
   // 10 Mflop/s one in 40 s; schedules using the fast one have lower
   // makespan.
   const ScheduleEvaluator eval({400.0}, make_view({10.0, 40.0}), false);
-  EXPECT_DOUBLE_EQ(eval.makespan({{ }, {0}}), 10.0);
-  EXPECT_DOUBLE_EQ(eval.makespan({{0}, { }}), 40.0);
+  EXPECT_DOUBLE_EQ(eval.evaluate(decoded(2, {-1, 0})).makespan, 10.0);
+  EXPECT_DOUBLE_EQ(eval.evaluate(decoded(2, {0, -1})).makespan, 40.0);
 }
 
 }  // namespace

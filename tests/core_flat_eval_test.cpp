@@ -1,11 +1,14 @@
-// Equivalence tests for the flat evaluation core: decode into a
-// FlatSchedule and the span-based evaluator overloads must be
-// bit-identical to the legacy ProcQueues path across randomized batches —
-// the contract that keeps every golden value and figure CSV byte-stable
-// across the zero-allocation refactor.
+// Tests for the decoded schedule form and its two pricings: decode_into
+// splits a chromosome at its delimiter positions, encode inverts it, the
+// stateless evaluate() reduces completion_time() in ascending j, and the
+// workspace's pricing memo agrees with evaluate() bit for bit across
+// randomized batches — the contract that keeps every golden value and
+// figure CSV byte-stable.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <vector>
 
 #include "core/encoding.hpp"
@@ -51,7 +54,7 @@ ga::Chromosome random_chromosome(const ScheduleCodec& codec, util::Rng& rng) {
   return c;
 }
 
-TEST(FlatEval, DecodeIntoMatchesLegacyDecodeRandomized) {
+TEST(FlatEval, DecodeIntoSplitsAtDelimiterPositionsRandomized) {
   util::Rng rng(101);
   FlatSchedule flat;
   for (int round = 0; round < 50; ++round) {
@@ -60,15 +63,27 @@ TEST(FlatEval, DecodeIntoMatchesLegacyDecodeRandomized) {
     const ScheduleCodec codec(tasks, procs);
     const ga::Chromosome c = random_chromosome(codec, rng);
 
-    const ProcQueues legacy = codec.decode(c);
     codec.decode_into(c, flat);  // reused across rounds on purpose
     ASSERT_EQ(flat.num_procs(), procs);
     ASSERT_EQ(flat.num_slots(), tasks);
-    EXPECT_EQ(flat.to_queues(), legacy);
+    // Walk c: the k-th delimiter position ends queue k, and every task
+    // gene lands next in the current queue.
+    std::size_t j = 0, i = 0;
+    for (const ga::Gene g : c) {
+      if (ScheduleCodec::is_delimiter(g)) {
+        ASSERT_EQ(flat.queue(j).size(), i);
+        ++j;
+        i = 0;
+      } else {
+        ASSERT_LT(i, flat.queue(j).size());
+        EXPECT_EQ(flat.queue(j)[i++], ScheduleCodec::task_slot(g));
+      }
+    }
+    EXPECT_EQ(flat.queue(j).size(), i);
   }
 }
 
-TEST(FlatEval, EvaluatorOverloadsBitIdenticalToProcQueuesPath) {
+TEST(FlatEval, EvaluateReducesCompletionTimesInAscendingJ) {
   util::Rng rng(202);
   FlatSchedule flat;
   for (int round = 0; round < 50; ++round) {
@@ -78,26 +93,25 @@ TEST(FlatEval, EvaluatorOverloadsBitIdenticalToProcQueuesPath) {
     const ScheduleEvaluator eval(random_sizes(tasks, rng),
                                  random_view(procs, rng),
                                  /*use_comm=*/rng.bernoulli(0.5));
-    const ga::Chromosome c = random_chromosome(codec, rng);
-    const ProcQueues legacy = codec.decode(c);
-    codec.decode_into(c, flat);
+    codec.decode_into(random_chromosome(codec, rng), flat);
 
+    double makespan = 0.0;
+    double sum_sq = 0.0;
     for (std::size_t j = 0; j < procs; ++j) {
-      EXPECT_EQ(eval.completion_time(j, flat.queue(j)),
-                eval.completion_time(j, legacy[j]));
+      const double cj = eval.completion_time(j, flat.queue(j));
+      makespan = std::max(makespan, cj);
+      const double dev = eval.psi() - cj;
+      sum_sq += dev * dev;
     }
-    EXPECT_EQ(eval.makespan(flat), eval.makespan(legacy));
-    EXPECT_EQ(eval.relative_error(flat), eval.relative_error(legacy));
-    EXPECT_EQ(eval.fitness(flat), eval.fitness(legacy));
-
-    const BatchEvaluation combined = eval.evaluate(flat);
-    EXPECT_EQ(combined.fitness, eval.fitness(legacy));
-    EXPECT_EQ(combined.makespan, eval.makespan(legacy));
-    EXPECT_EQ(combined.relative_error, eval.relative_error(legacy));
+    const double error = std::sqrt(sum_sq);
+    const BatchEvaluation e = eval.evaluate(flat);
+    EXPECT_EQ(e.makespan, makespan);
+    EXPECT_EQ(e.relative_error, error);
+    EXPECT_EQ(e.fitness, error <= 1.0 ? 1.0 : 1.0 / error);
   }
 }
 
-TEST(FlatEval, ScheduleProblemEvaluateMatchesLegacyAdapters) {
+TEST(FlatEval, ScheduleProblemEvaluateMatchesFitnessAndObjective) {
   util::Rng rng(303);
   const std::size_t tasks = 30, procs = 6;
   const ScheduleCodec codec(tasks, procs);
@@ -106,74 +120,146 @@ TEST(FlatEval, ScheduleProblemEvaluateMatchesLegacyAdapters) {
   const ScheduleProblem problem(codec, eval);
   const auto ws = problem.make_workspace();
   ASSERT_NE(ws, nullptr);
+  FlatSchedule flat;
   for (int round = 0; round < 20; ++round) {
     const ga::Chromosome c = random_chromosome(codec, rng);
     const auto e = problem.evaluate(c, ws.get());
     EXPECT_EQ(e.fitness, problem.fitness(c));
     EXPECT_EQ(e.objective, problem.objective(c));
-    // Null workspace falls back to a throwaway one — same values.
+    codec.decode_into(c, flat);
+    EXPECT_EQ(e.fitness, eval.evaluate(flat).fitness);
+    EXPECT_EQ(e.objective, eval.evaluate(flat).makespan);
+    // Null workspace falls back to a local decode — same values.
     const auto e0 = problem.evaluate(c, nullptr);
     EXPECT_EQ(e0.fitness, e.fitness);
     EXPECT_EQ(e0.objective, e.objective);
   }
 }
 
-TEST(FlatEval, EncodeFlatMatchesEncodeQueues) {
+TEST(FlatEval, EncodeInvertsDecodeIntoUpToDelimiterOrder) {
   util::Rng rng(404);
-  FlatSchedule flat;
+  FlatSchedule flat, again;
   for (int round = 0; round < 20; ++round) {
     const std::size_t tasks = 1 + rng.index(30);
     const std::size_t procs = 1 + rng.index(8);
     const ScheduleCodec codec(tasks, procs);
     const ga::Chromosome c = random_chromosome(codec, rng);
-    const ProcQueues q = codec.decode(c);
     codec.decode_into(c, flat);
-    EXPECT_EQ(codec.encode(flat), codec.encode(q));
+    const ga::Chromosome e = codec.encode(flat);
+    ASSERT_TRUE(codec.valid(e));
+    // Same genes at the same positions, delimiters renumbered in order.
+    ASSERT_EQ(e.size(), c.size());
+    std::size_t k = 0;
+    for (std::size_t i = 0; i < c.size(); ++i) {
+      if (ScheduleCodec::is_delimiter(c[i])) {
+        EXPECT_EQ(e[i], ScheduleCodec::delimiter_gene(k++));
+      } else {
+        EXPECT_EQ(e[i], c[i]);
+      }
+    }
+    codec.decode_into(e, again);
+    EXPECT_EQ(again, flat);
   }
 }
 
-TEST(FlatEval, AssignRoundTripsAndGroupedMatchesLoadTracker) {
+TEST(FlatEval, AssignGroupedMatchesLoadTrackerExport) {
   util::Rng rng(505);
   const std::size_t tasks = 25, procs = 5;
   const ScheduleEvaluator eval(random_sizes(tasks, rng),
                                random_view(procs, rng), true);
   FlatSchedule flat;
-  list_schedule_flat(eval, 0.5, rng, flat);
+  list_schedule(eval, 0.5, rng, flat);
 
-  // assign()/to_queues() round trip.
-  FlatSchedule copy;
-  copy.assign(flat.to_queues());
-  EXPECT_EQ(copy, flat);
-
-  // assign_grouped reproduces LoadTracker::to_queues (ascending slots).
+  // assign_grouped keeps each slot on its processor, slots ascending.
   const meta::LoadTracker tracker(eval, flat);
   FlatSchedule grouped;
   grouped.assign_grouped(tracker.assignment(), procs);
-  EXPECT_EQ(grouped.to_queues(), tracker.to_queues());
+  ASSERT_EQ(grouped.num_slots(), tasks);
+  for (std::size_t j = 0; j < procs; ++j) {
+    const auto q = grouped.queue(j);
+    EXPECT_TRUE(std::is_sorted(q.begin(), q.end()));
+    EXPECT_EQ(q.size(), flat.queue(j).size());
+    for (const std::size_t slot : q) EXPECT_EQ(tracker.proc_of(slot), j);
+  }
 
-  // export_schedule is the same thing without the adapter.
+  // export_schedule is the same thing.
   FlatSchedule exported;
   tracker.export_schedule(exported);
   EXPECT_EQ(exported, grouped);
 }
 
-TEST(FlatEval, ListScheduleFlatMatchesLegacyListSchedule) {
+TEST(FlatEval, AssignOrderedKeepsTheGivenOrderWithinEachQueue) {
+  util::Rng rng(515);
+  FlatSchedule s;  // reused across rounds on purpose
+  for (int round = 0; round < 30; ++round) {
+    const std::size_t tasks = rng.index(30);
+    const std::size_t procs = 1 + rng.index(8);
+    std::vector<std::size_t> slot_proc(tasks), order(tasks);
+    for (std::size_t slot = 0; slot < tasks; ++slot) {
+      slot_proc[slot] = rng.index(procs);
+      order[slot] = slot;
+    }
+    rng.shuffle(order);
+    s.assign_ordered(order, slot_proc, procs);
+    ASSERT_EQ(s.num_procs(), procs);
+    ASSERT_EQ(s.num_slots(), tasks);
+    // Queue j is the subsequence of `order` placed on j.
+    for (std::size_t j = 0; j < procs; ++j) {
+      std::vector<std::size_t> want;
+      for (const std::size_t slot : order) {
+        if (slot_proc[slot] == j) want.push_back(slot);
+      }
+      const auto q = s.queue(j);
+      EXPECT_EQ(std::vector<std::size_t>(q.begin(), q.end()), want);
+    }
+  }
+}
+
+TEST(FlatEval, ListScheduleIntoReusedOutputMatchesFreshOutput) {
+  // list_schedule overwrites whatever `out` held, and its RNG draws do
+  // not depend on it.
   util::Rng rng(606);
-  const std::size_t tasks = 40, procs = 7;
-  const ScheduleEvaluator eval(random_sizes(tasks, rng),
-                               random_view(procs, rng), true);
-  for (const double frac : {0.0, 0.5, 1.0}) {
-    util::Rng ra(77), rb(77);
-    FlatSchedule flat;
-    list_schedule_flat(eval, frac, ra, flat);
-    const ProcQueues legacy = list_schedule(eval, frac, rb);
-    EXPECT_EQ(flat.to_queues(), legacy);
-    // Identical RNG consumption: the streams agree afterwards.
+  FlatSchedule reused;
+  for (int round = 0; round < 12; ++round) {
+    const std::size_t tasks = rng.index(40);
+    const std::size_t procs = 1 + rng.index(9);
+    const ScheduleEvaluator eval(random_sizes(tasks, rng),
+                                 random_view(procs, rng), true);
+    const double frac = round % 3 == 0 ? 0.0 : round % 3 == 1 ? 0.5 : 1.0;
+    util::Rng ra(77 + round), rb(77 + round);
+    FlatSchedule fresh;
+    list_schedule(eval, frac, ra, reused);
+    list_schedule(eval, frac, rb, fresh);
+    EXPECT_EQ(reused, fresh);
     EXPECT_EQ(ra.next_u64(), rb.next_u64());
   }
 }
 
-TEST(FlatEval, RebalanceWithWorkspaceMatchesConvenienceOverload) {
+TEST(FlatEval, LoadTrackerStartsFromTheStatelessCompletionTimes) {
+  // LoadTracker sums each queue in order from δ_j, as completion_time()
+  // does: its starting loads are the same doubles.
+  util::Rng rng(808);
+  FlatSchedule flat;
+  for (int round = 0; round < 30; ++round) {
+    const std::size_t tasks = 1 + rng.index(40);
+    const std::size_t procs = 1 + rng.index(8);
+    const ScheduleCodec codec(tasks, procs);
+    const ScheduleEvaluator eval(random_sizes(tasks, rng),
+                                 random_view(procs, rng), rng.bernoulli(0.5));
+    codec.decode_into(random_chromosome(codec, rng), flat);
+    const meta::LoadTracker tracker(eval, flat);
+    for (std::size_t j = 0; j < procs; ++j) {
+      EXPECT_EQ(tracker.completion(j), eval.completion_time(j, flat.queue(j)));
+      for (const std::size_t slot : flat.queue(j)) {
+        EXPECT_EQ(tracker.proc_of(slot), j);
+      }
+    }
+    EXPECT_EQ(tracker.makespan(), eval.evaluate(flat).makespan);
+  }
+}
+
+TEST(FlatEval, RebalanceWithReusedWorkspaceMatchesFreshWorkspaces) {
+  // What the memo holds from earlier passes changes no pass's result.
   util::Rng rng(707);
   const std::size_t tasks = 20, procs = 4;
   const ScheduleCodec codec(tasks, procs);
@@ -184,103 +270,22 @@ TEST(FlatEval, RebalanceWithWorkspaceMatchesConvenienceOverload) {
     ga::Chromosome a = random_chromosome(codec, rng);
     ga::Chromosome b = a;
     util::Rng ra(900 + round), rb(900 + round);
+    EvalWorkspace fresh;
     const bool ka = rebalance_once(a, codec, eval, ra, 5, ws);
-    const bool kb = rebalance_once(b, codec, eval, rb, 5);
+    const bool kb = rebalance_once(b, codec, eval, rb, 5, fresh);
     EXPECT_EQ(ka, kb);
     EXPECT_EQ(a, b);
   }
 }
 
-TEST(FlatEval, LoadTrackerFlatConstructorMatchesQueueConstructor) {
-  util::Rng rng(808);
-  const std::size_t tasks = 18, procs = 4;
-  const ScheduleEvaluator eval(random_sizes(tasks, rng),
-                               random_view(procs, rng), true);
-  FlatSchedule flat;
-  list_schedule_flat(eval, 0.3, rng, flat);
-  const meta::LoadTracker from_flat(eval, flat);
-  const meta::LoadTracker from_queues(eval, flat.to_queues());
-  for (std::size_t j = 0; j < procs; ++j) {
-    EXPECT_EQ(from_flat.completion(j), from_queues.completion(j));
-  }
-  for (std::size_t s = 0; s < tasks; ++s) {
-    EXPECT_EQ(from_flat.proc_of(s), from_queues.proc_of(s));
-  }
-}
-
-TEST(FlatEval, LoadMatchesEvaluateAndCachesQueueState) {
-  util::Rng rng(909);
-  FlatSchedule flat;
-  QueueLoads loads;  // reused across rounds on purpose (resize contract)
-  for (int round = 0; round < 50; ++round) {
-    const std::size_t tasks = 1 + rng.index(40);
-    const std::size_t procs = 1 + rng.index(10);
-    const ScheduleCodec codec(tasks, procs);
-    const ScheduleEvaluator eval(random_sizes(tasks, rng),
-                                 random_view(procs, rng), rng.bernoulli(0.5));
-    codec.decode_into(random_chromosome(codec, rng), flat);
-
-    const BatchEvaluation full = eval.evaluate(flat);
-    const BatchEvaluation cached = eval.load(flat, loads);
-    EXPECT_EQ(cached.fitness, full.fitness);
-    EXPECT_EQ(cached.makespan, full.makespan);
-    EXPECT_EQ(cached.relative_error, full.relative_error);
-    EXPECT_EQ(loads.eval.fitness, full.fitness);
-    EXPECT_EQ(loads.max_completion, full.makespan);
-
-    // Per-queue cache entries are the canonical completion times, and the
-    // cached argmax is the first argmax (ties to the smallest index).
-    ASSERT_EQ(loads.completion.size(), procs);
-    std::size_t first_argmax = 0;
-    double heavy_time = -1.0;
-    for (std::size_t j = 0; j < procs; ++j) {
-      const double cj = eval.completion_time(j, flat.queue(j));
-      EXPECT_EQ(loads.completion[j], cj);
-      const double dev = eval.psi() - cj;
-      EXPECT_EQ(loads.dev_sq[j], dev * dev);
-      if (cj > heavy_time) {
-        heavy_time = cj;
-        first_argmax = j;
-      }
-    }
-    EXPECT_EQ(loads.heaviest, first_argmax);
-  }
-}
-
-TEST(FlatEval, LoadDecodedMatchesDecodeIntoPlusLoad) {
-  util::Rng rng(1010);
-  FlatSchedule fused, staged;
-  QueueLoads fused_loads, staged_loads;
-  for (int round = 0; round < 50; ++round) {
-    const std::size_t tasks = 1 + rng.index(40);
-    const std::size_t procs = 1 + rng.index(10);
-    const ScheduleCodec codec(tasks, procs);
-    const ScheduleEvaluator eval(random_sizes(tasks, rng),
-                                 random_view(procs, rng), rng.bernoulli(0.5));
-    const ga::Chromosome c = random_chromosome(codec, rng);
-
-    const BatchEvaluation a = eval.load_decoded(codec, c, fused, fused_loads);
-    codec.decode_into(c, staged);
-    const BatchEvaluation b = eval.load(staged, staged_loads);
-
-    EXPECT_EQ(fused, staged);
-    EXPECT_EQ(a.fitness, b.fitness);
-    EXPECT_EQ(a.makespan, b.makespan);
-    EXPECT_EQ(a.relative_error, b.relative_error);
-    EXPECT_EQ(fused_loads.completion, staged_loads.completion);
-    EXPECT_EQ(fused_loads.dev_sq, staged_loads.dev_sq);
-    EXPECT_EQ(fused_loads.sum_sq, staged_loads.sum_sq);
-    EXPECT_EQ(fused_loads.heaviest, staged_loads.heaviest);
-  }
-}
-
-// The identity all goldens and figure CSVs rest on: the fused decode +
-// load, a fresh load, and the stateless single-pass evaluate agree bit
-// for bit, with reused and with fresh scratch.
+// The identity all goldens and figure CSVs rest on: the memo's pricing
+// (a fused decode + pricing on a miss, the stored doubles on a hit) and
+// the stateless single-pass evaluate agree bit for bit, with reused and
+// with fresh scratch.
 TEST(FlatEval, PricingPathsStayBitIdenticalToStatelessEvaluate) {
   util::Rng rng(33);
   FlatSchedule flat;
-  QueueLoads loads;
+  EvalWorkspace reused;
   for (int round = 0; round < 80; ++round) {
     const std::size_t tasks = 1 + rng.index(50);
     const std::size_t procs = 1 + rng.index(10);
@@ -288,96 +293,20 @@ TEST(FlatEval, PricingPathsStayBitIdenticalToStatelessEvaluate) {
     const ScheduleEvaluator eval(random_sizes(tasks, rng),
                                  random_view(procs, rng), rng.bernoulli(0.5));
     const ga::Chromosome c = random_chromosome(codec, rng);
-
-    const BatchEvaluation fused = eval.load_decoded(codec, c, flat, loads);
+    codec.decode_into(c, flat);
     const BatchEvaluation stateless = eval.evaluate(flat);
-    ASSERT_EQ(fused.fitness, stateless.fitness);
-    ASSERT_EQ(fused.makespan, stateless.makespan);
-    ASSERT_EQ(fused.relative_error, stateless.relative_error);
 
-    QueueLoads reloaded;
-    const BatchEvaluation loaded = eval.load(flat, reloaded);
-    ASSERT_EQ(loaded.fitness, stateless.fitness);
-    ASSERT_EQ(loaded.makespan, stateless.makespan);
-    ASSERT_EQ(loaded.relative_error, stateless.relative_error);
-  }
-}
-
-TEST(FlatEval, EvaluateSwapBitIdenticalToFullRepriceOverMoveSequences) {
-  util::Rng rng(1111);
-  FlatSchedule flat;
-  QueueLoads delta_loads, fresh_loads;
-  for (int round = 0; round < 30; ++round) {
-    const std::size_t tasks = 2 + rng.index(40);
-    const std::size_t procs = 2 + rng.index(9);
-    const ScheduleCodec codec(tasks, procs);
-    const ScheduleEvaluator eval(random_sizes(tasks, rng),
-                                 random_view(procs, rng), rng.bernoulli(0.5));
-    codec.decode_into(random_chromosome(codec, rng), flat);
-    eval.load(flat, delta_loads);
-
-    // A chain of random cross-queue swaps, each delta-priced against the
-    // cache carried through every previous step: the cache must match a
-    // from-scratch pricing bit for bit after every single edit.
-    for (int step = 0; step < 25; ++step) {
-      const std::size_t qa = rng.index(procs);
-      std::size_t qb = rng.index(procs - 1);
-      if (qb >= qa) ++qb;
-      const auto queue_a = flat.queue(qa);
-      const auto queue_b = flat.queue(qb);
-      if (queue_a.empty() || queue_b.empty()) continue;
-      std::swap(queue_a[rng.index(queue_a.size())],
-                queue_b[rng.index(queue_b.size())]);
-
-      const BatchEvaluation delta = eval.evaluate_swap(flat, delta_loads, qa, qb);
-      const BatchEvaluation full = eval.load(flat, fresh_loads);
-      ASSERT_EQ(delta.fitness, full.fitness);
-      ASSERT_EQ(delta.makespan, full.makespan);
-      ASSERT_EQ(delta.relative_error, full.relative_error);
-      ASSERT_EQ(delta_loads.completion, fresh_loads.completion);
-      ASSERT_EQ(delta_loads.dev_sq, fresh_loads.dev_sq);
-      ASSERT_EQ(delta_loads.sum_sq, fresh_loads.sum_sq);
-      ASSERT_EQ(delta_loads.max_completion, fresh_loads.max_completion);
-      ASSERT_EQ(delta_loads.heaviest, fresh_loads.heaviest);
-    }
-  }
-}
-
-TEST(FlatEval, EvaluateMoveBitIdenticalToFullReprice) {
-  util::Rng rng(1212);
-  FlatSchedule flat;
-  QueueLoads delta_loads, fresh_loads;
-  for (int round = 0; round < 30; ++round) {
-    const std::size_t tasks = 1 + rng.index(30);
-    const std::size_t procs = 2 + rng.index(8);
-    const ScheduleCodec codec(tasks, procs);
-    const ScheduleEvaluator eval(random_sizes(tasks, rng),
-                                 random_view(procs, rng), rng.bernoulli(0.5));
-    ProcQueues queues = codec.decode(random_chromosome(codec, rng));
-    flat.assign(queues);
-    eval.load(flat, delta_loads);
-
-    for (int step = 0; step < 15; ++step) {
-      const std::size_t from = rng.index(procs);
-      std::size_t to = rng.index(procs - 1);
-      if (to >= from) ++to;
-      if (queues[from].empty()) continue;
-      // Moves resize queues, so the schedule is rebuilt; the load cache is
-      // NOT — evaluate_move must bring it current from the two queue ids.
-      const std::size_t pos = rng.index(queues[from].size());
-      queues[to].push_back(queues[from][pos]);
-      queues[from].erase(queues[from].begin() +
-                         static_cast<std::ptrdiff_t>(pos));
-      flat.assign(queues);
-
-      const BatchEvaluation delta = eval.evaluate_move(flat, delta_loads, from, to);
-      const BatchEvaluation full = eval.load(flat, fresh_loads);
-      ASSERT_EQ(delta.fitness, full.fitness);
-      ASSERT_EQ(delta.makespan, full.makespan);
-      ASSERT_EQ(delta.relative_error, full.relative_error);
-      ASSERT_EQ(delta_loads.completion, fresh_loads.completion);
-      ASSERT_EQ(delta_loads.sum_sq, fresh_loads.sum_sq);
-      ASSERT_EQ(delta_loads.heaviest, fresh_loads.heaviest);
+    EvalWorkspace fresh;
+    for (EvalWorkspace* ws : {&reused, &fresh, &reused}) {
+      const std::size_t e = eval.load_memo(c, *ws);
+      const BatchEvaluation& memo = ws->memo.evaluation(e);
+      ASSERT_EQ(memo.fitness, stateless.fitness);
+      ASSERT_EQ(memo.makespan, stateless.makespan);
+      ASSERT_EQ(memo.relative_error, stateless.relative_error);
+      for (std::size_t j = 0; j < procs; ++j) {
+        ASSERT_EQ(ws->memo.completions(e)[j],
+                  eval.completion_time(j, flat.queue(j)));
+      }
     }
   }
 }

@@ -27,16 +27,23 @@ std::vector<double> uniform_sizes(std::size_t n, util::Rng& rng) {
   return s;
 }
 
+FlatSchedule list_scheduled(const ScheduleEvaluator& eval, double frac,
+                            util::Rng& rng) {
+  FlatSchedule s;
+  list_schedule(eval, frac, rng, s);
+  return s;
+}
+
 TEST(ListSchedule, CoversEveryTaskExactlyOnce) {
   util::Rng rng(1);
   const auto sizes = uniform_sizes(40, rng);
   const ScheduleEvaluator eval(sizes, make_view({10, 20, 30, 40}), false);
   for (double frac : {0.0, 0.3, 1.0}) {
-    const ProcQueues q = list_schedule(eval, frac, rng);
-    ASSERT_EQ(q.size(), 4u);
+    const FlatSchedule q = list_scheduled(eval, frac, rng);
+    ASSERT_EQ(q.num_procs(), 4u);
     std::vector<int> seen(40, 0);
-    for (const auto& queue : q) {
-      for (const auto slot : queue) ++seen[slot];
+    for (std::size_t j = 0; j < q.num_procs(); ++j) {
+      for (const auto slot : q.queue(j)) ++seen[slot];
     }
     for (const int s : seen) ASSERT_EQ(s, 1);
   }
@@ -48,10 +55,10 @@ TEST(ListSchedule, PureGreedyIsWellBalanced) {
   util::Rng rng(2);
   const auto sizes = uniform_sizes(200, rng);
   const ScheduleEvaluator eval(sizes, make_view({10, 20, 30, 40}), false);
-  const ProcQueues q = list_schedule(eval, 0.0, rng);
+  const FlatSchedule q = list_scheduled(eval, 0.0, rng);
   std::vector<double> completions;
   for (std::size_t j = 0; j < 4; ++j) {
-    completions.push_back(eval.completion_time(j, q[j]));
+    completions.push_back(eval.completion_time(j, q.queue(j)));
   }
   const auto s = util::summarize(completions);
   EXPECT_LT((s.max - s.min) / s.mean, 0.25);
@@ -63,8 +70,8 @@ TEST(ListSchedule, GreedyBeatsFullyRandomOnAverage) {
   const ScheduleEvaluator eval(sizes, make_view({10, 15, 50, 80}), false);
   double greedy_ms = 0.0, random_ms = 0.0;
   for (int trial = 0; trial < 20; ++trial) {
-    greedy_ms += eval.makespan(list_schedule(eval, 0.0, rng));
-    random_ms += eval.makespan(list_schedule(eval, 1.0, rng));
+    greedy_ms += eval.evaluate(list_scheduled(eval, 0.0, rng)).makespan;
+    random_ms += eval.evaluate(list_scheduled(eval, 1.0, rng)).makespan;
   }
   EXPECT_LT(greedy_ms, random_ms);
 }
@@ -74,8 +81,10 @@ TEST(ListSchedule, FullyRandomUsesAllProcessorsEventually) {
   const auto sizes = uniform_sizes(300, rng);
   const ScheduleEvaluator eval(sizes, make_view({10, 10, 10, 10, 10}),
                                false);
-  const ProcQueues q = list_schedule(eval, 1.0, rng);
-  for (const auto& queue : q) EXPECT_FALSE(queue.empty());
+  const FlatSchedule q = list_scheduled(eval, 1.0, rng);
+  for (std::size_t j = 0; j < q.num_procs(); ++j) {
+    EXPECT_FALSE(q.queue(j).empty());
+  }
 }
 
 TEST(ListSchedule, RespectsExistingLoad) {
@@ -84,9 +93,9 @@ TEST(ListSchedule, RespectsExistingLoad) {
   v.procs[0].pending_mflops = 10000.0;
   const ScheduleEvaluator eval({50.0}, v, false);
   util::Rng rng(5);
-  const ProcQueues q = list_schedule(eval, 0.0, rng);
-  EXPECT_TRUE(q[0].empty());
-  ASSERT_EQ(q[1].size(), 1u);
+  const FlatSchedule q = list_scheduled(eval, 0.0, rng);
+  EXPECT_TRUE(q.queue(0).empty());
+  ASSERT_EQ(q.queue(1).size(), 1u);
 }
 
 TEST(ListSchedule, CommEstimatesSteerGreedyPlacement) {
@@ -95,9 +104,9 @@ TEST(ListSchedule, CommEstimatesSteerGreedyPlacement) {
   const ScheduleEvaluator eval({50.0},
                                make_view({10.0, 10.0}, {100.0, 0.0}), true);
   util::Rng rng(6);
-  const ProcQueues q = list_schedule(eval, 0.0, rng);
-  EXPECT_TRUE(q[0].empty());
-  EXPECT_EQ(q[1].size(), 1u);
+  const FlatSchedule q = list_scheduled(eval, 0.0, rng);
+  EXPECT_TRUE(q.queue(0).empty());
+  EXPECT_EQ(q.queue(1).size(), 1u);
 }
 
 TEST(InitialPopulation, CorrectCountAndAllValid) {
@@ -130,10 +139,10 @@ TEST(InitialPopulation, IndividualsAreDiverse) {
 TEST(ListSchedule, EmptyBatchYieldsEmptyQueues) {
   const ScheduleEvaluator eval({}, make_view({10.0, 20.0}), false);
   util::Rng rng(9);
-  const ProcQueues q = list_schedule(eval, 0.5, rng);
-  ASSERT_EQ(q.size(), 2u);
-  EXPECT_TRUE(q[0].empty());
-  EXPECT_TRUE(q[1].empty());
+  const FlatSchedule q = list_scheduled(eval, 0.5, rng);
+  ASSERT_EQ(q.num_procs(), 2u);
+  EXPECT_TRUE(q.queue(0).empty());
+  EXPECT_TRUE(q.queue(1).empty());
 }
 
 }  // namespace

@@ -98,13 +98,17 @@ TEST(IslandScheduler, IslandSearchNotWorseThanSingleMicroGa) {
   const ScheduleEvaluator eval(sizes, view, true);
 
   auto estimated = [&](const sim::BatchAssignment& a) {
-    ProcQueues queues(view.size());
+    // Slot i is task id i; queues keep the assignment's order.
+    std::vector<std::size_t> order, slot_proc(sizes.size());
     for (std::size_t j = 0; j < a.per_proc.size(); ++j) {
       for (const auto id : a.per_proc[j]) {
-        queues[j].push_back(static_cast<std::size_t>(id));
+        order.push_back(static_cast<std::size_t>(id));
+        slot_proc[order.back()] = j;
       }
     }
-    return eval.makespan(queues);
+    FlatSchedule s;
+    s.assign_ordered(order, slot_proc, view.size());
+    return eval.evaluate(s).makespan;
   };
 
   auto qp = tasks_of_sizes(sizes);

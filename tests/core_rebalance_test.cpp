@@ -24,6 +24,15 @@ sim::SystemView make_view(std::vector<double> rates) {
   return v;
 }
 
+/// The stateless reference pricing of `c`: evaluate() of its decode.
+BatchEvaluation priced(const ScheduleCodec& codec,
+                       const ScheduleEvaluator& eval,
+                       const ga::Chromosome& c) {
+  FlatSchedule s;
+  codec.decode_into(c, s);
+  return eval.evaluate(s);
+}
+
 TEST(Rebalance, NeverInvalidatesChromosome) {
   util::Rng rng(1);
   const std::size_t H = 30, M = 4;
@@ -33,6 +42,7 @@ TEST(Rebalance, NeverInvalidatesChromosome) {
   }
   const ScheduleCodec codec(H, M);
   const ScheduleEvaluator eval(sizes, make_view({10, 20, 30, 40}), false);
+  EvalWorkspace ws;
   for (int trial = 0; trial < 200; ++trial) {
     ga::Chromosome c;
     for (std::size_t i = 0; i < H; ++i) c.push_back(static_cast<ga::Gene>(i));
@@ -40,7 +50,7 @@ TEST(Rebalance, NeverInvalidatesChromosome) {
       c.push_back(ScheduleCodec::delimiter_gene(k));
     }
     rng.shuffle(c);
-    rebalance_once(c, codec, eval, rng);
+    rebalance_once(c, codec, eval, rng, 5, ws);
     ASSERT_TRUE(codec.valid(c));
   }
 }
@@ -54,6 +64,7 @@ TEST(Rebalance, NeverDecreasesFitness) {
   }
   const ScheduleCodec codec(H, M);
   const ScheduleEvaluator eval(sizes, make_view({10, 25, 60}), false);
+  EvalWorkspace ws;
   for (int trial = 0; trial < 200; ++trial) {
     ga::Chromosome c;
     for (std::size_t i = 0; i < H; ++i) c.push_back(static_cast<ga::Gene>(i));
@@ -61,9 +72,9 @@ TEST(Rebalance, NeverDecreasesFitness) {
       c.push_back(ScheduleCodec::delimiter_gene(k));
     }
     rng.shuffle(c);
-    const double before = eval.fitness(codec.decode(c));
-    const bool improved = rebalance_once(c, codec, eval, rng);
-    const double after = eval.fitness(codec.decode(c));
+    const double before = priced(codec, eval, c).fitness;
+    const bool improved = rebalance_once(c, codec, eval, rng, 5, ws);
+    const double after = priced(codec, eval, c).fitness;
     if (improved) {
       ASSERT_GT(after, before);
     } else {
@@ -81,26 +92,27 @@ TEST(Rebalance, ImprovesBlatantImbalance) {
   for (std::size_t i = 0; i < 5; ++i) sizes.push_back(10.0);
   const ScheduleCodec codec(H, 2);
   const ScheduleEvaluator eval(sizes, make_view({10.0, 10.0}), false);
-  const ProcQueues skewed{{0, 1, 2, 3, 4}, {5, 6, 7, 8, 9}};
-  ga::Chromosome c = codec.encode(skewed);
+  ga::Chromosome c{0, 1, 2, 3, 4, -1, 5, 6, 7, 8, 9};
   util::Rng rng(3);
-  const double before = eval.fitness(codec.decode(c));
+  const double before = priced(codec, eval, c).fitness;
+  EvalWorkspace ws;
   int improvements = 0;
   for (int pass = 0; pass < 50; ++pass) {
-    if (rebalance_once(c, codec, eval, rng)) ++improvements;
+    if (rebalance_once(c, codec, eval, rng, 5, ws)) ++improvements;
   }
   EXPECT_GT(improvements, 0);
-  EXPECT_GT(eval.fitness(codec.decode(c)), before);
+  EXPECT_GT(priced(codec, eval, c).fitness, before);
 }
 
 TEST(Rebalance, SingleProcessorIsNoop) {
   const ScheduleCodec codec(5, 1);
   const ScheduleEvaluator eval({10, 20, 30, 40, 50}, make_view({10.0}),
                                false);
-  ga::Chromosome c = codec.encode(ProcQueues{{0, 1, 2, 3, 4}});
+  ga::Chromosome c{0, 1, 2, 3, 4};
   const ga::Chromosome before = c;
   util::Rng rng(4);
-  EXPECT_FALSE(rebalance_once(c, codec, eval, rng));
+  EvalWorkspace ws;
+  EXPECT_FALSE(rebalance_once(c, codec, eval, rng, 5, ws));
   EXPECT_EQ(c, before);
 }
 
@@ -109,9 +121,10 @@ TEST(Rebalance, EmptyHeavyQueueImpossible) {
   // empty-queue heavy processor can only occur with an empty batch.
   const ScheduleCodec codec(0, 3);
   const ScheduleEvaluator eval({}, make_view({10, 10, 10}), false);
-  ga::Chromosome c = codec.encode(ProcQueues(3));
+  ga::Chromosome c{-1, -2};
   util::Rng rng(5);
-  EXPECT_FALSE(rebalance_once(c, codec, eval, rng));
+  EvalWorkspace ws;
+  EXPECT_FALSE(rebalance_once(c, codec, eval, rng, 5, ws));
 }
 
 TEST(Rebalance, RespectsProbeBudget) {
@@ -119,11 +132,11 @@ TEST(Rebalance, RespectsProbeBudget) {
   const ScheduleCodec codec(6, 2);
   const ScheduleEvaluator eval({100, 200, 300, 10, 20, 30},
                                make_view({10, 10}), false);
-  ga::Chromosome c =
-      codec.encode(ProcQueues{{0, 1, 2}, {3, 4, 5}});
+  ga::Chromosome c{0, 1, 2, -1, 3, 4, 5};
   const ga::Chromosome before = c;
   util::Rng rng(6);
-  EXPECT_FALSE(rebalance_once(c, codec, eval, rng, 0));
+  EvalWorkspace ws;
+  EXPECT_FALSE(rebalance_once(c, codec, eval, rng, 0, ws));
   EXPECT_EQ(c, before);
 }
 
@@ -160,6 +173,38 @@ ga::Chromosome random_chromosome(const ScheduleCodec& codec, util::Rng& rng) {
   return c;
 }
 
+/// The memo-free reference pricing of one decoded schedule, built on the
+/// stateless path: each C_j from completion_time(), the reductions in
+/// ascending j, and the metrics from evaluate().
+struct FreshPricing {
+  std::vector<double> completion;  ///< C_j
+  std::vector<double> dev_sq;      ///< (ψ − C_j)²
+  double sum_sq = 0.0;             ///< Σ_j (ψ − C_j)², j ascending
+  double makespan = 0.0;           ///< max_j C_j
+  std::size_t heaviest = 0;        ///< first argmax_j C_j
+  BatchEvaluation eval;
+};
+
+FreshPricing fresh_pricing(const ScheduleEvaluator& eval,
+                           const FlatSchedule& s) {
+  FreshPricing p;
+  double heavy_time = -1.0;
+  for (std::size_t j = 0; j < s.num_procs(); ++j) {
+    const double cj = eval.completion_time(j, s.queue(j));
+    const double dev = eval.psi() - cj;
+    p.completion.push_back(cj);
+    p.dev_sq.push_back(dev * dev);
+    p.sum_sq += dev * dev;
+    p.makespan = std::max(p.makespan, cj);
+    if (cj > heavy_time) {
+      heavy_time = cj;
+      p.heaviest = j;
+    }
+  }
+  p.eval = eval.evaluate(s);
+  return p;
+}
+
 /// What a re-balancing pass returned and published through the
 /// improve-supplied evaluation channel.
 struct ReferenceResult {
@@ -173,18 +218,20 @@ struct ReferenceResult {
   double base_sum_sq = 0.0;
   double old_a = 0.0, old_b = 0.0, new_a = 0.0, new_b = 0.0;
 };
-/// The re-balancing pass without the memo: a fused decode + full pricing
-/// on every call, the probe on the decoded schedule and its load cache.
+/// The re-balancing pass without the memo: a decode and a fresh pricing
+/// on every call, and each probe's candidate priced in full on the
+/// decoded schedule.
 ReferenceResult reference_rebalance(ga::Chromosome& c,
                                     const ScheduleCodec& codec,
                                     const ScheduleEvaluator& eval,
                                     util::Rng& rng, std::size_t probes,
-                                    FlatSchedule& s, QueueLoads& loads) {
-  const BatchEvaluation base = eval.load_decoded(codec, c, s, loads);
+                                    FlatSchedule& s) {
+  codec.decode_into(c, s);
+  const FreshPricing base = fresh_pricing(eval, s);
   const std::size_t M = s.num_procs();
   if (M < 2) return {};
-  const std::size_t heavy = loads.heaviest;
-  if (s.queue(heavy).empty()) return {false, true, base};
+  const std::size_t heavy = base.heaviest;
+  if (s.queue(heavy).empty()) return {false, true, base.eval};
   for (std::size_t probe = 0; probe < probes; ++probe) {
     const std::size_t other = rng.index(M);
     if (other == heavy || s.queue(other).empty()) continue;
@@ -195,13 +242,13 @@ ReferenceResult reference_rebalance(ga::Chromosome& c,
     const std::size_t small_slot = other_q[oi];
     const std::size_t big_slot = heavy_q[hi];
     if (!(eval.task_size(small_slot) < eval.task_size(big_slot))) continue;
-    ReferenceResult r{false, true, base, true, loads.sum_sq,
-                      loads.completion[other], loads.completion[heavy]};
+    ReferenceResult r{false, true, base.eval, true, base.sum_sq,
+                      base.completion[other], base.completion[heavy]};
     std::swap(other_q[oi], heavy_q[hi]);
-    const BatchEvaluation cand = eval.evaluate_swap(s, loads, other, heavy);
-    r.new_a = loads.completion[other];
-    r.new_b = loads.completion[heavy];
-    if (cand.fitness > base.fitness) {
+    r.new_a = eval.completion_time(other, s.queue(other));
+    r.new_b = eval.completion_time(heavy, s.queue(heavy));
+    const BatchEvaluation cand = eval.evaluate(s);
+    if (cand.fitness > base.eval.fitness) {
       const ga::Gene g_small = ScheduleCodec::task_gene(small_slot);
       const ga::Gene g_big = ScheduleCodec::task_gene(big_slot);
       for (auto& g : c) {
@@ -216,7 +263,7 @@ ReferenceResult reference_rebalance(ga::Chromosome& c,
     }
     return r;
   }
-  return {false, true, base};
+  return {false, true, base.eval};
 }
 
 /// Δ = (d'_a + d'_b) − (d_a + d_b) of an evaluated probe, with
@@ -275,19 +322,18 @@ void expect_same(const BatchEvaluation& a, const BatchEvaluation& b) {
 }
 
 /// Entry `e` of `ws.memo` must be keyed by the schedule form of `c` and
-/// hold exactly the schedule and load cache a fresh load_decoded(c)
-/// produces.
+/// hold exactly the schedule and pricing a fresh decode of `c` gets from
+/// the stateless path.
 void expect_entry_is_fresh_pricing(const ScheduleCodec& codec,
                                    const ScheduleEvaluator& eval,
                                    const EvalWorkspace& ws, std::size_t e,
                                    const ga::Chromosome& c) {
   FlatSchedule fresh_s;
-  QueueLoads fresh;
-  const BatchEvaluation want = eval.load_decoded(codec, c, fresh_s, fresh);
+  codec.decode_into(c, fresh_s);
+  const FreshPricing fresh = fresh_pricing(eval, fresh_s);
   const auto key = ws.memo.key(e);
   ASSERT_TRUE(is_schedule_form_of(key, c));
   const auto got = ws.memo.completions(e);
-  expect_same(ws.memo.evaluation(e), want);
   ASSERT_EQ(got.size(), fresh.completion.size());
   for (std::size_t j = 0; j < got.size(); ++j) {
     EXPECT_EQ(got[j], fresh.completion[j]) << "C_" << j;
@@ -295,7 +341,7 @@ void expect_entry_is_fresh_pricing(const ScheduleCodec& codec,
     EXPECT_EQ(dev * dev, fresh.dev_sq[j]) << "(psi - C_" << j << ")^2";
   }
   EXPECT_EQ(ws.memo.sum_sq(e), fresh.sum_sq);
-  EXPECT_EQ(ws.memo.evaluation(e).makespan, fresh.max_completion);
+  EXPECT_EQ(ws.memo.evaluation(e).makespan, fresh.makespan);
   EXPECT_EQ(ws.memo.heaviest(e), fresh.heaviest);
   expect_same(ws.memo.evaluation(e), fresh.eval);
   for (std::size_t j = 0; j < codec.num_procs(); ++j) {
@@ -325,9 +371,7 @@ TEST(PricingMemo, RepeatedChromosomesHitWithFreshPricing) {
     for (int round = 0; round < 4; ++round) {
       for (const ga::Chromosome& c : pool) {
         const auto ev = problem.evaluate(c, &ws);
-        FlatSchedule fs;
-        QueueLoads fl;
-        const BatchEvaluation want = eval.load_decoded(codec, c, fs, fl);
+        const BatchEvaluation want = priced(codec, eval, c);
         EXPECT_EQ(ev.fitness, want.fitness);
         EXPECT_EQ(ev.objective, want.makespan);
         const std::size_t e = eval.load_memo(c, ws);
@@ -341,6 +385,70 @@ TEST(PricingMemo, RepeatedChromosomesHitWithFreshPricing) {
   }
 }
 
+TEST(PricingMemo, SwapChainOnOneEntryMatchesFreshPricingAfterEveryProbe) {
+  // try_memo_swap on any pair of queues and any pair of their tasks, not
+  // only the heavy-queue probes rebalance_once draws: an accepted swap
+  // leaves the fresh pricing of the swapped chromosome in the entry, a
+  // rejected one (swapped back) the fresh pricing of the unchanged one.
+  util::Rng rng(37);
+  std::size_t accepted = 0, rejected = 0;
+  for (const auto& [tasks, procs] : kShapes) {
+    const ScheduleCodec codec(tasks, procs);
+    const ScheduleEvaluator eval(random_sizes(tasks, rng),
+                                 random_view(procs, rng), rng.bernoulli(0.5));
+    EvalWorkspace ws;
+    ga::Chromosome c = random_chromosome(codec, rng);
+    const std::size_t e = eval.load_memo(c, ws);
+    for (int step = 0; step < 200; ++step) {
+      const std::size_t qa = rng.index(procs);
+      const std::size_t qb = rng.index(procs);
+      const std::size_t na = ws.memo.queue_size(e, qa);
+      const std::size_t nb = ws.memo.queue_size(e, qb);
+      if (qa == qb || na == 0 || nb == 0) continue;
+      const std::size_t p = ws.memo.queue_begin(e, qa) + rng.index(na);
+      const std::size_t q = ws.memo.queue_begin(e, qb) + rng.index(nb);
+      ws.memo.swap_genes(e, p, q);
+      if (eval.try_memo_swap(ws, e, qa, qb)) {
+        std::swap(c[p], c[q]);
+        ++accepted;
+      } else {
+        ws.memo.swap_genes(e, p, q);
+        ++rejected;
+      }
+      expect_entry_is_fresh_pricing(codec, eval, ws, e, c);
+      if (HasFailure()) return;
+    }
+    EXPECT_EQ(eval.load_memo(c, ws), e) << "entry must hold c: a hit";
+  }
+  EXPECT_GT(accepted, 10u);
+  EXPECT_GT(rejected, 10u);
+}
+
+TEST(PricingMemo, TiedCompletionsKeepTheFirstArgmax) {
+  // Identical processors and identical tasks make equal completions
+  // common; the entry's heaviest queue must be the lowest index among the
+  // tied maxima, as in a fresh pricing.
+  util::Rng rng(38);
+  const std::size_t tasks = 12, procs = 4;
+  const ScheduleCodec codec(tasks, procs);
+  const ScheduleEvaluator eval(std::vector<double>(tasks, 10.0),
+                               make_view({10, 10, 10, 10}), false);
+  EvalWorkspace ws;
+  std::size_t tied = 0;
+  for (int round = 0; round < 200; ++round) {
+    const ga::Chromosome c = random_chromosome(codec, rng);
+    const std::size_t e = eval.load_memo(c, ws);
+    expect_entry_is_fresh_pricing(codec, eval, ws, e, c);
+    const auto got = ws.memo.completions(e);
+    const double top = *std::max_element(got.begin(), got.end());
+    const auto first = static_cast<std::size_t>(
+        std::find(got.begin(), got.end(), top) - got.begin());
+    EXPECT_EQ(ws.memo.heaviest(e), first);
+    tied += std::count(got.begin(), got.end(), top) > 1;
+  }
+  EXPECT_GT(tied, 10u);
+}
+
 TEST(PricingMemo, RebalanceMatchesMemoFreePassProbeByProbe) {
   // Rejected probes must leave the entry holding the unchanged chromosome
   // and its base pricing; accepted ones must rekey it to the swapped one.
@@ -352,7 +460,6 @@ TEST(PricingMemo, RebalanceMatchesMemoFreePassProbeByProbe) {
                                  random_view(procs, rng), true);
     EvalWorkspace ws;
     FlatSchedule ref_s;
-    QueueLoads ref_loads;
     // A small pool that the passes keep improving: chromosomes repeat
     // (memo hits) and change (rekeys, then misses on the old key).
     std::vector<ga::Chromosome> pool;
@@ -365,7 +472,7 @@ TEST(PricingMemo, RebalanceMatchesMemoFreePassProbeByProbe) {
       ws.has_improve_evaluation = false;
       const bool changed = rebalance_once(c, codec, eval, r_memo, 5, ws);
       const ReferenceResult ref =
-          reference_rebalance(ref_c, codec, eval, r_ref, 5, ref_s, ref_loads);
+          reference_rebalance(ref_c, codec, eval, r_ref, 5, ref_s);
       ASSERT_EQ(changed, ref.changed);
       ASSERT_EQ(c, ref_c);
       ASSERT_EQ(ws.has_improve_evaluation, ref.supplied);
@@ -407,7 +514,6 @@ TEST(PricingMemo, InterleavedEvaluateAndRebalanceMatchMemoFreeReplay) {
     const ScheduleProblem problem(codec, eval);
     EvalWorkspace ws;
     FlatSchedule ref_s;
-    QueueLoads ref_loads;
     std::vector<ga::Chromosome> pool;
     for (int k = 0; k < 4; ++k) pool.push_back(random_chromosome(codec, rng));
     std::size_t evaluations = 0;
@@ -415,8 +521,7 @@ TEST(PricingMemo, InterleavedEvaluateAndRebalanceMatchMemoFreeReplay) {
       ga::Chromosome& c = pool[rng.index(pool.size())];
       if (step % 3 == 0) {
         const auto got = problem.evaluate(c, &ws);
-        const BatchEvaluation want =
-            eval.load_decoded(codec, c, ref_s, ref_loads);
+        const BatchEvaluation want = priced(codec, eval, c);
         ASSERT_EQ(got.fitness, want.fitness) << "step " << step;
         ASSERT_EQ(got.objective, want.makespan) << "step " << step;
         ++evaluations;
@@ -426,7 +531,7 @@ TEST(PricingMemo, InterleavedEvaluateAndRebalanceMatchMemoFreeReplay) {
       util::Rng r_memo(step), r_ref(step);
       ws.has_improve_evaluation = false;
       rebalance_once(c, codec, eval, r_memo, 5, ws);
-      reference_rebalance(ref_c, codec, eval, r_ref, 5, ref_s, ref_loads);
+      reference_rebalance(ref_c, codec, eval, r_ref, 5, ref_s);
       ASSERT_EQ(c, ref_c) << "step " << step;
     }
     EXPECT_EQ(evaluations, 100u);
@@ -439,8 +544,7 @@ TEST(PricingMemo, AcceptedSwapRekeysEntryToSwappedChromosome) {
   sizes.resize(10, 10.0);
   const ScheduleEvaluator eval(sizes, make_view({10.0, 10.0}), false);
   const ScheduleProblem problem(codec, eval);
-  const ga::Chromosome skewed =
-      codec.encode(ProcQueues{{0, 1, 2, 3, 4}, {5, 6, 7, 8, 9}});
+  const ga::Chromosome skewed{0, 1, 2, 3, 4, -1, 5, 6, 7, 8, 9};
   EvalWorkspace ws;
   ga::Chromosome c = skewed;
   util::Rng rng(33);
@@ -451,7 +555,7 @@ TEST(PricingMemo, AcceptedSwapRekeysEntryToSwappedChromosome) {
   const std::size_t entries = ws.memo.size();
   const auto swapped = problem.evaluate(c, &ws);
   EXPECT_EQ(ws.memo.size(), entries);
-  EXPECT_EQ(swapped.fitness, eval.fitness(codec.decode(c)));
+  EXPECT_EQ(swapped.fitness, priced(codec, eval, c).fitness);
   expect_entry_is_fresh_pricing(codec, eval, ws, eval.load_memo(c, ws),
                                 c);
   problem.evaluate(skewed, &ws);
@@ -473,7 +577,7 @@ TEST(PricingMemo, EvaluatorSwitchClearsEntries) {
     for (const auto* p : {&pa, &pb}) {
       const ScheduleEvaluator& ev = p == &pa ? a : b;
       for (const ga::Chromosome* c : {&c1, &c2}) {
-        EXPECT_EQ(p->evaluate(*c, &ws).fitness, ev.fitness(codec.decode(*c)));
+        EXPECT_EQ(p->evaluate(*c, &ws).fitness, priced(codec, ev, *c).fitness);
         expect_entry_is_fresh_pricing(codec, ev, ws,
                                       ev.load_memo(*c, ws), *c);
       }
@@ -530,11 +634,12 @@ TEST(PricingMemo, DelimiterPermutationsShareOneEntry) {
       const std::size_t e = eval.load_memo(c, ws);
       for (int k = 0; k < 12; ++k) {
         const ga::Chromosome v = permute_delimiters(c, rng);
-        ASSERT_EQ(codec.decode(v), codec.decode(c));
+        FlatSchedule sv, sc;
+        codec.decode_into(v, sv);
+        codec.decode_into(c, sc);
+        ASSERT_EQ(sv, sc);
         const auto ev = problem.evaluate(v, &ws);
-        FlatSchedule fs;
-        QueueLoads fl;
-        const BatchEvaluation want = eval.load_decoded(codec, v, fs, fl);
+        const BatchEvaluation want = priced(codec, eval, v);
         EXPECT_EQ(ev.fitness, want.fitness);
         EXPECT_EQ(ev.objective, want.makespan);
         ASSERT_EQ(eval.load_memo(v, ws), e);
@@ -558,7 +663,6 @@ TEST(PricingMemo, RebalanceOnDelimiterPermutedHitKeepsCallerDelimiters) {
                                  random_view(procs, rng), true);
     EvalWorkspace ws;
     FlatSchedule ref_s;
-    QueueLoads ref_loads;
     ga::Chromosome c = random_chromosome(codec, rng);
     eval.load_memo(c, ws);
     for (int step = 0; step < 150; ++step) {
@@ -571,7 +675,7 @@ TEST(PricingMemo, RebalanceOnDelimiterPermutedHitKeepsCallerDelimiters) {
       ws.has_improve_evaluation = false;
       const bool changed = rebalance_once(v, codec, eval, r_memo, 5, ws);
       const ReferenceResult ref =
-          reference_rebalance(ref_v, codec, eval, r_ref, 5, ref_s, ref_loads);
+          reference_rebalance(ref_v, codec, eval, r_ref, 5, ref_s);
       ASSERT_EQ(ws.memo.size(), 1u) << "the pass must hit c's entry";
       ASSERT_EQ(changed, ref.changed);
       ASSERT_EQ(v, ref_v);
@@ -614,7 +718,6 @@ TEST(PricingMemo, CertifiedRejectionsMatchExactProbesOnRandomShapes) {
                                  random_view(procs, rng), true);
     EvalWorkspace ws;
     FlatSchedule ref_s;
-    QueueLoads ref_loads;
     std::vector<ga::Chromosome> pool;
     for (int k = 0; k < 3; ++k) pool.push_back(random_chromosome(codec, rng));
     for (int step = 0; step < 600; ++step) {
@@ -625,7 +728,7 @@ TEST(PricingMemo, CertifiedRejectionsMatchExactProbesOnRandomShapes) {
       ws.has_improve_evaluation = false;
       const bool changed = rebalance_once(c, codec, eval, r_memo, 5, ws);
       const ReferenceResult ref =
-          reference_rebalance(ref_c, codec, eval, r_ref, 5, ref_s, ref_loads);
+          reference_rebalance(ref_c, codec, eval, r_ref, 5, ref_s);
       ASSERT_EQ(changed, ref.changed) << tasks << "x" << procs;
       ASSERT_EQ(c, ref_c);
       ASSERT_EQ(ws.has_improve_evaluation, ref.supplied);
@@ -663,7 +766,6 @@ TEST(PricingMemo, NearTieProbeWithPositiveDeltaIsPricedInFull) {
   util::Rng rng(40);
   const ScheduleCodec codec(4, 3);
   FlatSchedule ref_s;
-  QueueLoads ref_loads;
   bool found = false;
   int tries = 0;
   for (; tries < 20000 && !found; ++tries) {
@@ -674,15 +776,15 @@ TEST(PricingMemo, NearTieProbeWithPositiveDeltaIsPricedInFull) {
     const double big = small + rng.uniform(0.5, 10.0);
     const ScheduleEvaluator eval({small, x, big, y},
                                  make_view({0.5, 10.0, 10.0}), false);
-    std::vector<std::size_t> qa{0, 1}, qb{2, 3};
-    if (rng.bernoulli(0.5)) std::swap(qa[0], qa[1]);
-    if (rng.bernoulli(0.5)) std::swap(qb[0], qb[1]);
-    const ga::Chromosome c = codec.encode(ProcQueues{{}, qa, qb});
+    // Processor 0 idle, slots 0 and 1 on processor 1, 2 and 3 on 2.
+    ga::Chromosome c{-1, 0, 1, -2, 2, 3};
+    if (rng.bernoulli(0.5)) std::swap(c[1], c[2]);
+    if (rng.bernoulli(0.5)) std::swap(c[4], c[5]);
     const std::uint64_t seed = rng.next_u64();
     ga::Chromosome ref_c = c;
     util::Rng r_ref(seed);
     const ReferenceResult ref =
-        reference_rebalance(ref_c, codec, eval, r_ref, 5, ref_s, ref_loads);
+        reference_rebalance(ref_c, codec, eval, r_ref, 5, ref_s);
     if (!ref.probed || !ref.changed ||
         !(probe_delta(ref, eval.psi()) >
           certificate_slack(ref, eval.psi(), 3, false))) {
@@ -699,6 +801,40 @@ TEST(PricingMemo, NearTieProbeWithPositiveDeltaIsPricedInFull) {
     EXPECT_EQ(r_memo.next_u64(), r_ref.next_u64());
   }
   ASSERT_TRUE(found) << "no near-tie in " << tries << " tries";
+}
+
+TEST(PricingMemo, ExactPathRejectionRestoresTheEntry) {
+  // A probe that mirrors the two completions (C_a' = C_b and C_b' = C_a,
+  // bit for bit) changes no square: Δ = 0 is never certified, so the
+  // exact path prices it, finds F' == F and rejects it. The entry must
+  // then hold the unchanged schedule's completions again.
+  const ScheduleCodec codec(4, 2);
+  // Slots 1 and 3 are the same size, so swapping slot 0 (cost 1) with
+  // slot 2 (cost 2) turns C = {1 + 10, 2 + 10} into {2 + 10, 1 + 10}.
+  const ScheduleEvaluator eval({10.0, 100.0, 20.0, 100.0},
+                               make_view({10.0, 10.0}), false);
+  const ga::Chromosome start{0, 1, -1, 2, 3};
+  FlatSchedule ref_s;
+  EvalWorkspace ws;
+  std::size_t exact_rejections = 0;
+  for (std::uint64_t seed = 0; seed < 64; ++seed) {
+    ga::Chromosome c = start;
+    ga::Chromosome ref_c = start;
+    util::Rng r_memo(seed), r_ref(seed);
+    const bool changed = rebalance_once(c, codec, eval, r_memo, 5, ws);
+    const ReferenceResult ref =
+        reference_rebalance(ref_c, codec, eval, r_ref, 5, ref_s);
+    ASSERT_EQ(changed, ref.changed);
+    ASSERT_EQ(c, ref_c);
+    EXPECT_EQ(r_memo.next_u64(), r_ref.next_u64());
+    expect_entry_is_fresh_pricing(codec, eval, ws, eval.load_memo(c, ws), c);
+    if (ref.probed && !ref.changed &&
+        !(probe_delta(ref, eval.psi()) >
+          certificate_slack(ref, eval.psi(), 2, true))) {
+      ++exact_rejections;
+    }
+  }
+  EXPECT_GT(exact_rejections, 0u);
 }
 
 TEST(PricingMemo, ContinuingPassesMatchFreshLookupsPassByPass) {

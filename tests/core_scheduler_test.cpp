@@ -205,5 +205,30 @@ TEST(GeneticScheduler, DeterministicGivenSeed) {
   EXPECT_EQ(a.per_proc, b.per_proc);
 }
 
+TEST(GeneticScheduler, ReusedSchedulerMatchesFreshOneAcrossShapes) {
+  // One scheduler keeps its decode scratch across invocations; batches of
+  // other sizes on other processor counts must not see what it held.
+  GeneticSchedulerConfig cfg = quick_config();
+  cfg.dynamic_batch = false;
+  cfg.fixed_batch = 20;
+  GeneticBatchScheduler reused(cfg, "T");
+  const std::vector<std::vector<double>> rates = {
+      {10, 20, 30, 40, 50}, {15, 25}, {10, 20, 30}, {40}, {12, 24, 36, 48}};
+  const std::size_t queue_sizes[] = {30, 7, 20, 3, 12};
+  for (std::size_t k = 0; k < rates.size(); ++k) {
+    util::Rng wr(100 + k);
+    auto q1 = make_queue(queue_sizes[k], wr);
+    auto q2 = q1;
+    const auto view = make_view(rates[k]);
+    GeneticBatchScheduler fresh(cfg, "T");
+    util::Rng g1(200 + k), g2(200 + k);
+    const auto a = reused.invoke(view, q1, g1);
+    const auto b = fresh.invoke(view, q2, g2);
+    EXPECT_EQ(a.per_proc, b.per_proc) << "invocation " << k;
+    EXPECT_EQ(q1.size(), q2.size());
+    EXPECT_EQ(g1.next_u64(), g2.next_u64());
+  }
+}
+
 }  // namespace
 }  // namespace gasched::core

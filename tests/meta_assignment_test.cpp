@@ -25,6 +25,16 @@ sim::SystemView make_view(std::vector<double> rates,
   return v;
 }
 
+/// The schedule a chromosome in the paper's notation (Fig. 2: batch
+/// slots, −1 between processor queues) decodes to on `procs` processors.
+core::FlatSchedule decoded(std::size_t procs, const ga::Chromosome& c) {
+  const auto tasks = static_cast<std::size_t>(
+      std::count_if(c.begin(), c.end(), [](ga::Gene g) { return g >= 0; }));
+  core::FlatSchedule s;
+  core::ScheduleCodec(tasks, procs).decode_into(c, s);
+  return s;
+}
+
 /// Recomputes C_j from scratch for cross-checking the incremental state.
 std::vector<double> recompute(const core::ScheduleEvaluator& eval,
                               const LoadTracker& t) {
@@ -39,7 +49,7 @@ std::vector<double> recompute(const core::ScheduleEvaluator& eval,
 TEST(LoadTracker, InitialCompletionTimesMatchEvaluator) {
   const auto view = make_view({10.0, 20.0}, {100.0, 0.0}, {1.0, 2.0});
   const core::ScheduleEvaluator eval({100.0, 200.0, 300.0}, view, true);
-  const LoadTracker t(eval, {{0, 1}, {2}});
+  const LoadTracker t(eval, decoded(2, {0, 1, -1, 2}));
 
   // C_0 = 100/10 + (100/10 + 1) + (200/10 + 1) = 10 + 11 + 21 = 42.
   EXPECT_DOUBLE_EQ(t.completion(0), 42.0);
@@ -52,16 +62,18 @@ TEST(LoadTracker, InitialCompletionTimesMatchEvaluator) {
 TEST(LoadTracker, RejectsIncompleteOrDuplicateAssignments) {
   const auto view = make_view({10.0, 20.0});
   const core::ScheduleEvaluator eval({100.0, 200.0}, view, false);
-  EXPECT_THROW(LoadTracker(eval, {{0}, {}}), std::invalid_argument);
-  EXPECT_THROW(LoadTracker(eval, {{0, 1}, {1}}), std::invalid_argument);
-  EXPECT_THROW(LoadTracker(eval, {{0, 1}}), std::invalid_argument);
-  EXPECT_THROW(LoadTracker(eval, {{0, 5}, {1}}), std::invalid_argument);
+  EXPECT_THROW(LoadTracker(eval, decoded(2, {0, -1})), std::invalid_argument);
+  EXPECT_THROW(LoadTracker(eval, decoded(2, {0, 1, -1, 1})),
+               std::invalid_argument);
+  EXPECT_THROW(LoadTracker(eval, decoded(1, {0, 1})), std::invalid_argument);
+  EXPECT_THROW(LoadTracker(eval, decoded(2, {0, 5, -1, 1})),
+               std::invalid_argument);
 }
 
 TEST(LoadTracker, ApplyMovesLoadBetweenProcessors) {
   const auto view = make_view({10.0, 10.0});
   const core::ScheduleEvaluator eval({100.0, 100.0}, view, false);
-  LoadTracker t(eval, {{0, 1}, {}});
+  LoadTracker t(eval, decoded(2, {0, 1, -1}));
   EXPECT_DOUBLE_EQ(t.completion(0), 20.0);
 
   t.apply({1, 0, 1});
@@ -73,14 +85,14 @@ TEST(LoadTracker, ApplyMovesLoadBetweenProcessors) {
 TEST(LoadTracker, ApplyRejectsStaleOrigin) {
   const auto view = make_view({10.0, 10.0});
   const core::ScheduleEvaluator eval({100.0}, view, false);
-  LoadTracker t(eval, {{0}, {}});
+  LoadTracker t(eval, decoded(2, {0, -1}));
   EXPECT_THROW(t.apply({0, 1, 0}), std::invalid_argument);
 }
 
 TEST(LoadTracker, MakespanDeltaPredictsActualChange) {
   const auto view = make_view({10.0, 25.0, 50.0}, {0.0, 500.0, 0.0});
   const core::ScheduleEvaluator eval({100.0, 400.0, 900.0, 50.0}, view, false);
-  LoadTracker t(eval, {{0, 3}, {1}, {2}});
+  LoadTracker t(eval, decoded(3, {0, 3, -1, 1, -1, 2}));
 
   const Move m{2, 2, 0};
   const double predicted = t.makespan_delta(m);
@@ -92,7 +104,7 @@ TEST(LoadTracker, MakespanDeltaPredictsActualChange) {
 TEST(LoadTracker, SwapSlotsExchangesProcessors) {
   const auto view = make_view({10.0, 10.0});
   const core::ScheduleEvaluator eval({100.0, 300.0}, view, false);
-  LoadTracker t(eval, {{0}, {1}});
+  LoadTracker t(eval, decoded(2, {0, -1, 1}));
   t.swap_slots(0, 1);
   EXPECT_EQ(t.proc_of(0), 1u);
   EXPECT_EQ(t.proc_of(1), 0u);
@@ -103,27 +115,34 @@ TEST(LoadTracker, SwapSlotsExchangesProcessors) {
 TEST(LoadTracker, SwapOnSameProcessorIsANoop) {
   const auto view = make_view({10.0, 10.0});
   const core::ScheduleEvaluator eval({100.0, 300.0}, view, false);
-  LoadTracker t(eval, {{0, 1}, {}});
+  LoadTracker t(eval, decoded(2, {0, 1, -1}));
   t.swap_slots(0, 1);
   EXPECT_EQ(t.proc_of(0), 0u);
   EXPECT_EQ(t.proc_of(1), 0u);
 }
 
-TEST(LoadTracker, ToQueuesRoundTripsThroughConstructor) {
+TEST(LoadTracker, ExportScheduleRoundTripsThroughConstructor) {
   const auto view = make_view({10.0, 20.0, 40.0});
   const core::ScheduleEvaluator eval({10, 20, 30, 40, 50}, view, false);
-  LoadTracker t(eval, {{0, 2}, {4}, {1, 3}});
-  const core::ProcQueues q = t.to_queues();
-  const LoadTracker t2(eval, q);
+  LoadTracker t(eval, decoded(3, {0, 2, -1, 4, -1, 1, 3}));
+  t.apply({1, 2, 0});
+  t.swap_slots(0, 4);
+  core::FlatSchedule s;
+  t.export_schedule(s);
+  const LoadTracker t2(eval, s);
+  for (std::size_t slot = 0; slot < 5; ++slot) {
+    EXPECT_EQ(t2.proc_of(slot), t.proc_of(slot));
+  }
   for (std::size_t j = 0; j < 3; ++j) {
     EXPECT_DOUBLE_EQ(t2.completion(j), t.completion(j));
   }
+  EXPECT_EQ(t2.heaviest_proc(), t.heaviest_proc());
 }
 
 TEST(LoadTracker, RandomMoveAlwaysValid) {
   const auto view = make_view({10.0, 20.0, 40.0, 80.0});
   const core::ScheduleEvaluator eval({10, 20, 30, 40, 50, 60}, view, false);
-  const LoadTracker t(eval, {{0, 1}, {2}, {3, 4}, {5}});
+  const LoadTracker t(eval, decoded(4, {0, 1, -1, 2, -1, 3, 4, -1, 5}));
   util::Rng rng(7);
   for (int i = 0; i < 200; ++i) {
     const Move m = t.random_move(rng);
@@ -138,7 +157,7 @@ TEST(LoadTracker, IncrementalStateMatchesRecomputationUnderRandomWalk) {
   const auto view =
       make_view({10.0, 30.0, 55.0}, {100.0, 0.0, 40.0}, {0.5, 1.5, 0.1});
   const core::ScheduleEvaluator eval({15, 25, 35, 45, 55, 65, 75}, view, true);
-  LoadTracker t(eval, {{0, 1, 2}, {3, 4}, {5, 6}});
+  LoadTracker t(eval, decoded(3, {0, 1, 2, -1, 3, 4, -1, 5, 6}));
   util::Rng rng(99);
   for (int i = 0; i < 500; ++i) {
     t.apply(t.random_move(rng));

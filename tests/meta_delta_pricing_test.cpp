@@ -80,7 +80,7 @@ TEST(MetaDeltaPricing, Top2MatchesFreshScanAcrossRandomMoveSequences) {
     const core::ScheduleEvaluator eval(random_sizes(tasks, rng),
                                        random_view(procs, rng),
                                        rng.bernoulli(0.5));
-    core::list_schedule_flat(eval, 0.5, rng, flat);
+    core::list_schedule(eval, 0.5, rng, flat);
     LoadTracker tracker(eval, flat);
 
     // The SA/tabu/HC inner-loop shape: propose, price the delta, apply a
@@ -106,7 +106,7 @@ TEST(MetaDeltaPricing, Top2MatchesFreshScanAcrossSwapSequences) {
     const core::ScheduleEvaluator eval(random_sizes(tasks, rng),
                                        random_view(procs, rng),
                                        rng.bernoulli(0.5));
-    core::list_schedule_flat(eval, 0.0, rng, flat);
+    core::list_schedule(eval, 0.0, rng, flat);
     LoadTracker tracker(eval, flat);
 
     for (int step = 0; step < 100; ++step) {
@@ -137,9 +137,11 @@ TEST(MetaDeltaPricing, TieBreakingMatchesFirstArgmax) {
   const std::size_t tasks = 12;  // two equal tasks per processor
   const core::ScheduleEvaluator eval(std::vector<double>(tasks, 100.0), v,
                                      /*use_comm=*/false);
-  core::ProcQueues queues(procs);
-  for (std::size_t s = 0; s < tasks; ++s) queues[s % procs].push_back(s);
-  LoadTracker tracker(eval, queues);
+  std::vector<std::size_t> slot_proc(tasks);
+  for (std::size_t s = 0; s < tasks; ++s) slot_proc[s] = s % procs;
+  core::FlatSchedule schedule;
+  schedule.assign_grouped(slot_proc, procs);
+  LoadTracker tracker(eval, schedule);
 
   // All processors tie: the heaviest is the first.
   EXPECT_EQ(tracker.heaviest_proc(), 0u);
@@ -163,8 +165,8 @@ TEST(MetaDeltaPricing, ResetRebuildsTop2State) {
   const core::ScheduleEvaluator eval(random_sizes(tasks, rng),
                                      random_view(procs, rng), true);
   core::FlatSchedule a, b;
-  core::list_schedule_flat(eval, 0.0, rng, a);
-  core::list_schedule_flat(eval, 1.0, rng, b);
+  core::list_schedule(eval, 0.0, rng, a);
+  core::list_schedule(eval, 1.0, rng, b);
 
   LoadTracker tracker(eval, a);
   for (int step = 0; step < 50; ++step) tracker.apply(tracker.random_move(rng));
@@ -183,9 +185,9 @@ TEST(MetaDeltaPricing, SingleProcessorTrackerStaysConsistent) {
   const std::size_t tasks = 8;
   const core::ScheduleEvaluator eval(random_sizes(tasks, rng),
                                      random_view(1, rng), true);
-  core::ProcQueues queues(1);
-  for (std::size_t s = 0; s < tasks; ++s) queues[0].push_back(s);
-  const LoadTracker tracker(eval, queues);
+  core::FlatSchedule schedule;
+  schedule.assign_grouped(std::vector<std::size_t>(tasks, 0), 1);
+  const LoadTracker tracker(eval, schedule);
   EXPECT_EQ(tracker.heaviest_proc(), 0u);
   EXPECT_EQ(tracker.makespan(), fresh_scan(tracker).makespan);
 }

@@ -50,13 +50,16 @@ struct Instance {
 /// the policy used internally (slot i == task id i).
 double result_makespan(const Instance& in, const sim::BatchAssignment& a) {
   const core::ScheduleEvaluator eval(in.sizes, in.view, true);
-  core::ProcQueues queues(in.view.size());
+  std::vector<std::size_t> order, slot_proc(in.sizes.size());
   for (std::size_t j = 0; j < a.per_proc.size(); ++j) {
     for (const auto id : a.per_proc[j]) {
-      queues[j].push_back(static_cast<std::size_t>(id));
+      order.push_back(static_cast<std::size_t>(id));
+      slot_proc[order.back()] = j;
     }
   }
-  return eval.makespan(queues);
+  core::FlatSchedule s;
+  s.assign_ordered(order, slot_proc, in.view.size());
+  return eval.evaluate(s).makespan;
 }
 
 /// Makespan of the greedy list schedule the policy starts from, replayed
@@ -65,7 +68,9 @@ double result_makespan(const Instance& in, const sim::BatchAssignment& a) {
 double greedy_start_makespan(const Instance& in, std::uint64_t seed) {
   const core::ScheduleEvaluator eval(in.sizes, in.view, true);
   util::Rng rng(seed);
-  return eval.makespan(core::list_schedule(eval, 0.0, rng));
+  core::FlatSchedule s;
+  core::list_schedule(eval, 0.0, rng, s);
+  return eval.evaluate(s).makespan;
 }
 
 template <typename PolicyPtr>
