@@ -3,6 +3,7 @@
 #include <cstdlib>
 #include <iostream>
 #include <optional>
+#include <stdexcept>
 
 namespace gasched::bench {
 
@@ -21,18 +22,17 @@ BenchParams parse_params(int argc, char** argv, std::size_t quick_tasks,
     p.reps = quick_reps;
     p.generations = quick_generations;
   }
-  p.tasks = static_cast<std::size_t>(
-      cli.get_int("tasks", static_cast<std::int64_t>(p.tasks)));
-  p.reps = static_cast<std::size_t>(
-      cli.get_int("reps", static_cast<std::int64_t>(p.reps)));
-  p.generations = static_cast<std::size_t>(cli.get_int(
-      "generations", static_cast<std::int64_t>(p.generations)));
-  p.procs = static_cast<std::size_t>(
-      cli.get_int("procs", static_cast<std::int64_t>(p.procs)));
-  p.population = static_cast<std::size_t>(
-      cli.get_int("population", static_cast<std::int64_t>(p.population)));
-  p.batch = static_cast<std::size_t>(
-      cli.get_int("batch", static_cast<std::int64_t>(p.batch)));
+  try {
+    p.tasks = cli.get_size("tasks", p.tasks);
+    p.reps = cli.get_size("reps", p.reps);
+    p.generations = cli.get_size("generations", p.generations);
+    p.procs = cli.get_size("procs", p.procs);
+    p.population = cli.get_size("population", p.population);
+    p.batch = cli.get_size("batch", p.batch);
+  } catch (const std::runtime_error& e) {
+    std::cerr << "error: " << e.what() << "\n";
+    std::exit(2);
+  }
   p.seed = static_cast<std::uint64_t>(
       cli.get_int("seed", static_cast<std::int64_t>(p.seed)));
   p.serial = cli.get_bool("serial", false);
@@ -168,23 +168,6 @@ int run_figure(const std::string& id, int argc, char** argv) {
   const exp::SweepResult result = run_sweep(sweep, p, fig.grid_table);
   if (fig.report) fig.report(result, scale, std::cout);
   return 0;
-}
-
-void maybe_write_csv(const BenchParams& p,
-                     const std::vector<std::string>& header,
-                     const std::vector<std::vector<double>>& rows) {
-  if (!p.csv) return;
-  util::CsvWriter w(*p.csv);
-  w.row(header);
-  for (const auto& row : rows) w.row_numeric(row);
-  std::cout << "CSV written to " << *p.csv << "\n";
-}
-
-void maybe_write_json(const BenchParams& p, const std::string& experiment,
-                      const std::vector<metrics::CellSummary>& cells) {
-  if (!p.json) return;
-  metrics::write_experiment_json(experiment, cells, *p.json);
-  std::cout << "JSON written to " << *p.json << "\n";
 }
 
 }  // namespace gasched::bench

@@ -28,7 +28,6 @@
 #include "exp/figset.hpp"
 #include "exp/runner.hpp"
 #include "exp/sweep.hpp"
-#include "metrics/report_json.hpp"
 #include "metrics/sink.hpp"
 #include "util/cli.hpp"
 #include "util/csv.hpp"
@@ -111,17 +110,5 @@ exp::FigScale to_scale(const BenchParams& p);
 /// with the standard sinks, and prints the figure's report/shape check.
 /// Returns the process exit code.
 int run_figure(const std::string& id, int argc, char** argv);
-
-/// Writes `rows` as CSV with the given header if `p.csv` is set. Only
-/// for bespoke series a SweepResult does not model (e.g. fig03's
-/// per-generation trajectories); grid results use the CsvSink.
-void maybe_write_csv(const BenchParams& p,
-                     const std::vector<std::string>& header,
-                     const std::vector<std::vector<double>>& rows);
-
-/// Writes the aggregated cells as a JSON document if `p.json` is set
-/// (bespoke counterpart of the JSONL sink).
-void maybe_write_json(const BenchParams& p, const std::string& experiment,
-                      const std::vector<metrics::CellSummary>& cells);
 
 }  // namespace gasched::bench

@@ -2,16 +2,29 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <string>
 
 namespace gasched::core {
 
-void FlatSchedule::assign_grouped(std::span<const std::size_t> slot_proc,
-                                  std::size_t num_procs) {
+void FlatSchedule::size_queues(std::span<const std::size_t> slot_proc,
+                               std::size_t num_procs) {
+  for (const std::size_t j : slot_proc) {
+    if (j >= num_procs) {
+      throw std::invalid_argument(
+          "FlatSchedule: slot assigned to processor " + std::to_string(j) +
+          " of " + std::to_string(num_procs));
+    }
+  }
   offsets_.assign(num_procs + 1, 0);
   for (const std::size_t j : slot_proc) ++offsets_[j + 1];
   for (std::size_t j = 0; j < num_procs; ++j) offsets_[j + 1] += offsets_[j];
   slots_.resize(slot_proc.size());
   cursor_.assign(offsets_.begin(), offsets_.end() - 1);
+}
+
+void FlatSchedule::assign_grouped(std::span<const std::size_t> slot_proc,
+                                  std::size_t num_procs) {
+  size_queues(slot_proc, num_procs);
   for (std::size_t s = 0; s < slot_proc.size(); ++s) {
     slots_[cursor_[slot_proc[s]]++] = s;
   }
@@ -20,11 +33,19 @@ void FlatSchedule::assign_grouped(std::span<const std::size_t> slot_proc,
 void FlatSchedule::assign_ordered(std::span<const std::size_t> order,
                                   std::span<const std::size_t> slot_proc,
                                   std::size_t num_procs) {
-  offsets_.assign(num_procs + 1, 0);
-  for (const std::size_t j : slot_proc) ++offsets_[j + 1];
-  for (std::size_t j = 0; j < num_procs; ++j) offsets_[j + 1] += offsets_[j];
-  slots_.resize(slot_proc.size());
-  cursor_.assign(offsets_.begin(), offsets_.end() - 1);
+  // A repeated or missing slot would overwrite another queue's entry.
+  const auto not_a_permutation = [] {
+    return std::invalid_argument(
+        "FlatSchedule::assign_ordered: order is not a permutation of the "
+        "slots");
+  };
+  if (order.size() != slot_proc.size()) throw not_a_permutation();
+  seen_.assign(order.size(), 0);
+  for (const std::size_t s : order) {
+    if (s >= order.size() || seen_[s] != 0) throw not_a_permutation();
+    seen_[s] = 1;
+  }
+  size_queues(slot_proc, num_procs);
   for (const std::size_t s : order) {
     slots_[cursor_[slot_proc[s]]++] = s;
   }

@@ -12,6 +12,7 @@
 // "next processor", which preserves the paper's semantics exactly.
 
 #include <cstddef>
+#include <cstdint>
 #include <span>
 #include <vector>
 
@@ -52,11 +53,14 @@ class FlatSchedule {
   std::span<const std::size_t> offsets() const noexcept { return offsets_; }
 
   /// Rebuilds from a slot → processor map; slots are placed in ascending
-  /// slot order within each queue.
+  /// slot order within each queue. Throws std::invalid_argument, leaving
+  /// the schedule unchanged, when a processor index is >= num_procs.
   void assign_grouped(std::span<const std::size_t> slot_proc,
                       std::size_t num_procs);
   /// Rebuilds from a slot → processor map, placing slots in the order
-  /// given by `order` (a permutation of the slots) within each queue.
+  /// given by `order` within each queue. Throws std::invalid_argument,
+  /// leaving the schedule unchanged, when `order` is not a permutation of
+  /// [0, slot_proc.size()) or a processor index is >= num_procs.
   void assign_ordered(std::span<const std::size_t> order,
                       std::span<const std::size_t> slot_proc,
                       std::size_t num_procs);
@@ -68,9 +72,15 @@ class FlatSchedule {
  private:
   friend class ScheduleCodec;
 
+  /// Checks every processor index of `slot_proc`, then sizes offsets_,
+  /// slots_ and cursor_ for the bucket builders.
+  void size_queues(std::span<const std::size_t> slot_proc,
+                   std::size_t num_procs);
+
   std::vector<std::size_t> slots_;    // N slots, grouped by processor
   std::vector<std::size_t> offsets_;  // M+1 offsets, offsets_[0] == 0
   std::vector<std::size_t> cursor_;   // scratch for the bucket builders
+  std::vector<std::uint8_t> seen_;    // scratch for assign_ordered's check
 };
 
 /// Translates between chromosomes and decoded schedules for a batch of

@@ -80,7 +80,6 @@ sim::BatchAssignment GeneticBatchScheduler::invoke(
     island_cfg.islands = cfg_.islands;
     island_cfg.migration_interval = cfg_.migration_interval;
     island_cfg.migrants = cfg_.migrants;
-    island_cfg.parallel = cfg_.island_parallel;
     // Seed every island's worth of individuals up front so islands start
     // decorrelated.
     initial = initial_population(codec, eval,

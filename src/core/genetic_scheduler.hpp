@@ -66,9 +66,6 @@ struct GeneticSchedulerConfig {
   std::size_t migration_interval = 25;
   /// Individuals exchanged per migration (island mode only).
   std::size_t migrants = 2;
-  /// Run islands on the shared thread pool (results are identical either
-  /// way; this only affects wall time).
-  bool island_parallel = true;
 };
 
 /// PN/ZO batch scheduler: consumes a batch from the unscheduled queue and

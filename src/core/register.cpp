@@ -73,10 +73,6 @@ void register_builtin_schedulers(exp::SchedulerRegistry& registry) {
                       GeneticSchedulerConfig cfg = pn_config(p);
                       cfg.migration_interval = p.get_size(
                           "migration_interval", exp::kDefaultMigrationInterval);
-                      // Replications already saturate the thread pool; keep
-                      // islands sequential inside each run so nested
-                      // parallelism cannot oversubscribe.
-                      cfg.island_parallel = false;
                       return make_pn_island_scheduler(
                           p.get_size("islands", exp::kDefaultIslands), cfg);
                     }});

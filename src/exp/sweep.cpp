@@ -60,13 +60,6 @@ std::vector<double> SweepResult::makespan_means() const {
   return out;
 }
 
-std::vector<double> SweepResult::efficiency_means() const {
-  std::vector<double> out;
-  out.reserve(rows.size());
-  for (const auto& r : rows) out.push_back(r.cell.efficiency.mean);
-  return out;
-}
-
 std::vector<const metrics::SweepRow*> SweepResult::where(
     const std::string& axis, const std::string& label) const {
   std::vector<const metrics::SweepRow*> out;
@@ -110,10 +103,6 @@ Sweep& Sweep::schedulers(const std::vector<std::string>& names) {
         {canonical, [canonical](SweepCell& c) { c.scheduler = canonical; }});
   }
   return axis("scheduler", std::move(values));
-}
-
-Sweep& Sweep::schedulers_tagged(unsigned tags) {
-  return schedulers(SchedulerRegistry::instance().names_tagged(tags));
 }
 
 Sweep& Sweep::axis(std::string axis_name, std::vector<Value> values) {

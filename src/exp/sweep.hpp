@@ -89,8 +89,6 @@ struct SweepResult {
 
   /// Mean makespan per row (NaN-free: failed rows report 0).
   std::vector<double> makespan_means() const;
-  /// Mean efficiency per row.
-  std::vector<double> efficiency_means() const;
   /// Rows whose coordinate on `axis` equals `label`, in order.
   std::vector<const metrics::SweepRow*> where(
       const std::string& axis, const std::string& label) const;
@@ -112,9 +110,6 @@ class Sweep {
   /// Adds a "scheduler" axis over the given registry names (resolved
   /// eagerly, so typos fail at declaration with the full name list).
   Sweep& schedulers(const std::vector<std::string>& names);
-  /// Adds a "scheduler" axis over every registry entry whose tags
-  /// intersect `tags` (SchedulerTag bits).
-  Sweep& schedulers_tagged(unsigned tags);
 
   /// One point on a labeled axis. `apply` may be empty for axes that
   /// only label custom-runner cells.

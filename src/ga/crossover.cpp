@@ -9,9 +9,9 @@ namespace gasched::ga {
 namespace {
 
 /// Per-thread operator scratch. Crossover runs on whichever thread drives
-/// the GA loop (main thread, or a pool worker in island mode); giving each
-/// thread its own buffers makes steady-state breeding allocation-free
-/// without any locking or interface churn.
+/// the GA loop (main thread, or a pool worker running a replication);
+/// giving each thread its own buffers makes steady-state breeding
+/// allocation-free without any locking or interface churn.
 struct CrossoverScratch {
   PositionIndex pos_a;
   PositionIndex pos_b;

@@ -1,10 +1,7 @@
 #include "ga/engine.hpp"
 
-#include <algorithm>
 #include <stdexcept>
 #include <utility>
-
-#include "util/thread_pool.hpp"
 
 namespace gasched::ga {
 
@@ -48,17 +45,10 @@ struct PopulationBuffer {
 
 GaResult GaEngine::run(const GaProblem& problem,
                        std::vector<Chromosome> initial, util::Rng& rng,
-                       const StopPredicate& stop,
-                       std::vector<Chromosome>* final_population) const {
+                       const StopPredicate& stop) const {
   EvaluatedPopulation seed;
   seed.chrom = std::move(initial);
-  if (final_population == nullptr) {
-    return run_seeded(problem, std::move(seed), rng, stop, nullptr);
-  }
-  EvaluatedPopulation out;
-  GaResult r = run_seeded(problem, std::move(seed), rng, stop, &out);
-  *final_population = std::move(out.chrom);
-  return r;
+  return run_seeded(problem, std::move(seed), rng, stop, nullptr);
 }
 
 GaResult GaEngine::run_seeded(const GaProblem& problem,
@@ -93,14 +83,9 @@ GaResult GaEngine::run_seeded(const GaProblem& problem,
 
   GaResult result;
 
-  // One workspace for all serial evaluation/improvement; extra workspaces
-  // are created lazily, one per parallel chunk, when the population is
-  // large enough for pool evaluation.
-  std::unique_ptr<GaProblem::Workspace> serial_ws = problem.make_workspace();
-  std::vector<std::unique_ptr<GaProblem::Workspace>> chunk_ws;
+  // One workspace for all evaluation and improvement.
+  std::unique_ptr<GaProblem::Workspace> ws = problem.make_workspace();
 
-  const bool use_pool =
-      cfg_.parallel_evaluation && P > cfg_.parallel_eval_threshold;
   std::vector<std::size_t> dirty_idx;
   dirty_idx.reserve(P);
   std::vector<GaProblem::Evaluation> dirty_eval;
@@ -108,32 +93,16 @@ GaResult GaEngine::run_seeded(const GaProblem& problem,
 
   auto evaluate_all = [&] {
     // Evaluate only dirty individuals; cached entries are bit-identical
-    // to a re-evaluation because evaluate() is pure. Both sweeps route
+    // to a re-evaluation because evaluate() is pure. The sweep routes
     // through evaluate_batch (see GaProblem::evaluate_batch).
     dirty_idx.clear();
     for (std::size_t i = 0; i < P; ++i) {
       if (pop.dirty[i]) dirty_idx.push_back(i);
     }
     dirty_eval.resize(dirty_idx.size());
-    const std::span<const Chromosome> all(pop.chrom);
-    const std::span<const std::size_t> dirty(dirty_idx);
-    if (use_pool && !dirty_idx.empty()) {
-      util::ThreadPool& pool = util::global_pool();
-      const std::size_t chunks = std::max<std::size_t>(
-          1, std::min(dirty_idx.size(), pool.size()));
-      while (chunk_ws.size() < chunks) {
-        chunk_ws.push_back(problem.make_workspace());
-      }
-      const std::size_t per = (dirty_idx.size() + chunks - 1) / chunks;
-      pool.parallel_for(0, chunks, [&](std::size_t c) {
-        const std::size_t lo = c * per;
-        const std::size_t hi = std::min(lo + per, dirty_idx.size());
-        if (lo >= hi) return;
-        problem.evaluate_batch(all, dirty.subspan(lo, hi - lo),
-                               chunk_ws[c].get(), dirty_eval.data() + lo);
-      });
-    } else if (!dirty_idx.empty()) {
-      problem.evaluate_batch(all, dirty, serial_ws.get(), dirty_eval.data());
+    if (!dirty_idx.empty()) {
+      problem.evaluate_batch(pop.chrom, dirty_idx, ws.get(),
+                             dirty_eval.data());
     }
     for (std::size_t k = 0; k < dirty_idx.size(); ++k) {
       const std::size_t i = dirty_idx[k];
@@ -142,8 +111,7 @@ GaResult GaEngine::run_seeded(const GaProblem& problem,
       pop.dirty[i] = 0;
     }
     result.evaluations += dirty_idx.size();
-    // Best-so-far reduction stays serial and in index order so ties keep
-    // the same chromosome regardless of thread count.
+    // Best-so-far reduction in index order: ties keep the first.
     for (std::size_t i = 0; i < P; ++i) {
       if (pop.objective[i] < result.best_objective) {
         result.best_objective = pop.objective[i];
@@ -211,7 +179,7 @@ GaResult GaEngine::run_seeded(const GaProblem& problem,
     }
 
     // --- local improvement (re-balancing heuristic) ----------------------
-    // Always serial: improve() consumes the evolution's RNG stream.
+    // In index order: improve() consumes the evolution's RNG stream.
     // A pass that fully prices the chromosome may publish that evaluation
     // through the workspace channel; the engine installs it (the contract
     // guarantees bit-identity with evaluate()) so improved individuals
@@ -220,7 +188,7 @@ GaResult GaEngine::run_seeded(const GaProblem& problem,
     // Passes after an individual's first continue on the chromosome the
     // previous pass left in the same workspace, and say so.
     if (cfg_.improvement_passes > 0) {
-      GaProblem::Workspace* iws = serial_ws.get();
+      GaProblem::Workspace* iws = ws.get();
       for (std::size_t i = 0; i < P; ++i) {
         bool changed_any = false;
         bool have = false;

@@ -16,9 +16,8 @@
 //    never re-evaluated;
 //  * evaluation goes through a problem-owned Workspace so hot paths can
 //    decode/evaluate without allocating;
-//  * optional population-parallel evaluation is bit-identical to serial
-//    execution for any thread count (evaluation is a pure function of the
-//    chromosome; RNG-consuming operators always run serially).
+//  * one run executes on its caller's thread; parallelism lives above it
+//    (sweeps, replications, federation), never inside a run.
 
 #include <cstdint>
 #include <functional>
@@ -47,9 +46,8 @@ class GaProblem {
   };
 
   /// Reusable, problem-owned evaluation scratch (decode buffers etc.).
-  /// The engine creates one per concurrent evaluation worker via
-  /// make_workspace() and passes it back on every evaluate()/improve()
-  /// call; a workspace is never used from two threads at once.
+  /// The engine creates one per run via make_workspace() and passes it
+  /// back on every evaluate()/improve() call.
   class Workspace {
    public:
     virtual ~Workspace() = default;
@@ -86,10 +84,10 @@ class GaProblem {
   virtual double objective(const Chromosome& c) const = 0;
 
   /// Evaluates fitness and objective together through `ws` (may be null
-  /// when make_workspace() returned null). Must be a pure function of `c`
-  /// and safe to call concurrently with distinct workspaces — this is
-  /// what population-parallel evaluation relies on. The default adapter
-  /// suits problems without shared decode state.
+  /// when make_workspace() returned null). Must be a pure function of `c`:
+  /// the engine caches the result and never re-evaluates a clean
+  /// individual. The default adapter suits problems without shared decode
+  /// state.
   virtual Evaluation evaluate(const Chromosome& c, Workspace* ws) const {
     (void)ws;
     return {fitness(c), objective(c)};
@@ -97,12 +95,12 @@ class GaProblem {
 
   /// Evaluates a block of individuals: for each k, out[k] receives the
   /// evaluation of pop[indices[k]]. The engine routes every evaluation
-  /// sweep (serial and per-chunk parallel) through this hook, and this
-  /// loop of evaluate() in index order is its only implementation in the
-  /// library. It stays a virtual because bench/e2e/gasched_bench.cpp's
-  /// TracedProblem overrides it to time the engine's pricing; the next
-  /// change to the benchmark can fold it into the engine. Same purity/
-  /// concurrency contract as evaluate(); `out` has indices.size() slots.
+  /// sweep through this hook, and this loop of evaluate() in index order
+  /// is its only implementation in the library. It stays a virtual
+  /// because bench/e2e/gasched_bench.cpp's TracedProblem overrides it to
+  /// time the engine's pricing; the next change to the benchmark can fold
+  /// it into the engine. Same purity
+  /// contract as evaluate(); `out` has indices.size() slots.
   virtual void evaluate_batch(std::span<const Chromosome> pop,
                               std::span<const std::size_t> indices,
                               Workspace* ws, Evaluation* out) const {
@@ -161,14 +159,6 @@ struct GaConfig {
   bool record_stats = false;
   /// Pair-sample budget per generation for the diversity estimate.
   std::size_t diversity_pairs = 64;
-  /// Evaluate dirty individuals on util::global_pool() when the
-  /// population exceeds parallel_eval_threshold. Evaluation is a pure
-  /// function of the chromosome, so results are bit-identical to serial
-  /// execution for any thread count.
-  bool parallel_evaluation = true;
-  /// Populations at or below this size always evaluate serially (the
-  /// paper's 20-individual micro GA does not amortise a fork/join).
-  std::size_t parallel_eval_threshold = 64;
   /// Unused compatibility stub (core/numeric.hpp): read only by
   /// bench/e2e/gasched_bench.cpp, which passes it to the
   /// ScheduleEvaluator constructor. The next change to the benchmark
@@ -220,13 +210,9 @@ class GaEngine {
            const CrossoverOp& crossover, const MutationOp& mutation);
 
   /// Evolves `initial` (resized/padded to cfg.population by cloning) and
-  /// returns the best individual. `stop` may be empty. When
-  /// `final_population` is non-null the population as of the last
-  /// generation is written to it (used by the island model to continue
-  /// evolution across migration epochs).
+  /// returns the best individual. `stop` may be empty.
   GaResult run(const GaProblem& problem, std::vector<Chromosome> initial,
-               util::Rng& rng, const StopPredicate& stop = {},
-               std::vector<Chromosome>* final_population = nullptr) const;
+               util::Rng& rng, const StopPredicate& stop = {}) const;
 
   /// Cache-carrying variant: seeds the population from `initial.chrom`
   /// and installs each cached evaluation instead of marking the slot

@@ -5,8 +5,6 @@
 #include <numeric>
 #include <stdexcept>
 
-#include "util/thread_pool.hpp"
-
 namespace gasched::ga {
 
 namespace {
@@ -60,7 +58,7 @@ IslandResult run_island_ga(const GaProblem& problem, const IslandConfig& cfg,
     }
   }
 
-  // Independent per-island streams: identical results for any thread count.
+  // Independent per-island streams: island order does not matter.
   std::vector<util::Rng> rngs;
   rngs.reserve(K);
   for (std::size_t k = 0; k < K; ++k) rngs.push_back(rng.split(k + 1));
@@ -86,7 +84,7 @@ IslandResult run_island_ga(const GaProblem& problem, const IslandConfig& cfg,
     epoch_cfg.record_history = false;
     const GaEngine engine(epoch_cfg, selection, crossover, mutation);
 
-    auto evolve_island = [&](std::size_t k) {
+    for (std::size_t k = 0; k < K; ++k) {
       EvaluatedPopulation final_pop;
       GaResult r = engine.run_seeded(problem, std::move(pops[k]), rngs[k], {},
                                      &final_pop);
@@ -95,12 +93,6 @@ IslandResult run_island_ga(const GaProblem& problem, const IslandConfig& cfg,
       if (r.best_objective < island_best[k].best_objective) {
         island_best[k] = std::move(r);
       }
-    };
-
-    if (cfg.parallel && K > 1) {
-      util::global_pool().parallel_for(0, K, evolve_island);
-    } else {
-      for (std::size_t k = 0; k < K; ++k) evolve_island(k);
     }
     spent += epoch_gens;
 

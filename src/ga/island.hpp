@@ -1,17 +1,18 @@
 #pragma once
-// Island-model (coarse-grained) parallel genetic algorithm.
+// Island-model (coarse-grained) genetic algorithm.
 //
 // The paper adopts a population of 20 — a "micro GA" — citing Chipperfield
 // & Fleming's chapter on parallel genetic algorithms (reference [2]). The
 // island model is the canonical coarse-grained parallelisation from that
-// chapter: K independent sub-populations evolve concurrently and exchange
+// chapter: K independent sub-populations evolve side by side and exchange
 // their best individuals along a ring every few generations. Migration
 // restores diversity that a micro-population loses quickly, at the cost
-// of K× evaluation work — which the islands absorb in parallel threads.
+// of K× evaluation work. Islands evolve one after another on the caller's
+// thread; parallelism belongs to the replications and sweeps above.
 //
 // Determinism: every island owns an Rng substream derived from
-// (caller stream, island index), so results are bit-identical regardless
-// of the number of worker threads.
+// (caller stream, island index), so island k's evolution does not depend
+// on the order in which islands run.
 
 #include <cstddef>
 #include <vector>
@@ -32,9 +33,6 @@ struct IslandConfig {
   /// Individuals copied to the next island per migration (ring topology);
   /// they replace the destination's worst individuals.
   std::size_t migrants = 2;
-  /// Evolve islands on the shared util::ThreadPool. Disable to run
-  /// single-threaded (identical results either way).
-  bool parallel = true;
 };
 
 /// Result of an island run: the global best plus per-island statistics.
@@ -51,8 +49,9 @@ struct IslandResult {
 /// `initial` seeds every island (each island draws a rotated slice so
 /// islands start decorrelated; the usual caller passes the randomised
 /// list-scheduling population). Operators are borrowed and must be
-/// thread-safe `const` objects, as in GaEngine. `stop` is evaluated
-/// between epochs with the epoch's global-best objective.
+/// thread-safe `const` objects, as in GaEngine: concurrent replications
+/// share them. `stop` is evaluated between epochs with the epoch's
+/// global-best objective.
 IslandResult run_island_ga(const GaProblem& problem, const IslandConfig& cfg,
                            const SelectionOp& selection,
                            const CrossoverOp& crossover,

@@ -1,8 +1,5 @@
 #include "metrics/report_json.hpp"
 
-#include <fstream>
-#include <stdexcept>
-
 #include "util/json.hpp"
 
 namespace gasched::metrics {
@@ -40,39 +37,6 @@ void write_cell_json(util::JsonWriter& w, const CellSummary& cell) {
   w.key("tasks_requeued");
   write_summary(w, cell.requeued);
   w.end_object();
-}
-
-std::string cell_to_json(const CellSummary& cell) {
-  util::JsonWriter w;
-  write_cell_json(w, cell);
-  return w.str();
-}
-
-std::string experiment_to_json(const std::string& experiment,
-                               const std::vector<CellSummary>& cells) {
-  util::JsonWriter w;
-  w.begin_object();
-  w.key("experiment").string(experiment);
-  w.key("cells").begin_array();
-  for (const auto& cell : cells) write_cell_json(w, cell);
-  w.end_array();
-  w.end_object();
-  return w.str();
-}
-
-void write_experiment_json(const std::string& experiment,
-                           const std::vector<CellSummary>& cells,
-                           const std::filesystem::path& path) {
-  std::ofstream out(path);
-  if (!out) {
-    throw std::runtime_error("write_experiment_json: cannot open " +
-                             path.string());
-  }
-  out << experiment_to_json(experiment, cells) << "\n";
-  if (!out) {
-    throw std::runtime_error("write_experiment_json: write failed for " +
-                             path.string());
-  }
 }
 
 }  // namespace gasched::metrics

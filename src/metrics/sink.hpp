@@ -27,8 +27,7 @@
 ///    kill/resume cycles; the table and JSONL keep wall-clock columns.
 ///
 /// These sinks replace the hand-rolled table/CSV/JSON scaffolding the
-/// bench binaries used to carry individually (bench_common's
-/// maybe_write_csv/maybe_write_json remain only for bespoke series).
+/// bench binaries used to carry individually.
 
 #include <cstddef>
 #include <filesystem>

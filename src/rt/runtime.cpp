@@ -262,9 +262,22 @@ void Runtime::schedule_batch() {
   for (const auto& t : unscheduled_) index.emplace(t.id, t);
 
   const sim::SystemView view = build_view();
+  const std::size_t queued = unscheduled_.size();
   const sim::BatchAssignment assignment =
       policy_->invoke(view, unscheduled_, rng_);
   ++invocations_;
+  // The sim::SchedulingPolicy contract, checked before anything is
+  // dispatched: an id assigned but left queued would run twice, and a
+  // task taken but not assigned would leave drain() waiting forever.
+  if (unscheduled_.size() > queued) {
+    throw std::runtime_error("Runtime: policy added tasks to the queue");
+  }
+  const std::size_t consumed = queued - unscheduled_.size();
+  if (assignment.total() != consumed) {
+    throw std::runtime_error(
+        "Runtime: policy assigned " + std::to_string(assignment.total()) +
+        " tasks but took " + std::to_string(consumed) + " off the queue");
+  }
   if (assignment.per_proc.size() > workers_.size()) {
     throw std::runtime_error("Runtime: assignment names unknown worker");
   }

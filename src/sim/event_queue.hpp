@@ -19,10 +19,6 @@
 //    an intrusive free list: zero per-event heap allocation in steady
 //    state (slots are recycled), and reserve() pre-sizes the slab so even
 //    the warm-up allocates O(log n) times.
-//  * **Generation-stamped O(1) cancellation.** push() returns a Handle
-//    {slot, generation}; cancel() unlinks the node directly — no
-//    tombstones, no scans, and a stale handle (slot already recycled)
-//    is detected by its generation and safely refused.
 //  * **Exact FIFO tie-break.** Every push stamps a monotonically
 //    increasing sequence number; pops are strictly ordered by
 //    (time, seq), so simultaneous events dequeue in push order — the
@@ -53,14 +49,6 @@ class CalendarQueue {
   static constexpr std::size_t kMaxBuckets = std::size_t{1} << 22;
 
  public:
-  /// Ticket for one pushed event; valid until the event is popped or
-  /// cancelled. Slot recycling bumps the generation, so a stale handle
-  /// never cancels somebody else's event.
-  struct Handle {
-    std::uint32_t slot = kNull;
-    std::uint32_t gen = 0;
-  };
-
   CalendarQueue() { rebuild(kMinBuckets); }
 
   /// Pre-sizes the arena for `n` concurrently-pending events.
@@ -70,7 +58,7 @@ class CalendarQueue {
   bool empty() const noexcept { return size_ == 0; }
 
   /// Inserts an event. O(1) amortised. `time` must be finite and >= 0.
-  Handle push(SimTime time, Payload payload) {
+  void push(SimTime time, Payload payload) {
     if (!(time >= 0.0) || !std::isfinite(time)) {
       throw std::invalid_argument(
           "CalendarQueue: event time must be finite and non-negative");
@@ -84,7 +72,6 @@ class CalendarQueue {
     ++size_;
     if (min_ == kNull || before(slot, min_)) set_cursor(slot);
     maybe_resize();
-    return Handle{slot, arena_[slot].gen};
   }
 
   /// Earliest event's timestamp. Requires !empty().
@@ -104,29 +91,6 @@ class CalendarQueue {
     maybe_resize();
   }
 
-  /// Cancels the event behind `h` in O(1). Returns false (and does
-  /// nothing) when the event was already popped or cancelled.
-  bool cancel(Handle h) {
-    if (h.slot >= arena_.size()) return false;
-    Node& n = arena_[h.slot];
-    if (!n.live || n.gen != h.gen) return false;
-    unlink(h.slot);
-    release(h.slot);
-    --size_;
-    if (min_ == h.slot) {
-      min_ = kNull;
-      if (size_ > 0) find_min();
-    }
-    maybe_resize();
-    return true;
-  }
-
-  /// True when `h` still names a pending event.
-  bool pending(Handle h) const {
-    return h.slot < arena_.size() && arena_[h.slot].live &&
-           arena_[h.slot].gen == h.gen;
-  }
-
  private:
   struct Node {
     SimTime time = 0.0;
@@ -134,8 +98,6 @@ class CalendarQueue {
     std::uint32_t prev = kNull;
     std::uint32_t next = kNull;
     std::uint32_t bucket = kNull;
-    std::uint32_t gen = 0;
-    bool live = false;
     Payload payload{};
   };
 
@@ -150,19 +112,14 @@ class CalendarQueue {
     if (free_ != kNull) {
       const std::uint32_t slot = free_;
       free_ = arena_[slot].next;
-      arena_[slot].live = true;
       return slot;
     }
     arena_.emplace_back();
-    arena_.back().live = true;
     return static_cast<std::uint32_t>(arena_.size() - 1);
   }
 
   void release(std::uint32_t slot) {
-    Node& n = arena_[slot];
-    n.live = false;
-    ++n.gen;  // invalidates outstanding handles to this slot
-    n.next = free_;
+    arena_[slot].next = free_;
     free_ = slot;
   }
 
@@ -233,7 +190,7 @@ class CalendarQueue {
     cursor_top_ = (std::floor(arena_[slot].time / width_) + 1.0) * width_;
   }
 
-  /// Re-locates the minimum after a pop/cancel. Fast path: scan one
+  /// Re-locates the minimum after a pop. Fast path: scan one
   /// calendar year from the cursor — the first bucket whose head falls
   /// inside its current-year window holds the minimum (bucket lists are
   /// sorted, windows are visited in ascending time order, and equal
@@ -338,7 +295,7 @@ class CalendarQueue {
   std::size_t mask_ = 0;
   double width_ = 1.0;
   std::uint64_t stress_ = 0;  ///< list-walk + bucket-scan steps since rebuild
-  std::uint64_t ops_ = 0;     ///< push/pop/cancel count since rebuild
+  std::uint64_t ops_ = 0;     ///< push/pop count since rebuild
   std::uint32_t min_ = kNull;    ///< cached minimum (valid iff size_ > 0)
   std::size_t cursor_ = 0;       ///< current calendar bucket
   double cursor_top_ = 1.0;      ///< upper time bound of cursor's window

@@ -2,6 +2,7 @@
 
 #include <charconv>
 #include <cstdlib>
+#include <stdexcept>
 
 namespace gasched::util {
 
@@ -43,6 +44,21 @@ std::int64_t Cli::get_int(const std::string& name,
   const auto& s = it->second;
   const auto res = std::from_chars(s.data(), s.data() + s.size(), out);
   return res.ec == std::errc{} ? out : fallback;
+}
+
+std::size_t Cli::get_size(const std::string& name,
+                          std::size_t fallback) const {
+  const auto it = flags_.find(name);
+  if (it == flags_.end()) return fallback;
+  std::size_t out = 0;
+  const auto& s = it->second;
+  const auto [ptr, ec] = std::from_chars(s.data(), s.data() + s.size(), out);
+  if (ec != std::errc{} || ptr != s.data() + s.size()) {
+    throw std::runtime_error("--" + name +
+                             ": expected a non-negative integer, got '" + s +
+                             "'");
+  }
+  return out;
 }
 
 double Cli::get_double(const std::string& name, double fallback) const {

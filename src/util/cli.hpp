@@ -5,6 +5,7 @@
 // environment-variable overrides so the whole bench suite can be scaled
 // with GASCHED_BENCH_SCALE=full without editing invocations.
 
+#include <cstddef>
 #include <cstdint>
 #include <map>
 #include <optional>
@@ -36,6 +37,10 @@ class Cli {
 
   /// Integer flag with default (returns fallback on parse failure).
   std::int64_t get_int(const std::string& name, std::int64_t fallback) const;
+
+  /// Count flag with default. Throws std::runtime_error naming the flag
+  /// when its text is not a whole non-negative integer.
+  std::size_t get_size(const std::string& name, std::size_t fallback) const;
 
   /// Double flag with default (returns fallback on parse failure).
   double get_double(const std::string& name, double fallback) const;

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <limits>
+#include <stdexcept>
 #include <vector>
 
 #include "util/rng.hpp"
@@ -92,6 +93,40 @@ TEST(Codec, EncodeRejectsBadQueues) {
   // Duplicate task in place of a missing one (length H+M-1).
   EXPECT_THROW(codec.encode(decoded(codec, {0, 0, -1, 1, 2})),
                std::invalid_argument);
+}
+
+TEST(FlatSchedule, AssignOrderedRejectsANonPermutation) {
+  FlatSchedule s;
+  s.assign_grouped(std::vector<std::size_t>{0, 1, 0, 1}, 2);
+  const FlatSchedule before = s;
+  const std::vector<std::size_t> slot_proc{0, 0, 1, 1};
+  // A repeated slot in place of a missing one would overwrite slot 1's
+  // entry and lose slot 3.
+  EXPECT_THROW(
+      s.assign_ordered(std::vector<std::size_t>{0, 0, 1, 2}, slot_proc, 2),
+      std::invalid_argument);
+  // Too short, too long, and naming a slot that does not exist.
+  EXPECT_THROW(s.assign_ordered(std::vector<std::size_t>{0, 1, 2}, slot_proc, 2),
+               std::invalid_argument);
+  EXPECT_THROW(
+      s.assign_ordered(std::vector<std::size_t>{0, 1, 2, 3, 0}, slot_proc, 2),
+      std::invalid_argument);
+  EXPECT_THROW(
+      s.assign_ordered(std::vector<std::size_t>{0, 1, 2, 4}, slot_proc, 2),
+      std::invalid_argument);
+  EXPECT_EQ(s, before);
+}
+
+TEST(FlatSchedule, AssignRejectsAnOutOfRangeProcessor) {
+  FlatSchedule s;
+  s.assign_grouped(std::vector<std::size_t>{0, 1, 0}, 2);
+  const FlatSchedule before = s;
+  const std::vector<std::size_t> slot_proc{0, 2, 1};
+  EXPECT_THROW(s.assign_grouped(slot_proc, 2), std::invalid_argument);
+  EXPECT_THROW(
+      s.assign_ordered(std::vector<std::size_t>{0, 1, 2}, slot_proc, 2),
+      std::invalid_argument);
+  EXPECT_EQ(s, before);
 }
 
 TEST(Codec, DecodeAnyPermutationAssignsEveryTaskOnce) {

@@ -68,26 +68,6 @@ TEST(IslandScheduler, AssignsEveryConsumedTaskExactlyOnce) {
   EXPECT_EQ(seen.size(), sizes.size());
 }
 
-TEST(IslandScheduler, DeterministicRegardlessOfIslandParallelism) {
-  const auto view = make_view({10.0, 25.0, 60.0, 90.0}, {0.5, 1.0, 0.2, 2.0});
-  const std::vector<double> sizes{120, 40, 900, 77, 310, 15,
-                                  222, 68, 433, 12, 600, 50};
-  auto run = [&](bool parallel) {
-    auto cfg = quick_cfg(4);
-    cfg.island_parallel = parallel;
-    auto q = tasks_of_sizes(sizes);
-    auto pni = make_pn_island_scheduler(4, cfg);
-    util::Rng rng(9);
-    return pni->invoke(view, q, rng);
-  };
-  const auto a = run(true);
-  const auto b = run(false);
-  ASSERT_EQ(a.per_proc.size(), b.per_proc.size());
-  for (std::size_t j = 0; j < a.per_proc.size(); ++j) {
-    EXPECT_EQ(a.per_proc[j], b.per_proc[j]) << "proc " << j;
-  }
-}
-
 TEST(IslandScheduler, IslandSearchNotWorseThanSingleMicroGa) {
   // 4 islands spend 4x the generations of one micro GA; on a rugged
   // instance the estimated makespan of the chosen schedule should not be

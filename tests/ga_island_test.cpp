@@ -1,4 +1,4 @@
-// Tests for the island-model parallel GA (ga/island.hpp).
+// Tests for the island-model GA (ga/island.hpp).
 //
 // Uses a self-contained permutation problem — minimise the number of
 // positions where the chromosome differs from the identity permutation —
@@ -101,14 +101,9 @@ TEST(IslandGa, SolvesSmallPermutationProblem) {
   EXPECT_LE(result.best.best_objective, 2.0);
 }
 
-TEST(IslandGa, ParallelAndSequentialAreBitIdentical) {
-  IslandConfig par = base_config();
-  par.parallel = true;
-  IslandConfig seq = base_config();
-  seq.parallel = false;
-
-  const auto a = run(par, 21);
-  const auto b = run(seq, 21);
+TEST(IslandGa, SameSeedRunsAreBitIdentical) {
+  const auto a = run(base_config(), 21);
+  const auto b = run(base_config(), 21);
   EXPECT_EQ(a.best.best, b.best.best);
   EXPECT_EQ(a.best.best_objective, b.best.best_objective);
   EXPECT_EQ(a.island_objectives, b.island_objectives);

@@ -6,6 +6,11 @@
 
 #include <gtest/gtest.h>
 
+#include <deque>
+#include <memory>
+#include <stdexcept>
+#include <string>
+
 #include "exp/scenario.hpp"
 #include "meta/sa.hpp"
 #include "meta/tabu.hpp"
@@ -148,6 +153,56 @@ TEST(Runtime, RejectsInvalidConfig) {
   bad2.work_scale = 0.0;
   EXPECT_THROW(Runtime(bad2, sched::make_ef()), std::invalid_argument);
   EXPECT_THROW(Runtime(quick_config(), nullptr), std::invalid_argument);
+}
+
+// Break the sim::SchedulingPolicy contract in one direction each: assign
+// the front task without taking it off the queue, or take it without
+// assigning it.
+class AssignWithoutConsuming final : public sim::SchedulingPolicy {
+ public:
+  sim::BatchAssignment invoke(const sim::SystemView& view,
+                              std::deque<workload::Task>& queue,
+                              util::Rng&) override {
+    auto a = sim::BatchAssignment::empty(view.size());
+    a.per_proc[0].push_back(queue.front().id);
+    return a;
+  }
+  std::string name() const override { return "assign-not-consume"; }
+};
+
+class ConsumeWithoutAssigning final : public sim::SchedulingPolicy {
+ public:
+  sim::BatchAssignment invoke(const sim::SystemView& view,
+                              std::deque<workload::Task>& queue,
+                              util::Rng&) override {
+    queue.pop_front();
+    return sim::BatchAssignment::empty(view.size());
+  }
+  std::string name() const override { return "consume-not-assign"; }
+};
+
+void expect_count_mismatch(Runtime& runtime) {
+  try {
+    runtime.submit(tiny_task(0));
+    ADD_FAILURE() << "no error";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("off the queue"), std::string::npos)
+        << e.what();
+  }
+}
+
+// An id assigned but left queued would be dispatched again on every
+// later round; a task taken but not assigned would leave drain() waiting
+// forever.
+TEST(Runtime, AssignedButNotConsumedThrows) {
+  Runtime runtime(quick_config(2), std::make_unique<AssignWithoutConsuming>());
+  expect_count_mismatch(runtime);
+}
+
+TEST(Runtime, ConsumedButNotAssignedThrows) {
+  Runtime runtime(quick_config(2),
+                  std::make_unique<ConsumeWithoutAssigning>());
+  expect_count_mismatch(runtime);
 }
 
 TEST(Runtime, HostCalibrationIsPositive) {

@@ -1,12 +1,12 @@
 // CalendarQueue vs a std::priority_queue reference: randomized
-// insert/pop/cancel sequences must dequeue in the exact (time, seq)
+// insert/pop sequences must dequeue in the exact (time, seq)
 // order — including FIFO order among equal timestamps, the tie-break the
 // engine's determinism contract (and every golden CSV) depends on.
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <map>
+#include <limits>
 #include <queue>
 #include <vector>
 
@@ -60,37 +60,6 @@ TEST(CalendarQueueTest, EqualTimestampFloodStaysFifo) {
   EXPECT_TRUE(q.empty());
 }
 
-TEST(CalendarQueueTest, CancelRemovesExactlyThatEvent) {
-  CalendarQueue<int> q;
-  auto h1 = q.push(1.0, 1);
-  auto h2 = q.push(2.0, 2);
-  auto h3 = q.push(3.0, 3);
-  EXPECT_TRUE(q.pending(h2));
-  EXPECT_TRUE(q.cancel(h2));
-  EXPECT_FALSE(q.pending(h2));
-  EXPECT_FALSE(q.cancel(h2));  // second cancel is refused
-  EXPECT_EQ(q.size(), 2u);
-  EXPECT_EQ(q.top(), 1);
-  q.pop();
-  EXPECT_EQ(q.top(), 3);
-  q.pop();
-  EXPECT_TRUE(q.empty());
-  // Handles to popped events are refused too.
-  EXPECT_FALSE(q.cancel(h1));
-  EXPECT_FALSE(q.cancel(h3));
-}
-
-TEST(CalendarQueueTest, StaleHandleAfterSlotReuseIsRefused) {
-  CalendarQueue<int> q;
-  auto h1 = q.push(1.0, 1);
-  q.pop();  // frees the slot
-  auto h2 = q.push(2.0, 2);  // recycles it with a bumped generation
-  EXPECT_FALSE(q.cancel(h1));
-  EXPECT_EQ(q.size(), 1u);
-  EXPECT_TRUE(q.cancel(h2));
-  EXPECT_TRUE(q.empty());
-}
-
 TEST(CalendarQueueTest, RejectsNonFiniteAndNegativeTimes) {
   CalendarQueue<int> q;
   EXPECT_THROW(q.push(-1.0, 0), std::invalid_argument);
@@ -101,63 +70,46 @@ TEST(CalendarQueueTest, RejectsNonFiniteAndNegativeTimes) {
 }
 
 // One randomized scenario: interleaved pushes (several time regimes to
-// exercise bucket resizing), pops, and cancels, mirrored against the
-// reference heap. Cancelled seqs are filtered from the reference lazily.
+// exercise bucket resizing) and pops, mirrored against the reference heap.
 void run_mixed_scenario(std::uint64_t seed, std::size_t ops,
                         double time_scale, double equal_time_prob) {
   util::Rng rng(seed);
   CalendarQueue<int> q;
   RefQueue ref;
-  std::map<std::uint64_t, CalendarQueue<int>::Handle> live;  // seq -> handle
   std::uint64_t next_seq = 0;
   double clock = 0.0;  // pops only move forward, like a simulation
   int tag = 0;
 
   for (std::size_t op = 0; op < ops; ++op) {
-    const double r = rng.uniform01();
-    if (r < 0.5 || q.empty()) {
+    if (rng.uniform01() < 0.5 || q.empty()) {
       // Push at or after the current clock (simulation discipline).
       double t = clock;
       if (rng.uniform01() >= equal_time_prob) {
         t += rng.uniform(0.0, time_scale);
       }
-      const auto h = q.push(t, tag);
+      q.push(t, tag);
       ref.push(RefEvent{t, next_seq, tag});
-      live.emplace(next_seq, h);
       ++next_seq;
       ++tag;
-    } else if (r < 0.85) {
-      // Pop and compare against the reference (skipping cancelled refs).
-      while (!ref.empty() && live.find(ref.top().seq) == live.end()) {
-        ref.pop();
-      }
+    } else {
+      // Pop and compare against the reference.
       ASSERT_FALSE(ref.empty());
       const RefEvent expect = ref.top();
       ref.pop();
       ASSERT_DOUBLE_EQ(q.top_time(), expect.time);
       ASSERT_EQ(q.top(), expect.tag) << "tie-break order diverged";
       q.pop();
-      live.erase(expect.seq);
       clock = expect.time;
-    } else {
-      // Cancel a pseudo-random live event.
-      auto it = live.begin();
-      std::advance(it, static_cast<long>(rng.index(live.size())));
-      ASSERT_TRUE(q.cancel(it->second));
-      live.erase(it);
     }
   }
   // Drain: remaining events must come out in exact reference order.
   while (!q.empty()) {
-    while (!ref.empty() && live.find(ref.top().seq) == live.end()) ref.pop();
     ASSERT_FALSE(ref.empty());
     ASSERT_EQ(q.top(), ref.top().tag);
     ASSERT_DOUBLE_EQ(q.top_time(), ref.top().time);
-    live.erase(ref.top().seq);
     q.pop();
     ref.pop();
   }
-  while (!ref.empty() && live.find(ref.top().seq) == live.end()) ref.pop();
   EXPECT_TRUE(ref.empty());
 }
 

@@ -4,6 +4,9 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <string>
+
 namespace gasched::util {
 namespace {
 
@@ -71,6 +74,34 @@ TEST(Cli, NegativeNumbersAsValues) {
 TEST(Cli, LastOccurrenceWins) {
   const Cli cli = make({"prog", "--n", "1", "--n", "2"});
   EXPECT_EQ(cli.get_int("n", 0), 2);
+}
+
+TEST(Cli, GetSizeParsesCounts) {
+  const Cli cli = make({"prog", "--tasks", "3000", "--reps=0"});
+  EXPECT_EQ(cli.get_size("tasks", 1), 3000u);
+  EXPECT_EQ(cli.get_size("reps", 1), 0u);
+  EXPECT_EQ(cli.get_size("missing", 7), 7u);
+}
+
+TEST(Cli, GetSizeRejectsNegativeAndNonIntegerText) {
+  // A negative count must not wrap to 2^64 - 5, and text that is not a
+  // number must not read as the fallback.
+  for (const char* bad : {"-5", "abc", "12x", "1.5", "", "true"}) {
+    const Cli cli = make({"prog", "--tasks", bad});
+    try {
+      (void)cli.get_size("tasks", 1);
+      ADD_FAILURE() << "accepted '" << bad << "'";
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find("--tasks"), std::string::npos)
+          << e.what();
+    }
+  }
+}
+
+TEST(Cli, GetSizeRejectsAFlagWithoutValue) {
+  const Cli cli = make({"prog", "--tasks", "--reps", "2"});
+  EXPECT_THROW((void)cli.get_size("tasks", 1), std::runtime_error);
+  EXPECT_EQ(cli.get_size("reps", 1), 2u);
 }
 
 TEST(EnvString, MissingVariableIsNullopt) {

@@ -1,13 +1,12 @@
-// Tests for the JSON writer (util/json.hpp) and the experiment JSON
-// export (metrics/report_json.hpp).
+// Tests for the JSON writer (util/json.hpp) and the cell JSON the JSONL
+// sink writes (metrics/report_json.hpp).
 
 #include "util/json.hpp"
 
 #include <gtest/gtest.h>
 
-#include <filesystem>
 #include <cmath>
-#include <fstream>
+#include <string>
 
 #include "metrics/report_json.hpp"
 
@@ -83,7 +82,7 @@ TEST(JsonWriter, RejectsMisuse) {
   }
 }
 
-TEST(ReportJson, CellAndExperimentSerialise) {
+TEST(ReportJson, CellsSerialiseInsideAWriter) {
   metrics::CellSummary cell;
   cell.scheduler = "PN";
   cell.replications = 3;
@@ -91,12 +90,19 @@ TEST(ReportJson, CellAndExperimentSerialise) {
   cell.makespan.mean = 123.5;
   cell.makespan.ci95 = 4.5;
 
-  const std::string js = metrics::cell_to_json(cell);
-  EXPECT_NE(js.find("\"scheduler\":\"PN\""), std::string::npos);
-  EXPECT_NE(js.find("\"mean\":123.5"), std::string::npos);
-
-  const std::string doc = metrics::experiment_to_json("fig05", {cell, cell});
+  // Embedded the way the JSONL sink embeds a cell in its row object.
+  JsonWriter w;
+  w.begin_object();
+  w.key("experiment").string("fig05");
+  w.key("cells").begin_array();
+  metrics::write_cell_json(w, cell);
+  metrics::write_cell_json(w, cell);
+  w.end_array();
+  w.end_object();
+  const std::string doc = w.str();
   EXPECT_NE(doc.find("\"experiment\":\"fig05\""), std::string::npos);
+  EXPECT_NE(doc.find("\"scheduler\":\"PN\""), std::string::npos);
+  EXPECT_NE(doc.find("\"mean\":123.5"), std::string::npos);
   // Two cells in the array.
   std::size_t n = 0;
   for (std::size_t pos = 0;
@@ -106,17 +112,21 @@ TEST(ReportJson, CellAndExperimentSerialise) {
   EXPECT_EQ(n, 2u);
 }
 
-TEST(ReportJson, WritesFile) {
+TEST(ReportJson, CellCarriesEverySummary) {
   metrics::CellSummary cell;
   cell.scheduler = "EF";
-  const auto path =
-      std::filesystem::temp_directory_path() / "gasched_json_test.json";
-  metrics::write_experiment_json("t", {cell}, path);
-  std::ifstream in(path);
-  std::string content((std::istreambuf_iterator<char>(in)),
-                      std::istreambuf_iterator<char>());
-  EXPECT_NE(content.find("\"scheduler\":\"EF\""), std::string::npos);
-  std::filesystem::remove(path);
+  JsonWriter w;
+  metrics::write_cell_json(w, cell);
+  const std::string js = w.str();
+  EXPECT_EQ(js.front(), '{');
+  EXPECT_EQ(js.back(), '}');
+  for (const char* key :
+       {"\"scheduler\":\"EF\"", "\"replications\":", "\"makespan\":{",
+        "\"efficiency\":{", "\"sched_wall_seconds\":{",
+        "\"mean_response_time\":{", "\"scheduler_invocations\":{",
+        "\"tasks_requeued\":{"}) {
+    EXPECT_NE(js.find(key), std::string::npos) << key;
+  }
 }
 
 }  // namespace

@@ -23,6 +23,7 @@
 #include <iostream>
 #include <optional>
 #include <set>
+#include <stdexcept>
 #include <string>
 #include <tuple>
 #include <vector>
@@ -329,7 +330,12 @@ int cmd_run(const util::Cli& cli) {
         {"population", &o.population},
         {"batch", &o.batch}}) {
     if (cli.has(name)) {
-      *slot = static_cast<std::size_t>(cli.get_int(name, 0));
+      try {
+        *slot = cli.get_size(name, 0);
+      } catch (const std::runtime_error& e) {
+        std::cerr << "figset: " << e.what() << "\n";
+        return 2;
+      }
     }
   }
   if (cli.has("seed")) {
