@@ -5,8 +5,6 @@
 #include <memory>
 
 #include "bench_common.hpp"
-#include "core/fitness.hpp"
-#include "core/init.hpp"
 #include "ga/engine.hpp"
 #include "util/thread_pool.hpp"
 
@@ -38,35 +36,22 @@ int main(int argc, char** argv) {
   sweep.extra_columns({"final_makespan", "reduction_vs_init"});
   sweep.runner([&](const exp::SweepCell& cell, bool parallel) {
     const std::size_t oi = cell.index;
+    const ga::RouletteSelection sel;
+    const ga::SwapMutation mut;
+    const ga::GaEngine engine({.population = p.population,
+                               .max_generations = p.generations,
+                               .record_history = true},
+                              sel, *ops[oi].second, mut);
     std::vector<double> finals(p.reps), reductions(p.reps);
-    auto body = [&](std::size_t rep) {
-      const util::Rng base(p.seed);
-      const exp::BatchInstance batch =
-          exp::steady_state_batch(p.seed, rep, p.tasks, p.procs);
-      const core::ScheduleCodec codec(p.tasks, batch.view.size());
-      const core::ScheduleEvaluator eval(batch.sizes, batch.view, true);
-      const core::ScheduleProblem problem(codec, eval);
-
-      ga::GaConfig cfg;
-      cfg.population = p.population;
-      cfg.max_generations = p.generations;
-      cfg.record_history = true;
-      const ga::RouletteSelection sel;
-      const ga::SwapMutation mut;
-      const ga::GaEngine engine(cfg, sel, *ops[oi].second, mut);
-      util::Rng ga_rng = base.split(1000 + 10 * rep + oi);
-      auto init = core::initial_population(codec, eval, cfg.population, 0.5,
-                                           ga_rng);
-      const auto r = engine.run(problem, std::move(init), ga_rng);
+    util::for_each_index(p.reps, parallel, [&](std::size_t rep) {
+      util::Rng ga_rng = util::Rng(p.seed).split(1000 + 10 * rep + oi);
+      const auto r = exp::steady_state_ga(
+          exp::steady_state_batch(p.seed, rep, p.tasks, p.procs), engine,
+          exp::kDefaultRebalanceProbes, 0.5, ga_rng, ga_rng);
       finals[rep] = r.best_objective;
       reductions[rep] =
           1.0 - r.best_objective / r.objective_history.front();
-    };
-    if (parallel && p.reps > 1) {
-      util::global_pool().parallel_for(0, p.reps, body);
-    } else {
-      for (std::size_t rep = 0; rep < p.reps; ++rep) body(rep);
-    }
+    });
     exp::CellOutcome out;
     out.extras = {{"final_makespan", util::summarize(finals).mean},
                   {"reduction_vs_init", util::summarize(reductions).mean}};

@@ -7,8 +7,6 @@
 // the re-balancing heuristic partially compensates.
 
 #include "bench_common.hpp"
-#include "core/fitness.hpp"
-#include "core/init.hpp"
 #include "ga/engine.hpp"
 #include "util/thread_pool.hpp"
 
@@ -32,42 +30,28 @@ int main(int argc, char** argv) {
                        "final_makespan"});
   sweep.runner([&](const exp::SweepCell& cell, bool parallel) {
     const std::size_t pi = cell.index;
-    const auto pop = static_cast<std::size_t>(
-        cell.coord_value("population"));
+    const ga::RouletteSelection sel;
+    const ga::CycleCrossover cx;
+    const ga::SwapMutation mut;
+    const ga::GaEngine engine(
+        {.population = static_cast<std::size_t>(cell.coord_value("population")),
+         .max_generations = p.generations,
+         .record_stats = true},
+        sel, cx, mut);
     std::vector<double> d0(p.reps), dmid(p.reps), dend(p.reps),
         finals(p.reps);
-    auto body = [&](std::size_t rep) {
-      const util::Rng base(p.seed);
-      const exp::BatchInstance batch =
-          exp::steady_state_batch(p.seed, rep, p.tasks, p.procs);
-      const core::ScheduleCodec codec(p.tasks, batch.view.size());
-      const core::ScheduleEvaluator eval(batch.sizes, batch.view, true);
-      const core::ScheduleProblem problem(codec, eval);
-
-      ga::GaConfig cfg;
-      cfg.population = pop;
-      cfg.max_generations = p.generations;
-      cfg.record_stats = true;
-      static const ga::RouletteSelection sel;
-      static const ga::CycleCrossover cx;
-      static const ga::SwapMutation mut;
-      const ga::GaEngine engine(cfg, sel, cx, mut);
-      util::Rng ga_rng = base.split(1000 + 100 * rep + pi);
-      auto init = core::initial_population(codec, eval, cfg.population, 0.5,
-                                           ga_rng);
-      const auto r = engine.run(problem, std::move(init), ga_rng);
+    util::for_each_index(p.reps, parallel, [&](std::size_t rep) {
+      util::Rng ga_rng = util::Rng(p.seed).split(1000 + 100 * rep + pi);
+      const auto r = exp::steady_state_ga(
+          exp::steady_state_batch(p.seed, rep, p.tasks, p.procs), engine,
+          exp::kDefaultRebalanceProbes, 0.5, ga_rng, ga_rng);
       finals[rep] = r.best_objective;
       if (!r.stats_history.empty()) {
         d0[rep] = r.stats_history.front().diversity;
         dmid[rep] = r.stats_history[r.stats_history.size() / 2].diversity;
         dend[rep] = r.stats_history.back().diversity;
       }
-    };
-    if (parallel && p.reps > 1) {
-      util::global_pool().parallel_for(0, p.reps, body);
-    } else {
-      for (std::size_t rep = 0; rep < p.reps; ++rep) body(rep);
-    }
+    });
     exp::CellOutcome out;
     out.extras = {{"diversity_t0", util::summarize(d0).mean},
                   {"diversity_mid", util::summarize(dmid).mean},

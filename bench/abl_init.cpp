@@ -3,8 +3,6 @@
 // sweeps that percentage from pure greedy (0) to pure random (1).
 
 #include "bench_common.hpp"
-#include "core/fitness.hpp"
-#include "core/init.hpp"
 #include "ga/engine.hpp"
 #include "util/thread_pool.hpp"
 
@@ -27,35 +25,22 @@ int main(int argc, char** argv) {
       {"initial_makespan", "final_makespan", "reduction"});
   sweep.runner([&](const exp::SweepCell& cell, bool parallel) {
     const double frac = cell.coord_value("random_fraction");
+    const ga::RouletteSelection sel;
+    const ga::CycleCrossover cx;
+    const ga::SwapMutation mut;
+    const ga::GaEngine engine({.population = p.population,
+                               .max_generations = p.generations,
+                               .record_history = true},
+                              sel, cx, mut);
     std::vector<double> initials(p.reps), finals(p.reps);
-    auto body = [&](std::size_t rep) {
-      const util::Rng base(p.seed);
-      const exp::BatchInstance batch =
-          exp::steady_state_batch(p.seed, rep, p.tasks, p.procs);
-      const core::ScheduleCodec codec(p.tasks, batch.view.size());
-      const core::ScheduleEvaluator eval(batch.sizes, batch.view, true);
-      const core::ScheduleProblem problem(codec, eval);
-
-      ga::GaConfig cfg;
-      cfg.population = p.population;
-      cfg.max_generations = p.generations;
-      cfg.record_history = true;
-      const ga::RouletteSelection sel;
-      const ga::CycleCrossover cx;
-      const ga::SwapMutation mut;
-      const ga::GaEngine engine(cfg, sel, cx, mut);
-      util::Rng ga_rng = base.split(5000 + rep);
-      auto init = core::initial_population(codec, eval, cfg.population,
-                                           frac, ga_rng);
-      const auto r = engine.run(problem, std::move(init), ga_rng);
+    util::for_each_index(p.reps, parallel, [&](std::size_t rep) {
+      util::Rng ga_rng = util::Rng(p.seed).split(5000 + rep);
+      const auto r = exp::steady_state_ga(
+          exp::steady_state_batch(p.seed, rep, p.tasks, p.procs), engine,
+          exp::kDefaultRebalanceProbes, frac, ga_rng, ga_rng);
       initials[rep] = r.objective_history.front();
       finals[rep] = r.best_objective;
-    };
-    if (parallel && p.reps > 1) {
-      util::global_pool().parallel_for(0, p.reps, body);
-    } else {
-      for (std::size_t rep = 0; rep < p.reps; ++rep) body(rep);
-    }
+    });
     const double init_ms = util::summarize(initials).mean;
     const double final_ms = util::summarize(finals).mean;
     exp::CellOutcome out;

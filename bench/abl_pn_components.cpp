@@ -11,7 +11,6 @@
 #include "bench_common.hpp"
 #include "core/genetic_scheduler.hpp"
 #include "exp/runner.hpp"
-#include "util/thread_pool.hpp"
 
 using namespace gasched;
 
@@ -66,26 +65,20 @@ int main(int argc, char** argv) {
   }
   sweep.axis("variant", std::move(variants));
   // Custom runner: the hybrid policies live outside the registry, so the
-  // replication loop runs them on exp::make_inputs (workload/cluster
-  // depend only on (seed, rep), identical across variants).
+  // replications run a factory instead of a registered name (workload
+  // and cluster depend only on (seed, rep), identical across variants).
   sweep.runner([&](const exp::SweepCell& cell, bool parallel) {
     const auto mask = static_cast<int>(cell.index);
     const bool comm = (mask & 4) != 0;
     const bool rebalance = (mask & 2) != 0;
     const bool dynamic = (mask & 1) != 0;
-    const auto& s = cell.scenario;
-    std::vector<sim::SimulationResult> runs(s.replications);
-    auto body = [&](std::size_t rep) {
-      const exp::ReplicationInputs in = exp::make_inputs(s, rep);
-      const auto policy = make_variant(comm, rebalance, dynamic, p,
-                                       cell.coord("variant"));
-      runs[rep] = sim::simulate(in.cluster, in.workload, *policy, in.sim_rng);
-    };
-    if (parallel && runs.size() > 1) {
-      util::global_pool().parallel_for(0, runs.size(), body);
-    } else {
-      for (std::size_t rep = 0; rep < runs.size(); ++rep) body(rep);
-    }
+    const auto runs = exp::run_replications(
+        cell.scenario,
+        [&] {
+          return make_variant(comm, rebalance, dynamic, p,
+                              cell.coord("variant"));
+        },
+        parallel);
     exp::CellOutcome out;
     out.summary = metrics::aggregate(cell.coord("variant"), runs);
     return out;

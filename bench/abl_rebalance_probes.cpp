@@ -4,12 +4,17 @@
 // more probes find a swap more often (better makespan per generation)
 // but cost time linearly, the same trade Fig. 4 shows for the number of
 // re-balances.
+//
+// ga_wall_s times the whole exp::steady_state_ga call: the GA run plus
+// the evaluator and the start population, which cost O(pop·H·M) and do
+// not depend on the probe cap (before, it timed GaEngine::run alone). At
+// quick scale, --serial, median of 15 runs per side on a shared 4-vCPU
+// host, probes 0/1/2/5/10/20: 2.73/6.03/5.79/5.96/6.27/6.16 ms timing
+// the run alone, 2.73/5.70/5.88/6.17/6.38/6.23 ms timing the call.
 
 #include <chrono>
 
 #include "bench_common.hpp"
-#include "core/fitness.hpp"
-#include "core/init.hpp"
 #include "ga/engine.hpp"
 #include "util/thread_pool.hpp"
 
@@ -34,41 +39,29 @@ int main(int argc, char** argv) {
     const std::size_t pi = cell.index;
     const auto probes = static_cast<std::size_t>(
         cell.coord_value("probes"));
+    const ga::RouletteSelection sel;
+    const ga::CycleCrossover cx;
+    const ga::SwapMutation mut;
+    // probes = 0 disables the improvement pass entirely (pure GA).
+    const ga::GaEngine engine({.population = p.population,
+                               .max_generations = p.generations,
+                               .improvement_passes = probes == 0 ? 0u : 1u,
+                               .record_history = true},
+                              sel, cx, mut);
     std::vector<double> finals(p.reps), reductions(p.reps), walls(p.reps);
-    auto body = [&](std::size_t rep) {
-      const util::Rng base(p.seed);
+    util::for_each_index(p.reps, parallel, [&](std::size_t rep) {
       const exp::BatchInstance batch =
           exp::steady_state_batch(p.seed, rep, p.tasks, p.procs);
-      const core::ScheduleCodec codec(p.tasks, batch.view.size());
-      const core::ScheduleEvaluator eval(batch.sizes, batch.view, true);
-      const core::ScheduleProblem problem(codec, eval, probes);
-
-      ga::GaConfig cfg;
-      cfg.population = p.population;
-      cfg.max_generations = p.generations;
-      cfg.record_history = true;
-      // probes = 0 disables the improvement pass entirely (pure GA).
-      cfg.improvement_passes = probes == 0 ? 0 : 1;
-      static const ga::RouletteSelection sel;
-      static const ga::CycleCrossover cx;
-      static const ga::SwapMutation mut;
-      const ga::GaEngine engine(cfg, sel, cx, mut);
-      util::Rng ga_rng = base.split(1000 + 100 * rep + pi);
-      auto init = core::initial_population(codec, eval, cfg.population, 0.5,
-                                           ga_rng);
+      util::Rng ga_rng = util::Rng(p.seed).split(1000 + 100 * rep + pi);
       const auto t0 = std::chrono::steady_clock::now();
-      const auto r = engine.run(problem, std::move(init), ga_rng);
+      const auto r =
+          exp::steady_state_ga(batch, engine, probes, 0.5, ga_rng, ga_rng);
       const auto t1 = std::chrono::steady_clock::now();
       finals[rep] = r.best_objective;
       reductions[rep] =
           1.0 - r.best_objective / r.objective_history.front();
       walls[rep] = std::chrono::duration<double>(t1 - t0).count();
-    };
-    if (parallel && p.reps > 1) {
-      util::global_pool().parallel_for(0, p.reps, body);
-    } else {
-      for (std::size_t rep = 0; rep < p.reps; ++rep) body(rep);
-    }
+    });
     exp::CellOutcome out;
     out.extras = {{"final_makespan", util::summarize(finals).mean},
                   {"reduction_vs_init", util::summarize(reductions).mean},

@@ -9,7 +9,8 @@ namespace gasched::bench {
 
 BenchParams parse_params(int argc, char** argv, std::size_t quick_tasks,
                          std::size_t quick_reps,
-                         std::size_t quick_generations) {
+                         std::size_t quick_generations,
+                         const std::vector<std::string>& extra_flags) {
   const util::Cli cli(argc, argv);
   BenchParams p;
   p.full = util::bench_full_scale() || cli.get_bool("full", false);
@@ -23,18 +24,22 @@ BenchParams parse_params(int argc, char** argv, std::size_t quick_tasks,
     p.generations = quick_generations;
   }
   try {
+    std::vector<std::string> known = extra_flags;
+    known.insert(known.end(), {"tasks", "reps", "generations", "procs",
+                               "population", "batch", "seed", "serial", "csv",
+                               "json", "resume", "full"});
+    cli.require_known(known);
     p.tasks = cli.get_size("tasks", p.tasks);
     p.reps = cli.get_size("reps", p.reps);
     p.generations = cli.get_size("generations", p.generations);
     p.procs = cli.get_size("procs", p.procs);
     p.population = cli.get_size("population", p.population);
     p.batch = cli.get_size("batch", p.batch);
+    p.seed = cli.get_size("seed", p.seed);
   } catch (const std::runtime_error& e) {
     std::cerr << "error: " << e.what() << "\n";
     std::exit(2);
   }
-  p.seed = static_cast<std::uint64_t>(
-      cli.get_int("seed", static_cast<std::int64_t>(p.seed)));
   p.serial = cli.get_bool("serial", false);
   if (cli.has("csv")) p.csv = cli.get("csv", "");
   if (cli.has("json")) p.json = cli.get("json", "");

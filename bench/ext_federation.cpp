@@ -73,7 +73,8 @@ fed::FederationConfig make_fed(const bench::BenchParams& p,
 
 int main(int argc, char** argv) {
   const auto p = bench::parse_params(argc, argv, /*tasks=*/600, /*reps=*/2,
-                                     /*generations=*/100);
+                                     /*generations=*/100,
+                                     {"cluster-scheduler"});
   const util::Cli cli(argc, argv);
   const std::string cluster_scheduler = cli.get("cluster-scheduler", "MM");
   bench::print_banner(

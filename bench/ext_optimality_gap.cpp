@@ -27,7 +27,7 @@ using namespace gasched;
 
 int main(int argc, char** argv) {
   auto p = bench::parse_params(argc, argv, /*tasks=*/600, /*reps=*/3,
-                               /*generations=*/100);
+                               /*generations=*/100, {"quick"});
   const bool quick = util::Cli(argc, argv).get_bool("quick", false);
   if (quick) {
     // CI smoke scale: exercises every code path (exact search, GA
@@ -81,7 +81,7 @@ int main(int argc, char** argv) {
           return ms;
         };
     std::vector<double> gaps(kInstances);
-    auto body = [&](std::size_t inst_i) {
+    util::for_each_index(kInstances, parallel, [&](std::size_t inst_i) {
       util::Rng rng(p.seed + inst_i);
       metrics::BoundInstance inst;
       sim::SystemView view;
@@ -121,12 +121,7 @@ int main(int argc, char** argv) {
                   << " tasks unscheduled on instance " << inst_i << "\n";
       }
       gaps[inst_i] = assignment_makespan(a, view, inst.task_sizes) / opt;
-    };
-    if (parallel && kInstances > 1) {
-      util::global_pool().parallel_for(0, kInstances, body);
-    } else {
-      for (std::size_t i = 0; i < kInstances; ++i) body(i);
-    }
+    });
     exp::CellOutcome out;
     out.extras = {
         {"mean_makespan_over_optimum", util::summarize(gaps).mean}};

@@ -9,7 +9,6 @@
 #include "bench_common.hpp"
 #include "core/genetic_scheduler.hpp"
 #include "exp/runner.hpp"
-#include "util/thread_pool.hpp"
 
 using namespace gasched;
 
@@ -61,23 +60,18 @@ int main(int argc, char** argv) {
   // in the registry's parameter surface, so the policy is built directly.
   sweep.runner([&](const exp::SweepCell& cell, bool parallel) {
     const OverheadCase& oc = cases[cell.index];
-    std::vector<sim::SimulationResult> runs(cell.scenario.replications);
-    auto body = [&](std::size_t rep) {
-      const exp::ReplicationInputs in = exp::make_inputs(cell.scenario, rep);
-      core::GeneticSchedulerConfig cfg;
-      cfg.ga.max_generations = oc.gens;
-      cfg.ga.population = p.population;
-      cfg.max_wall_seconds = oc.budget;
-      const auto pn = core::make_pn_scheduler(cfg);
-      sim::EngineConfig ecfg;
-      ecfg.sched_time_scale = oc.time_scale;
-      runs[rep] = sim::simulate(in.cluster, in.workload, *pn, in.sim_rng, ecfg);
-    };
-    if (parallel && runs.size() > 1) {
-      util::global_pool().parallel_for(0, runs.size(), body);
-    } else {
-      for (std::size_t rep = 0; rep < runs.size(); ++rep) body(rep);
-    }
+    exp::Scenario charged = cell.scenario;
+    charged.sched_time_scale = oc.time_scale;
+    const auto runs = exp::run_replications(
+        charged,
+        [&] {
+          core::GeneticSchedulerConfig cfg;
+          cfg.ga.max_generations = oc.gens;
+          cfg.ga.population = p.population;
+          cfg.max_wall_seconds = oc.budget;
+          return core::make_pn_scheduler(cfg);
+        },
+        parallel);
     exp::CellOutcome out;
     out.summary = metrics::aggregate("PN", runs);
     return out;

@@ -16,29 +16,23 @@
 
 using namespace gasched;
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   const util::Cli cli(argc, argv);
   exp::Scenario s;
   s.name = "compare";
   s.cluster = exp::paper_cluster(cli.get_double("comm", 10.0),
-                                 static_cast<std::size_t>(
-                                     cli.get_int("procs", 20)));
-  s.workload.count = static_cast<std::size_t>(cli.get_int("tasks", 600));
-  s.seed = static_cast<std::uint64_t>(cli.get_int("seed", 42));
-  s.replications = static_cast<std::size_t>(cli.get_int("reps", 3));
+                                 cli.get_size("procs", 20));
+  s.workload.count = cli.get_size("tasks", 600);
+  s.seed = cli.get_size("seed", 42);
+  s.replications = cli.get_size("reps", 3);
 
   // Any registered family works. Flags cover the common knobs; families
   // without a branch here (e.g. bimodal) run with their documented
   // registry defaults — use run_scenario with a [workload] section to
   // tune those.
-  std::string dist;
-  try {
-    dist = exp::DistributionRegistry::instance().canonical_name(
-        cli.get("dist", "normal"));
-  } catch (const std::exception& e) {
-    std::cerr << "error: " << e.what() << "\n";
-    return 1;
-  }
+  const std::string dist =
+      exp::DistributionRegistry::instance().canonical_name(
+          cli.get("dist", "normal"));
   s.workload.dist = dist;
   if (dist == "uniform") {
     s.workload.param_a = cli.get_double("lo", 10.0);
@@ -57,8 +51,7 @@ int main(int argc, char** argv) {
   }
 
   exp::SchedulerParams opts;
-  opts.set("max_generations",
-           static_cast<std::size_t>(cli.get_int("generations", 150)));
+  opts.set("max_generations", cli.get_size("generations", 150));
 
   std::cout << "Comparing 7 schedulers: " << s.workload.count << " " << dist
             << " tasks, " << s.cluster.num_processors
@@ -84,4 +77,7 @@ int main(int argc, char** argv) {
   std::cout << "\nBest makespan: " << best_name << " (" << util::fmt(best, 6)
             << " s)\n";
   return 0;
+} catch (const std::exception& e) {
+  std::cerr << "error: " << e.what() << "\n";
+  return 1;
 }

@@ -65,10 +65,10 @@ max_generations = 150
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   const util::Cli cli(argc, argv);
-  const auto tasks = static_cast<std::size_t>(cli.get_int("tasks", 400));
-  const auto seed = static_cast<std::uint64_t>(cli.get_int("seed", 3));
+  const auto tasks = cli.get_size("tasks", 400);
+  const auto seed = cli.get_size("seed", 3);
 
   // --- Register the custom policy through the public registry API ------
   exp::SchedulerRegistry::instance().add(
@@ -119,4 +119,7 @@ int main(int argc, char** argv) {
                "exp::SchedulerRegistry, and every INI scenario, bench and "
                "example can select it by name — no library edits.\n";
   return 0;
+} catch (const std::exception& e) {
+  std::cerr << "error: " << e.what() << "\n";
+  return 1;
 }

@@ -13,13 +13,12 @@
 
 using namespace gasched;
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   const util::Cli cli(argc, argv);
   exp::Scenario s;
   s.name = "dynamic";
   s.cluster = exp::paper_cluster(cli.get_double("comm", 15.0),
-                                 static_cast<std::size_t>(
-                                     cli.get_int("procs", 16)));
+                                 cli.get_size("procs", 16));
   // Non-dedicated processors: availability random-walks in [0.3, 1.0].
   s.cluster.availability = sim::AvailabilityKind::kRandomWalk;
   s.cluster.avail_lo = 0.3;
@@ -32,13 +31,12 @@ int main(int argc, char** argv) {
   s.workload.dist = "uniform";
   s.workload.param_a = 10.0;
   s.workload.param_b = 1000.0;
-  s.workload.count = static_cast<std::size_t>(cli.get_int("tasks", 600));
-  s.seed = static_cast<std::uint64_t>(cli.get_int("seed", 7));
-  s.replications = static_cast<std::size_t>(cli.get_int("reps", 3));
+  s.workload.count = cli.get_size("tasks", 600);
+  s.seed = cli.get_size("seed", 7);
+  s.replications = cli.get_size("reps", 3);
 
   exp::SchedulerParams opts;
-  opts.set("max_generations",
-           static_cast<std::size_t>(cli.get_int("generations", 150)));
+  opts.set("max_generations", cli.get_size("generations", 150));
 
   std::cout << "Dynamic cluster: availability random-walks in [0.3, 1.0], "
                "link costs drift.\n"
@@ -57,4 +55,7 @@ int main(int argc, char** argv) {
                "are known a priori — it estimates both from history via "
                "the smoothing function Γ.\n";
   return 0;
+} catch (const std::exception& e) {
+  std::cerr << "error: " << e.what() << "\n";
+  return 1;
 }

@@ -16,12 +16,12 @@
 
 using namespace gasched;
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   const util::Cli cli(argc, argv);
-  const auto tasks = static_cast<std::size_t>(cli.get_int("tasks", 60));
-  const auto procs = static_cast<std::size_t>(cli.get_int("procs", 8));
+  const auto tasks = cli.get_size("tasks", 60);
+  const auto procs = cli.get_size("procs", 8);
   const double comm = cli.get_double("comm", 5.0);
-  const auto seed = static_cast<std::uint64_t>(cli.get_int("seed", 3));
+  const auto seed = cli.get_size("seed", 3);
   const std::string name = cli.get("scheduler", "PN");
   const std::string csv = cli.get("csv", "");
 
@@ -62,4 +62,7 @@ int main(int argc, char** argv) {
     std::cout << "\ntask trace written to " << csv << "\n";
   }
   return 0;
+} catch (const std::exception& e) {
+  std::cerr << "error: " << e.what() << "\n";
+  return 1;
 }

@@ -39,10 +39,10 @@ rt::RuntimeConfig make_config(std::size_t workers, double scale) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   const util::Cli cli(argc, argv);
-  const auto tasks = static_cast<std::size_t>(cli.get_int("tasks", 200));
-  const auto workers = static_cast<std::size_t>(cli.get_int("workers", 6));
+  const auto tasks = cli.get_size("tasks", 200);
+  const auto workers = cli.get_size("workers", 6);
   const double scale = cli.get_double("scale", 0.2);
 
   workload::UniformSizes sizes(1.0, 8.0);  // nominal MFLOPs, kept small
@@ -80,4 +80,7 @@ int main(int argc, char** argv) {
                "protocol, measured rates, and Γ-smoothed latency estimates "
                "all transfer to real threads.\n";
   return 0;
+} catch (const std::exception& e) {
+  std::cerr << "error: " << e.what() << "\n";
+  return 1;
 }

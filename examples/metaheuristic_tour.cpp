@@ -23,12 +23,12 @@
 
 using namespace gasched;
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   const util::Cli cli(argc, argv);
-  const auto tasks = static_cast<std::size_t>(cli.get_int("tasks", 600));
-  const auto procs = static_cast<std::size_t>(cli.get_int("procs", 16));
+  const auto tasks = cli.get_size("tasks", 600);
+  const auto procs = cli.get_size("procs", 16);
   const double comm = cli.get_double("comm", 8.0);
-  const auto seed = static_cast<std::uint64_t>(cli.get_int("seed", 7));
+  const auto seed = cli.get_size("seed", 7);
 
   std::cout << "Meta-heuristic tour: " << tasks << " tasks on " << procs
             << " processors, mean comm cost " << comm << " s\n\n";
@@ -84,4 +84,7 @@ int main(int argc, char** argv) {
                "pending load,\nsmoothed per-link comm estimates); only the "
                "search strategy differs.\n";
   return 0;
+} catch (const std::exception& e) {
+  std::cerr << "error: " << e.what() << "\n";
+  return 1;
 }

@@ -46,15 +46,11 @@ double schedule_makespan(sim::SchedulingPolicy& policy,
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   const util::Cli cli(argc, argv);
-  const auto tasks =
-      std::min<std::size_t>(static_cast<std::size_t>(cli.get_int("tasks", 10)),
-                            12);
-  const auto procs =
-      std::min<std::size_t>(static_cast<std::size_t>(cli.get_int("procs", 3)),
-                            4);
-  const auto seed = static_cast<std::uint64_t>(cli.get_int("seed", 42));
+  const auto tasks = std::min<std::size_t>(cli.get_size("tasks", 10), 12);
+  const auto procs = std::min<std::size_t>(cli.get_size("procs", 3), 4);
+  const auto seed = cli.get_size("seed", 42);
 
   // Build one random instance.
   util::Rng rng(seed);
@@ -110,4 +106,7 @@ int main(int argc, char** argv) {
   table.print(std::cout);
   std::cout << "\nvs optimum = makespan / exact optimum (1.0 = optimal).\n";
   return 0;
+} catch (const std::exception& e) {
+  std::cerr << "error: " << e.what() << "\n";
+  return 1;
 }

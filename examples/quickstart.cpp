@@ -14,12 +14,12 @@
 
 using namespace gasched;
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   const util::Cli cli(argc, argv);
-  const auto tasks = static_cast<std::size_t>(cli.get_int("tasks", 500));
-  const auto procs = static_cast<std::size_t>(cli.get_int("procs", 16));
+  const auto tasks = cli.get_size("tasks", 500);
+  const auto procs = cli.get_size("procs", 16);
   const double comm = cli.get_double("comm", 10.0);
-  const auto seed = static_cast<std::uint64_t>(cli.get_int("seed", 1));
+  const auto seed = cli.get_size("seed", 1);
 
   std::cout << "gasched quickstart: " << tasks << " tasks on " << procs
             << " heterogeneous processors (mean comm cost " << comm
@@ -69,4 +69,7 @@ int main(int argc, char** argv) {
     std::cout << "(first 8 of " << cluster.size() << " processors shown)\n";
   }
   return 0;
+} catch (const std::exception& e) {
+  std::cerr << "error: " << e.what() << "\n";
+  return 1;
 }

@@ -225,6 +225,14 @@ int usage(std::ostream& os, const std::string& program, int code) {
 
 int main(int argc, char** argv) {
   const util::Cli cli(argc, argv);
+  try {
+    cli.require_known({"list-schedulers", "list-distributions", "help",
+                       "serve", "schedulers", "serial", "shard", "resume",
+                       "csv", "json", "gantt"});
+  } catch (const std::runtime_error& e) {
+    std::cerr << "error: " << e.what() << "\n";
+    return 2;
+  }
   if (cli.get_bool("list-schedulers", false)) {
     list_schedulers(std::cout);
     return 0;

@@ -11,8 +11,6 @@
 #include <string_view>
 #include <system_error>
 
-#include "core/fitness.hpp"
-#include "core/init.hpp"
 #include "exp/runner.hpp"
 #include "ga/engine.hpp"
 #include "util/rng.hpp"
@@ -191,33 +189,25 @@ std::vector<double> fig3_trajectory(const FigScale& s, std::size_t level,
                                     std::size_t cell_index, bool parallel) {
   std::vector<std::vector<double>> per_rep(
       s.reps, std::vector<double>(s.generations + 1, 0.0));
-  auto body = [&](std::size_t rep) {
+  util::for_each_index(s.reps, parallel, [&](std::size_t rep) {
     const util::Rng base(s.seed);
-    const BatchInstance batch =
-        steady_state_batch(s.seed, rep, s.tasks, s.procs);
-    const core::ScheduleCodec codec(s.tasks, batch.view.size());
-    const core::ScheduleEvaluator eval(batch.sizes, batch.view,
-                                       /*use_comm=*/true);
-
-    // All three series start from the *same* initial population so the
-    // re-balance levels are compared like-for-like.
-    util::Rng init_rng = base.split(500 + rep);
-    const auto shared_init =
-        core::initial_population(codec, eval, s.population, 0.5, init_rng);
-
-    ga::GaConfig cfg;
-    cfg.population = s.population;
-    cfg.max_generations = s.generations;
-    cfg.improvement_passes = level;
-    cfg.record_history = true;
     const ga::RouletteSelection sel;
     const ga::CycleCrossover cx;
     const ga::SwapMutation mut;
-    const ga::GaEngine engine(cfg, sel, cx, mut);
-    const core::ScheduleProblem problem(codec, eval);
+    const ga::GaEngine engine({.population = s.population,
+                               .max_generations = s.generations,
+                               .improvement_passes = level,
+                               .record_history = true},
+                              sel, cx, mut);
+    // All three series start from the *same* initial population (the
+    // init stream depends on rep only) so the re-balance levels are
+    // compared like-for-like.
+    util::Rng init_rng = base.split(500 + rep);
     util::Rng ga_rng = base.split(1000 + 10 * rep + cell_index);
-    auto init = shared_init;
-    const auto result = engine.run(problem, std::move(init), ga_rng);
+    const auto result = steady_state_ga(
+        steady_state_batch(s.seed, rep, s.tasks, s.procs), engine,
+        kDefaultRebalanceProbes, /*init_random_fraction=*/0.5, init_rng,
+        ga_rng);
     const double initial = result.objective_history.front();
     for (std::size_t g = 0; g < per_rep[rep].size(); ++g) {
       const double ms = g < result.objective_history.size()
@@ -225,12 +215,7 @@ std::vector<double> fig3_trajectory(const FigScale& s, std::size_t level,
                             : result.objective_history.back();
       per_rep[rep][g] = 1.0 - ms / initial;
     }
-  };
-  if (parallel && s.reps > 1) {
-    util::global_pool().parallel_for(0, s.reps, body);
-  } else {
-    for (std::size_t rep = 0; rep < s.reps; ++rep) body(rep);
-  }
+  });
 
   std::vector<double> mean(s.generations + 1, 0.0);
   for (std::size_t rep = 0; rep < s.reps; ++rep) {

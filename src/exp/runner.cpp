@@ -3,6 +3,8 @@
 #include <cstring>
 #include <exception>
 
+#include "core/fitness.hpp"
+#include "core/init.hpp"
 #include "exp/registry.hpp"
 #include "util/thread_pool.hpp"
 
@@ -54,19 +56,56 @@ BatchInstance steady_state_batch(std::uint64_t seed, std::size_t rep,
   return inst;
 }
 
-sim::SimulationResult run_one(const Scenario& scenario,
-                              const std::string& scheduler,
-                              const SchedulerParams& params, std::size_t rep,
-                              bool record_task_trace) {
+ga::GaResult steady_state_ga(const BatchInstance& batch,
+                             const ga::GaEngine& engine, std::size_t probes,
+                             double init_random_fraction, util::Rng& init_rng,
+                             util::Rng& ga_rng) {
+  const core::ScheduleCodec codec(batch.sizes.size(), batch.view.size());
+  const core::ScheduleEvaluator eval(batch.sizes, batch.view,
+                                     /*use_comm=*/true);
+  const core::ScheduleProblem problem(codec, eval, probes);
+  auto init = core::initial_population(codec, eval, engine.config().population,
+                                       init_random_fraction, init_rng);
+  return engine.run(problem, std::move(init), ga_rng);
+}
+
+namespace {
+
+/// Replication `rep` of `scenario` under `policy`.
+sim::SimulationResult simulate_replication(const Scenario& scenario,
+                                           sim::SchedulingPolicy& policy,
+                                           std::size_t rep,
+                                           bool record_task_trace) {
   const ReplicationInputs in = make_inputs(scenario, rep);
-  const auto policy = SchedulerRegistry::instance().create(scheduler, params);
   sim::EngineConfig ecfg;
   ecfg.record_task_trace = record_task_trace;
   ecfg.sched_time_scale = scenario.sched_time_scale;
   ecfg.comm_nu = scenario.comm_nu;
   ecfg.rate_nu = scenario.rate_nu;
   if (in.failures) ecfg.failures = &*in.failures;
-  return sim::simulate(in.cluster, in.workload, *policy, in.sim_rng, ecfg);
+  return sim::simulate(in.cluster, in.workload, policy, in.sim_rng, ecfg);
+}
+
+}  // namespace
+
+sim::SimulationResult run_one(const Scenario& scenario,
+                              const std::string& scheduler,
+                              const SchedulerParams& params, std::size_t rep,
+                              bool record_task_trace) {
+  const auto policy = SchedulerRegistry::instance().create(scheduler, params);
+  return simulate_replication(scenario, *policy, rep, record_task_trace);
+}
+
+std::vector<sim::SimulationResult> run_replications(
+    const Scenario& scenario, const PolicyFactory& make_policy,
+    bool parallel) {
+  std::vector<sim::SimulationResult> results(scenario.replications);
+  util::for_each_index(results.size(), parallel, [&](std::size_t rep) {
+    const auto policy = make_policy();
+    results[rep] = simulate_replication(scenario, *policy, rep,
+                                        /*record_task_trace=*/false);
+  });
+  return results;
 }
 
 std::vector<sim::SimulationResult> run_replications(
@@ -76,16 +115,10 @@ std::vector<sim::SimulationResult> run_replications(
   // caller's thread, not inside the pool workers.
   const std::string name =
       SchedulerRegistry::instance().canonical_name(scheduler);
-  std::vector<sim::SimulationResult> results(scenario.replications);
-  auto body = [&](std::size_t rep) {
-    results[rep] = run_one(scenario, name, params, rep);
-  };
-  if (parallel && scenario.replications > 1) {
-    util::global_pool().parallel_for(0, scenario.replications, body);
-  } else {
-    for (std::size_t rep = 0; rep < scenario.replications; ++rep) body(rep);
-  }
-  return results;
+  return run_replications(
+      scenario,
+      [&] { return SchedulerRegistry::instance().create(name, params); },
+      parallel);
 }
 
 metrics::CellSummary run_cell(const Scenario& scenario,
@@ -130,14 +163,9 @@ CertifiedBounds mean_bounds(const Scenario& scenario, bool parallel,
                             const BoundsOf& bounds_of) {
   const std::size_t reps = scenario.replications;
   std::vector<CertifiedBounds> per_rep(reps);
-  auto body = [&](std::size_t rep) {
+  util::for_each_index(reps, parallel, [&](std::size_t rep) {
     per_rep[rep] = bounds_of(bound_instance(scenario, rep));
-  };
-  if (parallel && reps > 1) {
-    util::global_pool().parallel_for(0, reps, body);
-  } else {
-    for (std::size_t rep = 0; rep < reps; ++rep) body(rep);
-  }
+  });
   CertifiedBounds mean;
   for (const auto& b : per_rep) {
     mean.lb_comb += b.lb_comb;

@@ -9,13 +9,16 @@
 // so any registered entry — built-in or user-added — can run a cell.
 
 #include <cstddef>
+#include <functional>
 #include <future>
+#include <memory>
 #include <mutex>
 #include <optional>
 #include <string>
 #include <vector>
 
 #include "exp/scenario.hpp"
+#include "ga/engine.hpp"
 #include "metrics/aggregate.hpp"
 #include "metrics/bounds.hpp"
 #include "sim/engine.hpp"
@@ -62,6 +65,17 @@ struct BatchInstance {
 BatchInstance steady_state_batch(std::uint64_t seed, std::size_t rep,
                                  std::size_t tasks, std::size_t procs);
 
+/// One GA run of a caller-built engine on `batch`: comm-aware pricing,
+/// re-balance probes capped at `probes` (paper: 5), and a start
+/// population of engine.config().population list schedules (fraction
+/// `init_random_fraction` of tasks placed at random, the rest
+/// earliest-finish; §3.3) drawn from `init_rng` before `ga_rng` drives
+/// the run. One stream may be passed as both.
+ga::GaResult steady_state_ga(const BatchInstance& batch,
+                             const ga::GaEngine& engine, std::size_t probes,
+                             double init_random_fraction, util::Rng& init_rng,
+                             util::Rng& ga_rng);
+
 /// Runs `scenario` under the named scheduler for scenario.replications
 /// runs and returns the per-run results in replication order. Thread-safe
 /// and deterministic: replication r derives its RNG streams from
@@ -71,6 +85,16 @@ BatchInstance steady_state_batch(std::uint64_t seed, std::size_t rep,
 std::vector<sim::SimulationResult> run_replications(
     const Scenario& scenario, const std::string& scheduler,
     const SchedulerParams& params = {}, bool parallel = true);
+
+/// Builds one replication's policy; may be called from several threads.
+using PolicyFactory = std::function<std::unique_ptr<sim::SchedulingPolicy>()>;
+
+/// run_replications for a policy outside the registry: replication r
+/// runs a fresh make_policy() on make_inputs(scenario, r), the engine
+/// configured from `scenario` exactly as for a named scheduler.
+std::vector<sim::SimulationResult> run_replications(
+    const Scenario& scenario, const PolicyFactory& make_policy,
+    bool parallel = true);
 
 /// Convenience: run and aggregate into a CellSummary labelled with the
 /// scheduler's canonical registry name.

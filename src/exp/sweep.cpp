@@ -349,11 +349,7 @@ SweepResult Sweep::run() const {
     }
   };
 
-  if (parallel_ && to_run.size() > 1) {
-    util::global_pool().parallel_for(0, to_run.size(), run_cell_at);
-  } else {
-    for (std::size_t job = 0; job < to_run.size(); ++job) run_cell_at(job);
-  }
+  util::for_each_index(to_run.size(), parallel_, run_cell_at);
 
   if (show_progress && !to_run.empty()) std::fprintf(stderr, "\n");
   for (auto* sink : sinks_) sink->end();

@@ -73,10 +73,10 @@ struct CellOutcome {
 };
 
 /// Computes one cell. `parallel` mirrors the sweep's execution mode:
-/// runners that replicate internally should parallelise (e.g. via
-/// run_replications or ThreadPool::parallel_for, both safe to nest)
-/// exactly when it is true, and must produce results that do not depend
-/// on it. The default runner is run_replications + metrics::aggregate.
+/// runners that replicate internally pass it on to run_replications
+/// (by scheduler name or with a PolicyFactory) or util::for_each_index,
+/// both safe to nest, and must produce results that do not depend on
+/// it. The default runner is run_replications + metrics::aggregate.
 using CellRunner =
     std::function<CellOutcome(const SweepCell& cell, bool parallel)>;
 

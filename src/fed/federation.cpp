@@ -303,12 +303,9 @@ FederationResult run_federation(const FederationConfig& cfg, std::size_t rep) {
 std::vector<FederationResult> run_federation_replications(
     const FederationConfig& cfg, bool parallel) {
   std::vector<FederationResult> results(cfg.replications);
-  auto body = [&](std::size_t rep) { results[rep] = run_federation(cfg, rep); };
-  if (parallel && cfg.replications > 1) {
-    util::global_pool().parallel_for(0, cfg.replications, body);
-  } else {
-    for (std::size_t rep = 0; rep < cfg.replications; ++rep) body(rep);
-  }
+  util::for_each_index(results.size(), parallel, [&](std::size_t rep) {
+    results[rep] = run_federation(cfg, rep);
+  });
   return results;
 }
 

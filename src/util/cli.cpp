@@ -1,10 +1,30 @@
 #include "util/cli.hpp"
 
+#include <algorithm>
 #include <charconv>
 #include <cstdlib>
 #include <stdexcept>
 
 namespace gasched::util {
+
+namespace {
+
+/// All of `s` read as a T; throws std::runtime_error naming --name when
+/// any of it is not (a negative count must not wrap, text must not read
+/// as the fallback).
+template <typename T>
+T parse_whole(const std::string& name, const std::string& s,
+              const char* expected) {
+  T out{};
+  const auto [ptr, ec] = std::from_chars(s.data(), s.data() + s.size(), out);
+  if (ec != std::errc{} || ptr != s.data() + s.size()) {
+    throw std::runtime_error("--" + name + ": expected " + expected +
+                             ", got '" + s + "'");
+  }
+  return out;
+}
+
+}  // namespace
 
 Cli::Cli(int argc, const char* const* argv) {
   if (argc > 0) program_ = argv[0];
@@ -28,6 +48,14 @@ Cli::Cli(int argc, const char* const* argv) {
   }
 }
 
+void Cli::require_known(const std::vector<std::string>& known) const {
+  for (const auto& [name, value] : flags_) {
+    if (std::find(known.begin(), known.end(), name) == known.end()) {
+      throw std::runtime_error("unknown flag --" + name);
+    }
+  }
+}
+
 bool Cli::has(const std::string& name) const { return flags_.contains(name); }
 
 std::string Cli::get(const std::string& name,
@@ -39,36 +67,25 @@ std::string Cli::get(const std::string& name,
 std::int64_t Cli::get_int(const std::string& name,
                           std::int64_t fallback) const {
   const auto it = flags_.find(name);
-  if (it == flags_.end()) return fallback;
-  std::int64_t out = 0;
-  const auto& s = it->second;
-  const auto res = std::from_chars(s.data(), s.data() + s.size(), out);
-  return res.ec == std::errc{} ? out : fallback;
+  return it == flags_.end() ? fallback
+                            : parse_whole<std::int64_t>(name, it->second,
+                                                        "an integer");
 }
 
 std::size_t Cli::get_size(const std::string& name,
                           std::size_t fallback) const {
   const auto it = flags_.find(name);
-  if (it == flags_.end()) return fallback;
-  std::size_t out = 0;
-  const auto& s = it->second;
-  const auto [ptr, ec] = std::from_chars(s.data(), s.data() + s.size(), out);
-  if (ec != std::errc{} || ptr != s.data() + s.size()) {
-    throw std::runtime_error("--" + name +
-                             ": expected a non-negative integer, got '" + s +
-                             "'");
-  }
-  return out;
+  return it == flags_.end()
+             ? fallback
+             : parse_whole<std::size_t>(name, it->second,
+                                        "a non-negative integer");
 }
 
 double Cli::get_double(const std::string& name, double fallback) const {
   const auto it = flags_.find(name);
-  if (it == flags_.end()) return fallback;
-  try {
-    return std::stod(it->second);
-  } catch (...) {
-    return fallback;
-  }
+  return it == flags_.end()
+             ? fallback
+             : parse_whole<double>(name, it->second, "a number");
 }
 
 bool Cli::get_bool(const std::string& name, bool fallback) const {

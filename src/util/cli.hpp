@@ -17,9 +17,15 @@ namespace gasched::util {
 /// Parsed command line: flag map plus positional arguments.
 class Cli {
  public:
-  /// Parses argv. Unknown flags are retained (queryable); malformed input
-  /// never throws — a flag without a value is treated as boolean "true".
+  /// Parses argv. Every flag is retained (queryable) until a caller
+  /// checks them with require_known; parsing never throws — a flag
+  /// without a value is treated as boolean "true".
   Cli(int argc, const char* const* argv);
+
+  /// Throws std::runtime_error("unknown flag --name") for the first flag,
+  /// in name order, that is not in `known`, so a misspelled flag fails
+  /// instead of silently leaving its setting at the default.
+  void require_known(const std::vector<std::string>& known) const;
 
   /// Program name (argv[0], may be empty).
   const std::string& program() const noexcept { return program_; }
@@ -35,14 +41,16 @@ class Cli {
   /// String flag with default.
   std::string get(const std::string& name, const std::string& fallback) const;
 
-  /// Integer flag with default (returns fallback on parse failure).
+  /// Integer flag with default. Throws std::runtime_error naming the
+  /// flag when its text is not a whole integer.
   std::int64_t get_int(const std::string& name, std::int64_t fallback) const;
 
   /// Count flag with default. Throws std::runtime_error naming the flag
   /// when its text is not a whole non-negative integer.
   std::size_t get_size(const std::string& name, std::size_t fallback) const;
 
-  /// Double flag with default (returns fallback on parse failure).
+  /// Double flag with default. Throws std::runtime_error naming the flag
+  /// when its text is not a number.
   double get_double(const std::string& name, double fallback) const;
 
   /// Boolean flag: present without value, or value in {1,true,yes,on}.

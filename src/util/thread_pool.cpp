@@ -137,4 +137,13 @@ ThreadPool& global_pool() {
   return pool;
 }
 
+void for_each_index(std::size_t n, bool parallel,
+                    const std::function<void(std::size_t)>& fn) {
+  if (parallel && n > 1) {
+    global_pool().parallel_for(0, n, fn);
+  } else {
+    for (std::size_t i = 0; i < n; ++i) fn(i);
+  }
+}
+
 }  // namespace gasched::util

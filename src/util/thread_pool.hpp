@@ -75,4 +75,12 @@ class ThreadPool {
 /// Global pool shared by the experiment harness (lazily constructed).
 ThreadPool& global_pool();
 
+/// Runs fn(i) for every i in [0, n): on global_pool() when `parallel`
+/// and n > 1, otherwise in index order on the calling thread. The one
+/// way the harness fans out replications, cells and instances; callers
+/// write results by index, so the output does not depend on which path
+/// ran. Exceptions propagate as from ThreadPool::parallel_for.
+void for_each_index(std::size_t n, bool parallel,
+                    const std::function<void(std::size_t)>& fn);
+
 }  // namespace gasched::util

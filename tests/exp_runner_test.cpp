@@ -9,6 +9,9 @@
 #include <bit>
 #include <cstdint>
 
+#include "core/fitness.hpp"
+#include "core/init.hpp"
+#include "exp/registry.hpp"
 #include "exp/sweep.hpp"
 #include "util/thread_pool.hpp"
 
@@ -207,6 +210,80 @@ TEST(ReplicationInputs, SteadyStateBatchIsDeterministicPerReplication) {
     EXPECT_EQ(a.view.procs[j].pending_mflops, 0.0);
   }
   EXPECT_NE(steady_state_batch(11, 3, 30, 5).sizes, a.sizes);
+}
+
+/// The fields bench/e2e's replica check compares, exactly.
+void expect_same_result(const sim::SimulationResult& a,
+                        const sim::SimulationResult& b) {
+  EXPECT_EQ(a.makespan, b.makespan);
+  EXPECT_EQ(a.tasks_completed, b.tasks_completed);
+  EXPECT_EQ(a.scheduler_invocations, b.scheduler_invocations);
+  EXPECT_EQ(a.mean_response_time, b.mean_response_time);
+  EXPECT_EQ(a.tasks_requeued, b.tasks_requeued);
+  ASSERT_EQ(a.per_proc.size(), b.per_proc.size());
+  for (std::size_t j = 0; j < a.per_proc.size(); ++j) {
+    EXPECT_EQ(a.per_proc[j].busy_time, b.per_proc[j].busy_time) << j;
+    EXPECT_EQ(a.per_proc[j].comm_time, b.per_proc[j].comm_time) << j;
+    EXPECT_EQ(a.per_proc[j].tasks, b.per_proc[j].tasks) << j;
+    EXPECT_EQ(a.per_proc[j].work_mflops, b.per_proc[j].work_mflops) << j;
+  }
+}
+
+TEST(Runner, PolicyFactoryMatchesTheNamedScheduler) {
+  // Failures and non-default smoothing: the factory overload must map
+  // the scenario onto the engine exactly as the name-based path does.
+  Scenario s = streaming_scenario();
+  s.comm_nu = 0.3;
+  s.rate_nu = 0.7;
+  for (const std::string name : {"PN", "EF"}) {
+    const auto named = run_replications(s, name, quick_opts());
+    std::size_t built = 0;
+    const auto factory = run_replications(
+        s,
+        [&] {
+          ++built;  // serial below, so no race
+          return SchedulerRegistry::instance().create(name, quick_opts());
+        },
+        /*parallel=*/false);
+    EXPECT_EQ(built, s.replications) << name;
+    ASSERT_EQ(named.size(), factory.size()) << name;
+    for (std::size_t r = 0; r < named.size(); ++r) {
+      SCOPED_TRACE(name + " rep " + std::to_string(r));
+      expect_same_result(named[r], factory[r]);
+    }
+  }
+}
+
+TEST(SteadyStateGa, OneStreamPassedTwiceMatchesTheHandWrittenRun) {
+  const BatchInstance batch = steady_state_batch(11, 1, 40, 6);
+  ga::GaConfig cfg;
+  cfg.population = 8;
+  cfg.max_generations = 25;
+  cfg.improvement_passes = 1;
+  cfg.record_history = true;
+  const ga::RouletteSelection sel;
+  const ga::CycleCrossover cx;
+  const ga::SwapMutation mut;
+  const ga::GaEngine engine(cfg, sel, cx, mut);
+
+  util::Rng rng = util::Rng(11).split(1010);
+  const ga::GaResult got =
+      steady_state_ga(batch, engine, /*probes=*/3, 0.25, rng, rng);
+
+  // The sequence the GA ablations wrote out by hand.
+  const core::ScheduleCodec codec(40, batch.view.size());
+  const core::ScheduleEvaluator eval(batch.sizes, batch.view, true);
+  const core::ScheduleProblem problem(codec, eval, 3);
+  util::Rng ref_rng = util::Rng(11).split(1010);
+  auto init = core::initial_population(codec, eval, cfg.population, 0.25,
+                                       ref_rng);
+  const ga::GaResult want = engine.run(problem, std::move(init), ref_rng);
+
+  EXPECT_EQ(got.best, want.best);
+  EXPECT_EQ(got.objective_history, want.objective_history);
+  EXPECT_FALSE(got.objective_history.empty());
+  // Both streams end where the hand-written run left its one stream.
+  EXPECT_EQ(rng.next_u64(), ref_rng.next_u64());
 }
 
 TEST(Runner, CellSummaryAggregates) {

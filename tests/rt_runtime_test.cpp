@@ -111,6 +111,10 @@ TEST(Runtime, HeterogeneousSpeedsShiftLoadUnderEf) {
   cfg.worker_speeds = {1.0, 0.2};  // worker 1 is 5x slower
   cfg.work_scale = 0.2;
   cfg.seed = 3;
+  // One invocation places all 40 tasks from the speed-scaled rate priors.
+  // Scheduled one at a time, EF would follow rates measured on the host,
+  // which a loaded machine (a parallel test run) can invert.
+  cfg.min_batch_trigger = 40;
   Runtime runtime(cfg, sched::make_ef());
   for (int i = 0; i < 40; ++i) runtime.submit(tiny_task(i, 2.0));
   const RuntimeResult r = runtime.drain();

@@ -49,9 +49,46 @@ TEST(Cli, DefaultsWhenMissing) {
   EXPECT_FALSE(cli.get_bool("missing", false));
 }
 
-TEST(Cli, MalformedIntFallsBack) {
-  const Cli cli = make({"prog", "--n", "abc"});
-  EXPECT_EQ(cli.get_int("n", 9), 9);
+TEST(Cli, MalformedNumbersThrowNamingTheFlag) {
+  // Text that is not a number must not read as the fallback: `--seed abc`
+  // would otherwise run the default seed without a word.
+  for (const char* bad : {"abc", "12x", "1.5", "", "true"}) {
+    const Cli cli = make({"prog", "--seed", bad});
+    try {
+      (void)cli.get_int("seed", 9);
+      ADD_FAILURE() << "get_int accepted '" << bad << "'";
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find("--seed"), std::string::npos)
+          << e.what();
+    }
+  }
+  for (const char* bad : {"abc", "0.5x", "", "true", "1e999"}) {
+    const Cli cli = make({"prog", "--comm", bad});
+    try {
+      (void)cli.get_double("comm", 2.5);
+      ADD_FAILURE() << "get_double accepted '" << bad << "'";
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find("--comm"), std::string::npos)
+          << e.what();
+    }
+  }
+  EXPECT_DOUBLE_EQ(make({"p", "--comm", "1e-3"}).get_double("comm", 0.0),
+                   1e-3);
+  EXPECT_DOUBLE_EQ(make({"p", "--comm=-2"}).get_double("comm", 0.0), -2.0);
+}
+
+TEST(Cli, RequireKnownNamesTheUnknownFlag) {
+  const Cli cli = make({"prog", "--tasks", "60", "--rep", "1", "in.ini"});
+  EXPECT_NO_THROW(cli.require_known({"tasks", "rep"}));
+  try {
+    cli.require_known({"tasks", "reps", "generations"});
+    ADD_FAILURE() << "accepted --rep";
+  } catch (const std::runtime_error& e) {
+    EXPECT_STREQ(e.what(), "unknown flag --rep");
+  }
+  // Positional arguments are not flags.
+  EXPECT_NO_THROW(make({"prog", "in.ini"}).require_known({}));
+  EXPECT_THROW(make({"prog", "--x=1"}).require_known({}), std::runtime_error);
 }
 
 TEST(Cli, PositionalArgumentsPreserved) {

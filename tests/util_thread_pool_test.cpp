@@ -1,5 +1,6 @@
-// Tests for the thread pool: completion, exception propagation, and
-// parallel_for coverage/determinism properties.
+// Tests for the thread pool: completion, exception propagation,
+// parallel_for coverage/determinism properties, and for_each_index's
+// serial and pooled paths.
 
 #include "util/thread_pool.hpp"
 
@@ -9,6 +10,7 @@
 #include <numeric>
 #include <stdexcept>
 #include <thread>
+#include <utility>
 #include <vector>
 
 namespace gasched::util {
@@ -192,6 +194,60 @@ TEST(ThreadPool, TryRunOneDrainsQueuedJobs) {
 TEST(GlobalPool, IsSingleton) {
   EXPECT_EQ(&global_pool(), &global_pool());
   EXPECT_GE(global_pool().size(), 1u);
+}
+
+TEST(ForEachIndex, SerialPathVisitsInOrderOnTheCallersThread) {
+  // parallel = false, and a single index even when parallel: both run
+  // inline, in index order.
+  for (const auto& [n, parallel] :
+       {std::pair<std::size_t, bool>{6, false}, {1, true}, {0, true}}) {
+    std::vector<std::size_t> order;
+    std::vector<std::thread::id> threads;
+    for_each_index(n, parallel, [&](std::size_t i) {
+      order.push_back(i);
+      threads.push_back(std::this_thread::get_id());
+    });
+    std::vector<std::size_t> expect(n);
+    std::iota(expect.begin(), expect.end(), 0);
+    EXPECT_EQ(order, expect);
+    for (const auto& id : threads) EXPECT_EQ(id, std::this_thread::get_id());
+  }
+}
+
+TEST(ForEachIndex, ParallelPathVisitsEveryIndexExactlyOnce) {
+  const std::size_t n = 500;
+  std::vector<std::atomic<int>> hits(n);
+  for_each_index(n, true, [&](std::size_t i) { hits[i].fetch_add(1); });
+  for (std::size_t i = 0; i < n; ++i) EXPECT_EQ(hits[i].load(), 1) << i;
+}
+
+TEST(ForEachIndex, FirstExceptionPropagates) {
+  for (const bool parallel : {false, true}) {
+    std::atomic<int> ran{0};
+    try {
+      for_each_index(16, parallel, [&](std::size_t i) {
+        ran.fetch_add(1);
+        if (i == 3) throw std::runtime_error("index 3");
+      });
+      ADD_FAILURE() << "no exception, parallel=" << parallel;
+    } catch (const std::runtime_error& e) {
+      EXPECT_STREQ(e.what(), "index 3");
+    }
+    // The serial path stops at the throwing index.
+    if (!parallel) EXPECT_EQ(ran.load(), 4);
+  }
+}
+
+TEST(ForEachIndex, NestedCallFromAPoolJobCompletes) {
+  std::atomic<int> count{0};
+  global_pool()
+      .submit([&] {
+        for_each_index(4, true, [&](std::size_t) {
+          for_each_index(8, true, [&](std::size_t) { count.fetch_add(1); });
+        });
+      })
+      .get();
+  EXPECT_EQ(count.load(), 32);
 }
 
 }  // namespace

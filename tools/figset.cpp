@@ -115,6 +115,19 @@ std::string git_sha() {
   return "unknown";
 }
 
+/// False, after printing `error: unknown flag --x`, when `cli` holds a
+/// flag outside the command's `known` set: a misspelled flag must not
+/// silently leave its setting at the default.
+bool flags_known(const util::Cli& cli, const std::vector<std::string>& known) {
+  try {
+    cli.require_known(known);
+    return true;
+  } catch (const std::runtime_error& e) {
+    std::cerr << "error: " << e.what() << "\n";
+    return false;
+  }
+}
+
 int usage(std::ostream& os, int code) {
   os << "usage: figset [run] [options]     run figures (default command)\n"
         "       figset list [--markdown]   print the figure table\n"
@@ -304,6 +317,11 @@ void write_manifest(const fs::path& path, const RunOptions& o,
 }
 
 int cmd_run(const util::Cli& cli) {
+  if (!flags_known(cli, {"out", "only", "tag", "full", "serial", "resume",
+                         "no-report", "shard", "tasks", "reps", "generations",
+                         "procs", "population", "batch", "seed"})) {
+    return 2;
+  }
   RunOptions o;
   o.out = cli.get("out", "figset_out");
   o.only = cli.get("only", "");
@@ -321,25 +339,21 @@ int cmd_run(const util::Cli& cli) {
       return 2;
     }
   }
-  for (const auto& [name, slot] :
-       {std::pair<const char*, std::optional<std::size_t>*>{"tasks",
-                                                            &o.tasks},
-        {"reps", &o.reps},
-        {"generations", &o.generations},
-        {"procs", &o.procs},
-        {"population", &o.population},
-        {"batch", &o.batch}}) {
-    if (cli.has(name)) {
-      try {
-        *slot = cli.get_size(name, 0);
-      } catch (const std::runtime_error& e) {
-        std::cerr << "figset: " << e.what() << "\n";
-        return 2;
-      }
+  try {
+    for (const auto& [name, slot] :
+         {std::pair<const char*, std::optional<std::size_t>*>{"tasks",
+                                                              &o.tasks},
+          {"reps", &o.reps},
+          {"generations", &o.generations},
+          {"procs", &o.procs},
+          {"population", &o.population},
+          {"batch", &o.batch}}) {
+      if (cli.has(name)) *slot = cli.get_size(name, 0);
     }
-  }
-  if (cli.has("seed")) {
-    o.seed = static_cast<std::uint64_t>(cli.get_int("seed", 0));
+    if (cli.has("seed")) o.seed = cli.get_size("seed", 0);
+  } catch (const std::runtime_error& e) {
+    std::cerr << "figset: " << e.what() << "\n";
+    return 2;
   }
 
   const auto selected = exp::FigSet::instance().select(o.only, o.tag);
@@ -542,6 +556,7 @@ int cmd_list_markdown(const util::Cli& cli) {
 }
 
 int cmd_list(const util::Cli& cli) {
+  if (!flags_known(cli, {"markdown", "bench-dir"})) return 2;
   if (cli.get_bool("markdown", false)) return cmd_list_markdown(cli);
   util::Table table({"id", "paper", "section", "tags", "cells(quick)",
                      "title"});
@@ -569,6 +584,7 @@ int cmd_list(const util::Cli& cli) {
 /// name, so `cd OUT && gnuplot figNN.gp` (or python3 figNN.py) renders
 /// figNN.png. Warns when a figure's CSV is not present yet.
 int cmd_plot(const util::Cli& cli) {
+  if (!flags_known(cli, {"out", "only", "tag", "full"})) return 2;
   const fs::path out = cli.get("out", "figset_out");
   const auto selected = exp::FigSet::instance().select(cli.get("only", ""),
                                                        cli.get("tag", ""));
@@ -601,6 +617,7 @@ int cmd_plot(const util::Cli& cli) {
 
 int cmd_merge(const util::Cli& cli,
               const std::vector<std::string>& shard_dirs) {
+  if (!flags_known(cli, {"out"})) return 2;
   if (!cli.has("out") || shard_dirs.size() < 2) {
     std::cerr << "usage: figset merge --out DIR SHARD_DIR SHARD_DIR...\n";
     return 2;
