@@ -10,25 +10,34 @@ namespace gasched::bench {
 BenchParams parse_params(int argc, char** argv, std::size_t quick_tasks,
                          std::size_t quick_reps,
                          std::size_t quick_generations,
-                         const std::vector<std::string>& extra_flags) {
-  const util::Cli cli(argc, argv);
+                         const std::vector<std::string>& extra_flags,
+                         const std::vector<std::string>& extra_booleans) {
+  std::vector<std::string> booleans = extra_booleans;
+  booleans.insert(booleans.end(), {"serial", "resume", "full"});
+  const util::Cli cli(argc, argv, booleans);
   BenchParams p;
-  p.full = util::bench_full_scale() || cli.get_bool("full", false);
-  if (p.full) {
-    p.tasks = 10000;
-    p.reps = 50;
-    p.generations = 1000;
-  } else {
-    p.tasks = quick_tasks;
-    p.reps = quick_reps;
-    p.generations = quick_generations;
-  }
   try {
     std::vector<std::string> known = extra_flags;
+    known.insert(known.end(), booleans.begin(), booleans.end());
     known.insert(known.end(), {"tasks", "reps", "generations", "procs",
-                               "population", "batch", "seed", "serial", "csv",
-                               "json", "resume", "full"});
+                               "population", "batch", "seed", "csv", "json"});
     cli.require_known(known);
+    // The benches take no positional argument: one here is a value meant
+    // for a boolean flag (`--serial 0`), which never takes the next one.
+    if (!cli.positional().empty()) {
+      throw std::runtime_error("unexpected argument '" +
+                               cli.positional().front() + "'");
+    }
+    p.full = util::bench_full_scale() || cli.get_bool("full", false);
+    if (p.full) {
+      p.tasks = 10000;
+      p.reps = 50;
+      p.generations = 1000;
+    } else {
+      p.tasks = quick_tasks;
+      p.reps = quick_reps;
+      p.generations = quick_generations;
+    }
     p.tasks = cli.get_size("tasks", p.tasks);
     p.reps = cli.get_size("reps", p.reps);
     p.generations = cli.get_size("generations", p.generations);

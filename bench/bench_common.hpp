@@ -58,13 +58,15 @@ struct BenchParams {
 /// Parses common flags (--tasks, --reps, --generations, --procs,
 /// --population, --batch, --seed, --csv, --json, --resume, --serial,
 /// --full) on top of quick/full defaults. Exits with code 2 on a flag
-/// that is neither common nor in `extra_flags` (the binary's own), on a
-/// malformed number, and when --resume is given without --csv or --json
-/// (there would be no file to continue from).
+/// that is neither common nor the binary's own (`extra_flags` take a
+/// value, `extra_booleans` do not), on a malformed number or boolean,
+/// and when --resume is given without --csv or --json (there would be no
+/// file to continue from).
 BenchParams parse_params(int argc, char** argv, std::size_t quick_tasks,
                          std::size_t quick_reps,
                          std::size_t quick_generations,
-                         const std::vector<std::string>& extra_flags = {});
+                         const std::vector<std::string>& extra_flags = {},
+                         const std::vector<std::string>& extra_booleans = {});
 
 /// Shared SchedulerParams (batch_size, max_generations, population,
 /// pn_dynamic_batch) matching `p`.

@@ -27,8 +27,8 @@ using namespace gasched;
 
 int main(int argc, char** argv) {
   auto p = bench::parse_params(argc, argv, /*tasks=*/600, /*reps=*/3,
-                               /*generations=*/100, {"quick"});
-  const bool quick = util::Cli(argc, argv).get_bool("quick", false);
+                               /*generations=*/100, {}, {"quick"});
+  const bool quick = util::Cli(argc, argv, {"quick"}).get_bool("quick", false);
   if (quick) {
     // CI smoke scale: exercises every code path (exact search, GA
     // schedulers, interior-point bound) in a few seconds.

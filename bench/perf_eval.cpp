@@ -21,8 +21,8 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <new>
+#include <stdexcept>
 #include <string>
 #include <tuple>
 
@@ -30,6 +30,7 @@
 #include "core/init.hpp"
 #include "ga/engine.hpp"
 #include "sim/policy.hpp"
+#include "util/cli.hpp"
 #include "util/rng.hpp"
 
 namespace {
@@ -69,30 +70,23 @@ struct Options {
 
 Options parse(int argc, char** argv) {
   Options o;
-  for (int i = 1; i < argc; ++i) {
-    auto num = [&](std::size_t& out) {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "perf_eval: %s needs a value\n", argv[i]);
-        std::exit(2);
-      }
-      out = std::strtoul(argv[++i], nullptr, 10);
-    };
-    if (std::strcmp(argv[i], "--tasks") == 0) {
-      num(o.tasks);
-    } else if (std::strcmp(argv[i], "--procs") == 0) {
-      num(o.procs);
-    } else if (std::strcmp(argv[i], "--population") == 0) {
-      num(o.population);
-    } else if (std::strcmp(argv[i], "--generations") == 0) {
-      num(o.generations);
-    } else if (std::strcmp(argv[i], "--label") == 0 && i + 1 < argc) {
-      o.label = argv[++i];
-    } else {
-      std::fprintf(stderr,
-                   "usage: perf_eval [--tasks N] [--procs M] "
-                   "[--population P] [--generations G] [--label L]\n");
-      std::exit(2);
-    }
+  const util::Cli cli(argc, argv);
+  try {
+    cli.require_known({"tasks", "procs", "population", "generations", "label"});
+    o.tasks = cli.get_size("tasks", o.tasks);
+    o.procs = cli.get_size("procs", o.procs);
+    o.population = cli.get_size("population", o.population);
+    o.generations = cli.get_size("generations", o.generations);
+    o.label = cli.get("label", o.label);
+  } catch (const std::runtime_error& e) {
+    std::fprintf(stderr, "perf_eval: error: %s\n", e.what());
+    std::exit(2);
+  }
+  if (!cli.positional().empty()) {
+    std::fprintf(stderr,
+                 "usage: perf_eval [--tasks N] [--procs M] "
+                 "[--population P] [--generations G] [--label L]\n");
+    std::exit(2);
   }
   return o;
 }

@@ -24,14 +24,15 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <new>
+#include <stdexcept>
 #include <string>
 
 #include "exp/runner.hpp"
 #include "exp/scenario.hpp"
 #include "sim/engine.hpp"
 #include "sim/event_queue.hpp"
+#include "util/cli.hpp"
 #include "util/rng.hpp"
 #include "workload/generator.hpp"
 
@@ -72,32 +73,24 @@ struct Options {
 
 Options parse(int argc, char** argv) {
   Options o;
-  for (int i = 1; i < argc; ++i) {
-    auto num = [&](std::size_t& out) {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "perf_event_core: %s needs a value\n", argv[i]);
-        std::exit(2);
-      }
-      out = std::strtoul(argv[++i], nullptr, 10);
-    };
-    if (std::strcmp(argv[i], "--events") == 0) {
-      num(o.events);
-    } else if (std::strcmp(argv[i], "--holds") == 0) {
-      num(o.holds);
-    } else if (std::strcmp(argv[i], "--tasks") == 0) {
-      num(o.tasks);
-    } else if (std::strcmp(argv[i], "--procs") == 0) {
-      num(o.procs);
-    } else if (std::strcmp(argv[i], "--scheduler") == 0 && i + 1 < argc) {
-      o.scheduler = argv[++i];
-    } else if (std::strcmp(argv[i], "--label") == 0 && i + 1 < argc) {
-      o.label = argv[++i];
-    } else {
-      std::fprintf(stderr,
-                   "usage: perf_event_core [--events N] [--holds H] "
-                   "[--tasks N] [--procs M] [--scheduler S] [--label L]\n");
-      std::exit(2);
-    }
+  const util::Cli cli(argc, argv);
+  try {
+    cli.require_known({"events", "holds", "tasks", "procs", "scheduler", "label"});
+    o.events = cli.get_size("events", o.events);
+    o.holds = cli.get_size("holds", o.holds);
+    o.tasks = cli.get_size("tasks", o.tasks);
+    o.procs = cli.get_size("procs", o.procs);
+    o.scheduler = cli.get("scheduler", o.scheduler);
+    o.label = cli.get("label", o.label);
+  } catch (const std::runtime_error& e) {
+    std::fprintf(stderr, "perf_event_core: error: %s\n", e.what());
+    std::exit(2);
+  }
+  if (!cli.positional().empty()) {
+    std::fprintf(stderr,
+                 "usage: perf_event_core [--events N] [--holds H] "
+                 "[--tasks N] [--procs M] [--scheduler S] [--label L]\n");
+    std::exit(2);
   }
   return o;
 }

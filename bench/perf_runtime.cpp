@@ -26,11 +26,13 @@
 #include <cstdlib>
 #include <cstring>
 #include <new>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "rt/runtime.hpp"
 #include "sched/heuristics.hpp"
+#include "util/cli.hpp"
 #include "workload/generator.hpp"
 
 namespace {
@@ -69,30 +71,23 @@ struct Options {
 
 Options parse(int argc, char** argv) {
   Options o;
-  for (int i = 1; i < argc; ++i) {
-    auto num = [&](double& out) {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "perf_runtime: %s needs a value\n", argv[i]);
-        std::exit(2);
-      }
-      out = std::strtod(argv[++i], nullptr);
-    };
-    if (std::strcmp(argv[i], "--duration") == 0) {
-      num(o.duration);
-    } else if (std::strcmp(argv[i], "--rate") == 0) {
-      num(o.rate);
-    } else if (std::strcmp(argv[i], "--workers") == 0 && i + 1 < argc) {
-      o.workers = std::strtoul(argv[++i], nullptr, 10);
-    } else if (std::strcmp(argv[i], "--work-scale") == 0) {
-      num(o.work_scale);
-    } else if (std::strcmp(argv[i], "--label") == 0 && i + 1 < argc) {
-      o.label = argv[++i];
-    } else {
-      std::fprintf(stderr,
-                   "usage: perf_runtime [--duration S] [--rate L] "
-                   "[--workers N] [--work-scale F] [--label L]\n");
-      std::exit(2);
-    }
+  const util::Cli cli(argc, argv);
+  try {
+    cli.require_known({"duration", "rate", "workers", "work-scale", "label"});
+    o.duration = cli.get_double("duration", o.duration);
+    o.rate = cli.get_double("rate", o.rate);
+    o.workers = cli.get_size("workers", o.workers);
+    o.work_scale = cli.get_double("work-scale", o.work_scale);
+    o.label = cli.get("label", o.label);
+  } catch (const std::runtime_error& e) {
+    std::fprintf(stderr, "perf_runtime: error: %s\n", e.what());
+    std::exit(2);
+  }
+  if (!cli.positional().empty()) {
+    std::fprintf(stderr,
+                 "usage: perf_runtime [--duration S] [--rate L] "
+                 "[--workers N] [--work-scale F] [--label L]\n");
+    std::exit(2);
   }
   return o;
 }

@@ -18,7 +18,7 @@
 using namespace gasched;
 
 int main(int argc, char** argv) {
-  const util::Cli cli(argc, argv);
+  const util::Cli cli(argc, argv, {"serial"});
   if (cli.positional().empty()) {
     std::cerr << "usage: " << cli.program()
               << " <federation.ini> [--serial]\n"

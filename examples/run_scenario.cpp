@@ -224,7 +224,9 @@ int usage(std::ostream& os, const std::string& program, int code) {
 }
 
 int main(int argc, char** argv) {
-  const util::Cli cli(argc, argv);
+  const util::Cli cli(argc, argv,
+                      {"list-schedulers", "list-distributions", "help",
+                       "serve", "serial", "resume", "gantt"});
   try {
     cli.require_known({"list-schedulers", "list-distributions", "help",
                        "serve", "schedulers", "serial", "shard", "resume",

@@ -9,11 +9,18 @@
 
 namespace gasched::core {
 
+namespace {
+
+/// Smoothing factor ν for the idle-time sequence s_p (§3.7).
+constexpr double kBatchNu = 0.5;
+
+}  // namespace
+
 GeneticBatchScheduler::GeneticBatchScheduler(GeneticSchedulerConfig cfg,
                                              std::string display_name)
     : cfg_(std::move(cfg)),
       name_(std::move(display_name)),
-      idle_smoother_(cfg_.batch_nu) {}
+      idle_smoother_(kBatchNu) {}
 
 std::size_t GeneticBatchScheduler::next_batch_size(
     const sim::SystemView& view) {

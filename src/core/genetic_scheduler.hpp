@@ -46,8 +46,6 @@ struct GeneticSchedulerConfig {
   bool dynamic_batch = true;
   /// Batch size when dynamic_batch is false (paper Fig 5 uses 200).
   std::size_t fixed_batch = 200;
-  /// Smoothing factor ν for the idle-time sequence s_p (§3.7).
-  double batch_nu = 0.5;
   /// Wall-clock budget per invocation (seconds); 0 disables. This is the
   /// practical form of §3.4's third stopping condition ("the GA will also
   /// stop evolving if one of the processors becomes idle") — pair it with

@@ -3,10 +3,10 @@
 #include <algorithm>
 #include <cmath>
 #include <iterator>
-#include <sstream>
 #include <stdexcept>
 
 #include "exp/registry.hpp"
+#include "util/parse.hpp"
 #include "workload/arrival.hpp"
 
 namespace gasched::exp {
@@ -41,7 +41,7 @@ WorkloadSpec workload_from_config(const util::Config& cfg) {
       cfg.get("workload.dist", "normal"));
   w.param_a = cfg.get_double("workload.param_a", 1000.0);
   w.param_b = cfg.get_double("workload.param_b", 9e5);
-  w.params = Params::from_config(cfg, "workload");
+  w.params = cfg.section("workload");
   w.count = positive_size(cfg, "workload.count", 1000);
   w.all_at_start = cfg.get_bool("workload.all_at_start", true);
   w.mean_interarrival = cfg.get_double("workload.mean_interarrival", 1.0);
@@ -63,7 +63,7 @@ WorkloadSpec workload_from_config(const util::Config& cfg) {
 Scenario scenario_from_config(const util::Config& cfg) {
   Scenario s;
   s.name = cfg.get("scenario.name", "config");
-  s.seed = static_cast<std::uint64_t>(cfg.get_int("scenario.seed", 42));
+  s.seed = cfg.get_size("scenario.seed", 42);
   s.replications = positive_size(cfg, "scenario.replications", 5);
   s.sched_time_scale = cfg.get_double("scenario.sched_time_scale", 0.0);
   s.comm_nu = cfg.get_double("scenario.comm_nu", 0.5);
@@ -100,7 +100,7 @@ Scenario scenario_from_config(const util::Config& cfg) {
 }
 
 SchedulerParams scheduler_params_from_config(const util::Config& cfg) {
-  return Params::from_config(cfg, "scheduler");
+  return cfg.section("scheduler");
 }
 
 metrics::RelaxationBoundOptions bounds_from_config(const util::Config& cfg) {
@@ -120,36 +120,16 @@ std::string lower_token(std::string s) {
   return s;
 }
 
-std::vector<std::string> split_list(const std::string& text) {
-  std::vector<std::string> tokens;
-  std::istringstream ss(text);
-  std::string token;
-  while (std::getline(ss, token, ',')) {
-    const auto first = token.find_first_not_of(" \t");
-    if (first == std::string::npos) continue;
-    const auto last = token.find_last_not_of(" \t");
-    tokens.push_back(token.substr(first, last - first + 1));
-  }
-  return tokens;
-}
-
 /// The values of one [sweep] axis. A `count` axis (processors, tasks,
 /// replications) is cast to std::size_t, so each of its values must be
 /// an integer in [1, 2^64): a negative, fractional, NaN or huge one
 /// would make that cast undefined, and a zero would make an empty run.
 std::vector<double> parse_axis_values(const std::string& key,
                                       const std::string& text, bool count) {
+  const std::string name = "sweep." + key;
   std::vector<double> values;
-  for (const auto& token : split_list(text)) {
-    double v = 0.0;
-    try {
-      std::size_t pos = 0;
-      v = std::stod(token, &pos);
-      if (pos != token.size()) throw std::invalid_argument(token);
-    } catch (const std::exception&) {
-      throw std::runtime_error("sweep config: key '" + key +
-                               "' has non-numeric value '" + token + "'");
-    }
+  for (const auto& token : util::split_list(name, text)) {
+    const double v = util::read_double(name, token);
     if (count && !(v >= 1.0 && v < 0x1p64 && v == std::floor(v))) {
       throw std::runtime_error("sweep config: key '" + key +
                                "' needs a positive integer, not '" + token +
@@ -214,7 +194,7 @@ std::vector<std::string> expand_scheduler_selector(
       names.push_back(canonical);
     }
   };
-  const auto tokens = split_list(selector);
+  const auto tokens = util::split_list("schedulers", selector);
   if (tokens.empty()) return all_schedulers();
   for (const auto& token : tokens) {
     const std::string t = lower_token(token);
@@ -248,7 +228,8 @@ Sweep sweep_from_config(const util::Config& cfg,
 
   // Scalar axes in file key order (lexicographic — Config::section's
   // order), so the flattening is reproducible from the file alone.
-  for (const auto& [key, value] : cfg.section("sweep")) {
+  const util::Config axes = cfg.section("sweep");
+  for (const auto& [key, value] : axes.entries()) {
     if (key == "schedulers") continue;
     const auto* axis =
         std::find_if(std::begin(kScenarioAxes), std::end(kScenarioAxes),

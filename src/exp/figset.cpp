@@ -2,17 +2,16 @@
 
 #include <algorithm>
 #include <cctype>
-#include <charconv>
-#include <cstdlib>
 #include <fstream>
 #include <limits>
 #include <map>
+#include <optional>
 #include <stdexcept>
 #include <string_view>
-#include <system_error>
 
 #include "exp/runner.hpp"
 #include "ga/engine.hpp"
+#include "util/parse.hpp"
 #include "util/rng.hpp"
 #include "util/stats.hpp"
 #include "util/table.hpp"
@@ -61,7 +60,7 @@ Sweep fig_sweep(const std::string& id, const FigScale& s,
 /// Label of `axis` on an executed row, parsed as a double.
 double row_coord(const metrics::SweepRow& row, const std::string& axis) {
   for (const auto& [name, label] : row.coords) {
-    if (name == axis) return std::stod(label);
+    if (name == axis) return util::read_double("axis " + axis, label);
   }
   throw std::out_of_range("figset: row has no axis '" + axis + "'");
 }
@@ -683,19 +682,21 @@ bool glob_match(const std::string& pattern, const std::string& text) {
 std::pair<std::size_t, std::size_t> parse_shard_spec(
     const std::string& spec) {
   const std::size_t slash = spec.find('/');
-  std::size_t index = 0, count = 0;
-  if (slash == std::string::npos ||
-      !util::parse_size_t(std::string_view(spec).substr(0, slash), index) ||
-      !util::parse_size_t(std::string_view(spec).substr(slash + 1), count)) {
+  const auto index = util::parse_count(std::string_view(spec).substr(0, slash));
+  const auto count = slash == std::string::npos
+                         ? std::nullopt
+                         : util::parse_count(
+                               std::string_view(spec).substr(slash + 1));
+  if (!index || !count) {
     throw std::runtime_error("--shard expects I/N (e.g. 0/4), got '" + spec +
                              "'");
   }
-  if (count == 0 || index >= count) {
-    throw std::runtime_error("--shard index " + std::to_string(index) +
+  if (*count == 0 || *index >= *count) {
+    throw std::runtime_error("--shard index " + std::to_string(*index) +
                              " out of range for count " +
-                             std::to_string(count));
+                             std::to_string(*count));
   }
-  return {index, count};
+  return {*index, *count};
 }
 
 // --- shard merging ----------------------------------------------------------
@@ -747,15 +748,16 @@ void merge_csv_shards(const std::vector<std::filesystem::path>& shards,
       }
       if (line.empty()) continue;
       const auto cells = util::parse_csv_line(line);
-      std::size_t index = 0;
-      if (cells.size() != columns || cells.empty() ||
-          !util::parse_size_t(cells[0], index)) {
+      const auto index = cells.size() == columns && !cells.empty()
+                             ? util::parse_count(cells[0])
+                             : std::nullopt;
+      if (!index) {
         throw std::runtime_error("merge: unparseable row in " +
                                  path.string() + ": " + line);
       }
-      if (!lines.emplace(index, line).second) {
+      if (!lines.emplace(*index, line).second) {
         throw std::runtime_error(
-            "merge: duplicate cell index " + std::to_string(index) + " in " +
+            "merge: duplicate cell index " + std::to_string(*index) + " in " +
             path.string() + " (shards must be disjoint)");
       }
     }
@@ -786,16 +788,18 @@ void merge_jsonl_shards(const std::vector<std::filesystem::path>& shards,
       std::size_t digits = at == std::string::npos ? 0 : at + kIndexKey.size();
       std::size_t end = digits;
       while (end < line.size() && std::isdigit(line[end]) != 0) ++end;
-      std::size_t index = 0;
-      if (at == std::string::npos || end == digits ||
-          !util::parse_size_t(
-              std::string_view(line).substr(digits, end - digits), index)) {
+      const auto index =
+          at == std::string::npos || end == digits
+              ? std::nullopt
+              : util::parse_count(
+                    std::string_view(line).substr(digits, end - digits));
+      if (!index) {
         throw std::runtime_error("merge: line without \"index\" in " +
                                  path.string() + ": " + line);
       }
-      if (!lines.emplace(index, line).second) {
+      if (!lines.emplace(*index, line).second) {
         throw std::runtime_error(
-            "merge: duplicate cell index " + std::to_string(index) + " in " +
+            "merge: duplicate cell index " + std::to_string(*index) + " in " +
             path.string() + " (shards must be disjoint)");
       }
     }
@@ -810,10 +814,7 @@ namespace {
 /// True when `label` parses completely as a double (axis labels are
 /// round-trip formatted numbers for numeric axes).
 bool numeric_label(const std::string& label) {
-  if (label.empty()) return false;
-  char* end = nullptr;
-  (void)std::strtod(label.c_str(), &end);
-  return end != nullptr && *end == '\0';
+  return util::parse_double(label).has_value();
 }
 
 /// What to draw for one figure, derived from its grid. Exactly one of

@@ -1,10 +1,11 @@
 #pragma once
 // Typed key/value parameter view for registry factories. A Params object
-// carries the free-form options of one INI section ("[scheduler]" for
-// scheduler factories, "[workload]" for distribution factories) so each
-// registry entry parses exactly the keys it understands and falls back to
-// its own documented defaults — no central one-size-fits-all options
-// struct to extend when a new scheduler or distribution is added.
+// (a util::Config section view) carries the free-form options of one INI
+// section ("[scheduler]" for scheduler factories, "[workload]" for
+// distribution factories) so each registry entry parses exactly the keys
+// it understands and falls back to its own documented defaults — no
+// central one-size-fits-all options struct to extend when a new scheduler
+// or distribution is added.
 //
 // Shared [scheduler] keys the built-in entries agree on (defaults in
 // parentheses; see exp/registry.hpp for the per-entry extras):
@@ -19,12 +20,7 @@
 //   islands (4)               island count for PNI
 //   migration_interval (25)   generations between PNI migrations
 
-#include <cstdint>
-#include <map>
-#include <string>
-#include <type_traits>
-#include <utility>
-#include <vector>
+#include <cstddef>
 
 #include "util/config.hpp"
 
@@ -44,64 +40,9 @@ inline constexpr double kDefaultKpbPercent = 20.0;
 inline constexpr std::size_t kDefaultIslands = 4;
 inline constexpr std::size_t kDefaultMigrationInterval = 25;
 
-/// Ordered string→string map with typed getters. Missing keys return the
-/// caller's fallback; unparseable values throw std::runtime_error naming
-/// the key.
-class Params {
- public:
-  Params() = default;
-  Params(std::initializer_list<std::pair<std::string, std::string>> kv);
-
-  /// All keys of `section` in `cfg`, prefix stripped: the [scheduler]
-  /// section becomes the SchedulerParams of every factory, the [workload]
-  /// section the per-family keys of a distribution factory.
-  static Params from_config(const util::Config& cfg,
-                            const std::string& section);
-
-  /// Setters (fluent, so call sites can chain). One constrained template
-  /// covers every arithmetic type unambiguously (int literals, unsigned,
-  /// size_t, float, double, ...); floating-point values are stored with
-  /// round-trip precision.
-  Params& set(const std::string& key, std::string value);
-  Params& set(const std::string& key, const char* value);
-  Params& set(const std::string& key, bool value);
-  template <typename T,
-            std::enable_if_t<std::is_arithmetic_v<T> &&
-                                 !std::is_same_v<T, bool>,
-                             int> = 0>
-  Params& set(const std::string& key, T value) {
-    if constexpr (std::is_floating_point_v<T>) {
-      return set_floating(key, static_cast<double>(value));
-    } else if constexpr (std::is_signed_v<T>) {
-      return set_integer(key, static_cast<long long>(value));
-    } else {
-      return set_unsigned(key, static_cast<unsigned long long>(value));
-    }
-  }
-
-  /// Typed getters with defaults.
-  std::string get(const std::string& key, const std::string& fallback) const;
-  double get_double(const std::string& key, double fallback) const;
-  std::int64_t get_int(const std::string& key, std::int64_t fallback) const;
-  std::size_t get_size(const std::string& key, std::size_t fallback) const;
-  bool get_bool(const std::string& key, bool fallback) const;
-
-  /// True when the key is present.
-  bool has(const std::string& key) const;
-
-  /// Keys in lexicographic order.
-  std::vector<std::string> keys() const;
-
-  /// Number of entries.
-  std::size_t size() const noexcept { return values_.size(); }
-
- private:
-  Params& set_floating(const std::string& key, double value);
-  Params& set_integer(const std::string& key, long long value);
-  Params& set_unsigned(const std::string& key, unsigned long long value);
-
-  std::map<std::string, std::string> values_;
-};
+/// The free-form options of one INI section, read with util::Config's
+/// typed getters (the value grammar is in util/config.hpp).
+using Params = util::Config;
 
 /// The parameter view handed to scheduler factories (sourced from the
 /// INI [scheduler] section; see the key reference above).

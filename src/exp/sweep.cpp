@@ -9,6 +9,7 @@
 #include "exp/registry.hpp"
 #include "exp/runner.hpp"
 #include "util/csv.hpp"
+#include "util/parse.hpp"
 #include "util/thread_pool.hpp"
 
 #if defined(__unix__) || defined(__APPLE__)
@@ -39,16 +40,7 @@ const std::string& SweepCell::coord(const std::string& axis) const {
 }
 
 double SweepCell::coord_value(const std::string& axis) const {
-  const std::string& label = coord(axis);
-  try {
-    std::size_t pos = 0;
-    const double v = std::stod(label, &pos);
-    if (pos != label.size()) throw std::invalid_argument(label);
-    return v;
-  } catch (const std::exception&) {
-    throw std::runtime_error("SweepCell: axis '" + axis + "' label '" +
-                             label + "' is not numeric");
-  }
+  return util::read_double("axis " + axis, coord(axis));
 }
 
 // --- SweepResult ------------------------------------------------------------

@@ -7,6 +7,7 @@
 #include "exp/config_scenario.hpp"
 #include "exp/registry.hpp"
 #include "exp/runner.hpp"
+#include "util/parse.hpp"
 #include "util/thread_pool.hpp"
 
 namespace gasched::fed {
@@ -14,30 +15,6 @@ namespace gasched::fed {
 namespace {
 
 constexpr std::size_t kNone = std::numeric_limits<std::size_t>::max();
-
-std::vector<std::string> split_list(const std::string& text) {
-  std::vector<std::string> out;
-  std::string cur;
-  auto flush = [&] {
-    const auto b = cur.find_first_not_of(" \t");
-    if (b == std::string::npos) {
-      cur.clear();
-      return;
-    }
-    const auto e = cur.find_last_not_of(" \t");
-    out.push_back(cur.substr(b, e - b + 1));
-    cur.clear();
-  };
-  for (const char c : text) {
-    if (c == ',') {
-      flush();
-    } else {
-      cur.push_back(c);
-    }
-  }
-  flush();
-  return out;
-}
 
 }  // namespace
 
@@ -312,12 +289,13 @@ std::vector<FederationResult> run_federation_replications(
 FederationConfig federation_from_config(const util::Config& cfg) {
   FederationConfig f;
   f.name = cfg.get("federation.name", "federation");
-  const auto names = split_list(cfg.get("federation.clusters", ""));
+  const auto names = util::split_list("federation.clusters",
+                                      cfg.get("federation.clusters", ""));
   if (names.empty()) {
     throw std::runtime_error(
         "federation config: [federation] clusters = a, b, ... is required");
   }
-  f.seed = static_cast<std::uint64_t>(cfg.get_int("federation.seed", 42));
+  f.seed = cfg.get_size("federation.seed", 42);
   f.replications = exp::positive_size(cfg, "federation.replications", 3);
   f.comm_nu = cfg.get_double("federation.comm_nu", 0.5);
   f.rate_nu = cfg.get_double("federation.rate_nu", 0.5);

@@ -18,6 +18,9 @@ GaEngine::GaEngine(GaConfig cfg, const SelectionOp& selection,
 
 namespace {
 
+/// Pair-sample budget per generation for the diversity estimate.
+constexpr std::size_t kDiversityPairs = 64;
+
 /// Double-buffered population storage. Chromosomes, cached evaluations,
 /// and dirty flags live in parallel arrays; generation transitions swap
 /// the buffers so chromosome capacity is reused instead of reallocated.
@@ -127,7 +130,7 @@ GaResult GaEngine::run_seeded(const GaProblem& problem,
   auto record_stats = [&](std::size_t gen) {
     if (!cfg_.record_stats) return;
     result.stats_history.push_back(summarize_generation(
-        gen, pop.chrom, pop.fitness, pop.objective, cfg_.diversity_pairs,
+        gen, pop.chrom, pop.fitness, pop.objective, kDiversityPairs,
         stats_rng));
   };
 

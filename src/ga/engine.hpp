@@ -157,8 +157,6 @@ struct GaConfig {
   /// stream derived via Rng::split, so enabling this never changes the
   /// evolution itself.
   bool record_stats = false;
-  /// Pair-sample budget per generation for the diversity estimate.
-  std::size_t diversity_pairs = 64;
   /// Unused compatibility stub (core/numeric.hpp): read only by
   /// bench/e2e/gasched_bench.cpp, which passes it to the
   /// ScheduleEvaluator constructor. The next change to the benchmark

@@ -2,15 +2,15 @@
 
 #include <algorithm>
 #include <cctype>
-#include <charconv>
 #include <fstream>
+#include <optional>
 #include <sstream>
 #include <stdexcept>
 #include <string_view>
-#include <system_error>
 
 #include "metrics/report_json.hpp"
 #include "util/json.hpp"
+#include "util/parse.hpp"
 #include "util/table.hpp"
 
 namespace gasched::metrics {
@@ -166,15 +166,15 @@ void CsvSink::begin(const SweepHeader& header) {
         header_seen = true;
       } else {
         const auto cells = util::parse_csv_line(line);
-        std::size_t idx = 0;
-        if (cells.size() != cols.size() || !util::parse_size_t(cells[0], idx)) {
-          break;
-        }
+        const auto idx = cells.size() == cols.size()
+                             ? util::parse_count(cells[0])
+                             : std::nullopt;
+        if (!idx) break;
         // A row with a non-empty error column is a *failed* cell: stop
         // the valid prefix here so the resume retries it (and everything
         // after it) instead of sealing the failure into the final file.
         if (!cells.back().empty()) break;
-        present_.insert(idx);
+        present_.insert(*idx);
       }
       pos = nl + 1;
       keep = pos;
@@ -279,12 +279,10 @@ void JsonlSink::begin(const SweepHeader& header) {
       while (digits < line.size() && std::isdigit(line[digits]) != 0) {
         ++digits;
       }
-      std::size_t idx = 0;
-      if (!util::parse_size_t(line.substr(prefix.size(), digits - prefix.size()),
-                       idx)) {
-        break;
-      }
-      present_.insert(idx);
+      const auto idx =
+          util::parse_count(line.substr(prefix.size(), digits - prefix.size()));
+      if (!idx) break;
+      present_.insert(*idx);
       pos = nl + 1;
       keep = pos;
     }

@@ -1,40 +1,25 @@
 #include "rt/serve_config.hpp"
 
-#include <sstream>
 #include <stdexcept>
 
-#include "exp/params.hpp"
+#include "util/parse.hpp"
 #include "workload/arrival.hpp"
 
 namespace gasched::rt {
-
-namespace {
-
-// Parses "1.0, 0.5, 0.25" into speed factors.
-std::vector<double> parse_speeds(const std::string& text) {
-  std::vector<double> speeds;
-  std::stringstream ss(text);
-  std::string item;
-  while (std::getline(ss, item, ',')) {
-    try {
-      speeds.push_back(std::stod(item));
-    } catch (const std::exception&) {
-      throw std::runtime_error("runtime.speeds: bad number '" + item + "'");
-    }
-  }
-  if (speeds.empty()) {
-    throw std::runtime_error("runtime.speeds: empty list");
-  }
-  return speeds;
-}
-
-}  // namespace
 
 ServeSetup serve_setup_from_config(const util::Config& cfg) {
   ServeSetup s;
 
   if (cfg.has("runtime.speeds")) {
-    s.runtime.worker_speeds = parse_speeds(cfg.get("runtime.speeds", ""));
+    // "1.0, 0.5, 0.25": one speed factor per worker.
+    for (const auto& item :
+         util::split_list("runtime.speeds", cfg.get("runtime.speeds", ""))) {
+      s.runtime.worker_speeds.push_back(
+          util::read_double("runtime.speeds", item));
+    }
+    if (s.runtime.worker_speeds.empty()) {
+      throw std::runtime_error("runtime.speeds: empty list");
+    }
   } else {
     const auto workers = cfg.get_int("runtime.workers", 4);
     if (workers < 1) {
@@ -57,14 +42,14 @@ ServeSetup serve_setup_from_config(const util::Config& cfg) {
   const auto polls = cfg.get_int("runtime.spin_polls", 4096);
   if (polls < 0) throw std::runtime_error("runtime.spin_polls must be >= 0");
   s.runtime.spin_polls = static_cast<std::size_t>(polls);
-  s.runtime.seed = static_cast<std::uint64_t>(cfg.get_int("runtime.seed", 1));
+  s.runtime.seed = cfg.get_size("runtime.seed", 1);
 
   s.serve.duration_s = cfg.get_double("runtime.duration", 5.0);
   s.serve.rate = cfg.get_double("runtime.rate", 1000.0);
   s.serve.policy = cfg.get("runtime.policy", "rr");
   parse_route_policy(s.serve.policy);  // eager: unknown names fail here
   s.serve.arrival = cfg.get("runtime.arrival", "constant");
-  s.serve.arrival_params = exp::Params::from_config(cfg, "runtime");
+  s.serve.arrival_params = cfg.section("runtime");
   if (s.serve.arrival != "constant" && s.serve.arrival != "" &&
       s.serve.arrival != "poisson") {
     // Eager validation: an unknown preset throws here, listing every

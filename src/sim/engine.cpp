@@ -11,6 +11,11 @@
 
 namespace gasched::sim {
 
+namespace {
+/// Integration step for time-varying availability models (seconds).
+constexpr double kAvailDt = 1.0;
+}  // namespace
+
 Engine::Engine(const Cluster& cluster, const workload::Workload& workload,
                SchedulingPolicy& policy, util::Rng rng,
                const EngineConfig& cfg)
@@ -326,7 +331,7 @@ void Engine::dispatch(const Ev& ev) {
       pr.inflight_mflops = 0.0;
       const double duration = integrate_exec_time(
           *proc.availability, proc.base_rate, tasks_[ev.payload].size_mflops,
-          now_, cfg_.avail_dt);
+          now_, kAvailDt);
       pr.executing = true;
       pr.exec_task = ev.payload;
       pr.exec_mflops = tasks_[ev.payload].size_mflops;

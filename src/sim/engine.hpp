@@ -75,8 +75,6 @@ struct EngineConfig {
   double comm_nu = 0.5;
   /// Smoothing factor ν for the per-processor rate estimators.
   double rate_nu = 0.5;
-  /// Integration step for time-varying availability models (seconds).
-  double avail_dt = 1.0;
   /// Safety valve: abort if the event count exceeds this many times the
   /// task count (protocol bug guard). 0 disables.
   std::size_t max_event_factor = 64;

@@ -1,32 +1,16 @@
 #include "util/cli.hpp"
 
 #include <algorithm>
-#include <charconv>
 #include <cstdlib>
 #include <stdexcept>
+#include <utility>
+
+#include "util/parse.hpp"
 
 namespace gasched::util {
 
-namespace {
-
-/// All of `s` read as a T; throws std::runtime_error naming --name when
-/// any of it is not (a negative count must not wrap, text must not read
-/// as the fallback).
-template <typename T>
-T parse_whole(const std::string& name, const std::string& s,
-              const char* expected) {
-  T out{};
-  const auto [ptr, ec] = std::from_chars(s.data(), s.data() + s.size(), out);
-  if (ec != std::errc{} || ptr != s.data() + s.size()) {
-    throw std::runtime_error("--" + name + ": expected " + expected +
-                             ", got '" + s + "'");
-  }
-  return out;
-}
-
-}  // namespace
-
-Cli::Cli(int argc, const char* const* argv) {
+Cli::Cli(int argc, const char* const* argv, std::vector<std::string> booleans)
+    : booleans_(std::move(booleans)) {
   if (argc > 0) program_ = argv[0];
   for (int i = 1; i < argc; ++i) {
     std::string arg = argv[i];
@@ -39,7 +23,10 @@ Cli::Cli(int argc, const char* const* argv) {
     if (const auto eq = name.find('='); eq != std::string::npos) {
       value = name.substr(eq + 1);
       name = name.substr(0, eq);
-    } else if (i + 1 < argc && std::string_view(argv[i + 1]).rfind("--", 0) != 0) {
+    } else if (i + 1 < argc &&
+               std::string_view(argv[i + 1]).rfind("--", 0) != 0 &&
+               std::find(booleans_.begin(), booleans_.end(), name) ==
+                   booleans_.end()) {
       value = argv[++i];
     } else {
       value = "true";
@@ -54,6 +41,7 @@ void Cli::require_known(const std::vector<std::string>& known) const {
       throw std::runtime_error("unknown flag --" + name);
     }
   }
+  for (const auto& name : booleans_) (void)get_bool(name, false);
 }
 
 bool Cli::has(const std::string& name) const { return flags_.contains(name); }
@@ -67,32 +55,24 @@ std::string Cli::get(const std::string& name,
 std::int64_t Cli::get_int(const std::string& name,
                           std::int64_t fallback) const {
   const auto it = flags_.find(name);
-  return it == flags_.end() ? fallback
-                            : parse_whole<std::int64_t>(name, it->second,
-                                                        "an integer");
+  return it == flags_.end() ? fallback : read_int("--" + name, it->second);
 }
 
 std::size_t Cli::get_size(const std::string& name,
                           std::size_t fallback) const {
   const auto it = flags_.find(name);
-  return it == flags_.end()
-             ? fallback
-             : parse_whole<std::size_t>(name, it->second,
-                                        "a non-negative integer");
+  return it == flags_.end() ? fallback : read_count("--" + name, it->second);
 }
 
 double Cli::get_double(const std::string& name, double fallback) const {
   const auto it = flags_.find(name);
-  return it == flags_.end()
-             ? fallback
-             : parse_whole<double>(name, it->second, "a number");
+  return it == flags_.end() ? fallback
+                            : read_double("--" + name, it->second);
 }
 
 bool Cli::get_bool(const std::string& name, bool fallback) const {
   const auto it = flags_.find(name);
-  if (it == flags_.end()) return fallback;
-  const auto& v = it->second;
-  return v == "1" || v == "true" || v == "yes" || v == "on";
+  return it == flags_.end() ? fallback : read_bool("--" + name, it->second);
 }
 
 std::optional<std::string> env_string(const std::string& name) {

@@ -2,7 +2,6 @@
 
 #include <charconv>
 #include <stdexcept>
-#include <system_error>
 
 namespace gasched::util {
 
@@ -52,12 +51,6 @@ std::string format_csv_row(const std::vector<std::string>& cells) {
     line += CsvWriter::escape(cells[i]);
   }
   return line;
-}
-
-bool parse_size_t(std::string_view text, std::size_t& out) {
-  const auto [ptr, ec] =
-      std::from_chars(text.data(), text.data() + text.size(), out);
-  return ec == std::errc{} && ptr == text.data() + text.size();
 }
 
 std::vector<std::string> parse_csv_line(std::string_view line) {

@@ -48,11 +48,6 @@ std::string format_csv_row(const std::vector<std::string>& cells);
 /// Parses one CSV line into cells, honouring double-quote escaping.
 std::vector<std::string> parse_csv_line(std::string_view line);
 
-/// Parses `text` as a whole-string unsigned decimal into `out`.
-/// Returns false on any non-digit content (the strict form the sink
-/// resume scans and shard mergers use to validate cell-index fields).
-bool parse_size_t(std::string_view text, std::size_t& out);
-
 /// Reads an entire CSV file into rows of cells. Throws on open failure.
 std::vector<std::vector<std::string>> read_csv(
     const std::filesystem::path& path);

@@ -7,6 +7,8 @@
 #include <exception>
 #include <string>
 
+#include "util/parse.hpp"
+
 namespace gasched::util {
 
 ThreadPool::ThreadPool(std::size_t threads) {
@@ -123,17 +125,16 @@ void ThreadPool::parallel_for(std::size_t begin, std::size_t end,
   if (first_error) std::rethrow_exception(first_error);
 }
 
-ThreadPool& global_pool() {
+std::size_t global_pool_width() {
   // GASCHED_THREADS pins the pool width (sweep determinism does not
   // depend on it, but wall-clock comparisons and CI sanitizer runs do).
-  static ThreadPool pool([] {
-    const char* env = std::getenv("GASCHED_THREADS");
-    if (env != nullptr && *env != '\0') {
-      const long v = std::strtol(env, nullptr, 10);
-      if (v > 0) return static_cast<std::size_t>(v);
-    }
-    return std::size_t{0};
-  }());
+  const char* env = std::getenv("GASCHED_THREADS");
+  if (env == nullptr || *env == '\0') return 0;
+  return read_count("GASCHED_THREADS", env);
+}
+
+ThreadPool& global_pool() {
+  static ThreadPool pool(global_pool_width());
   return pool;
 }
 

@@ -72,8 +72,15 @@ class ThreadPool {
   bool stopping_ = false;
 };
 
-/// Global pool shared by the experiment harness (lazily constructed).
+/// Global pool shared by the experiment harness (lazily constructed,
+/// global_pool_width() threads).
 ThreadPool& global_pool();
+
+/// The width the GASCHED_THREADS variable pins global_pool() to: a count,
+/// with unset, empty or 0 meaning one thread per hardware thread. Throws
+/// std::runtime_error naming GASCHED_THREADS on any other text ("3x",
+/// "-1"). Reads the variable only; builds no pool.
+std::size_t global_pool_width();
 
 /// Runs fn(i) for every i in [0, n): on global_pool() when `parallel`
 /// and n > 1, otherwise in index order on the calling thread. The one

@@ -106,6 +106,21 @@ TEST(ConfigScenario, NegativeCountsThrowNamingTheKey) {
   }
 }
 
+TEST(ConfigScenario, SeedIsAnUnsigned64BitCount) {
+  // -1 used to wrap silently to 2^64 - 1, while 2^64 - 1 itself threw.
+  EXPECT_EQ(scenario_from_config(util::Config::parse(
+                "[scenario]\nseed = 18446744073709551615\n"))
+                .seed,
+            18446744073709551615u);
+  try {
+    scenario_from_config(util::Config::parse("[scenario]\nseed = -1\n"));
+    FAIL() << "scenario.seed = -1 was accepted";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("scenario.seed"), std::string::npos)
+        << e.what();
+  }
+}
+
 TEST(ConfigScenario, NonIntegerCountsThrowNamingTheKey) {
   const std::pair<std::string, std::string> counts[] = {
       {"scenario", "replications"},

@@ -614,6 +614,20 @@ procs = 4, banana
   EXPECT_THROW(sweep_from_config(cfg), std::runtime_error);
 }
 
+TEST(SweepConfig, EmptyAxisItemThrowsNamingTheKey) {
+  // "4,,8" used to skip the empty item and run a two-value axis.
+  for (const char* list : {"4,,8", "4, 8,"}) {
+    try {
+      sweep_from_config(
+          util::Config::parse(std::string("[sweep]\nprocs = ") + list));
+      FAIL() << list << " was accepted";
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find("sweep.procs"), std::string::npos)
+          << e.what();
+    }
+  }
+}
+
 TEST(SweepConfig, CountAxesTakeOnlyPositiveIntegers) {
   // Each value is cast to std::size_t; for most of these that cast is
   // undefined, and a zero count makes a run with nothing to show.

@@ -209,6 +209,38 @@ TEST(FederationConfigTest, NegativeCountsThrowNamingTheKey) {
   }
 }
 
+TEST(FederationConfigTest, SeedIsAnUnsigned64BitCount) {
+  const auto with_seed = [](const std::string& line) {
+    std::string ini(kBaseIni);
+    ini.replace(ini.find("seed = 7"), 8, line);
+    return federation_from_config(util::Config::parse(ini));
+  };
+  EXPECT_EQ(with_seed("seed = 18446744073709551615").seed,
+            18446744073709551615u);
+  try {
+    with_seed("seed = -1");
+    FAIL() << "federation.seed = -1 was accepted";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("federation.seed"),
+              std::string::npos)
+        << e.what();
+  }
+}
+
+TEST(FederationConfigTest, EmptyClusterNameThrowsNamingTheKey) {
+  std::string ini(kBaseIni);
+  const std::string find = "clusters = edge, core, burst";
+  ini.replace(ini.find(find), find.size(), "clusters = edge, , core, burst");
+  try {
+    federation_from_config(util::Config::parse(ini));
+    FAIL() << "an empty cluster name was accepted";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("federation.clusters"),
+              std::string::npos)
+        << e.what();
+  }
+}
+
 TEST(FederationConfigTest, NonIntegerCountsThrowNamingTheKey) {
   // {line of kBaseIni, its replacement, the key the error must name}
   const std::string cases[][3] = {

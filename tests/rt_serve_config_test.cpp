@@ -75,6 +75,35 @@ TEST(ServeConfigIni, ExplicitSpeedsOverrideWorkerCount) {
                std::runtime_error);
 }
 
+TEST(ServeConfigIni, SpeedsRejectPartialNumbersAndEmptyItemsNamingTheKey) {
+  // "1.5x" used to read as 1.5.
+  for (const char* line : {"speeds = 1.5x, 2\n", "speeds = 1, , 2\n",
+                           "speeds = +1\n", "speeds =\n"}) {
+    try {
+      serve_setup_from_config(parse(line));
+      ADD_FAILURE() << line << " was accepted";
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find("runtime.speeds"),
+                std::string::npos)
+          << e.what();
+    }
+  }
+}
+
+TEST(ServeConfigIni, SeedIsAnUnsigned64BitCount) {
+  EXPECT_EQ(
+      serve_setup_from_config(parse("seed = 18446744073709551615\n"))
+          .runtime.seed,
+      18446744073709551615u);
+  try {
+    serve_setup_from_config(parse("seed = -1\n"));
+    FAIL() << "runtime.seed = -1 was accepted";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("runtime.seed"), std::string::npos)
+        << e.what();
+  }
+}
+
 TEST(ServeConfigIni, UnknownNamesThrowListingValidChoices) {
   try {
     serve_setup_from_config(parse("policy = cheapest\n"));

@@ -6,6 +6,7 @@
 
 #include <stdexcept>
 #include <string>
+#include <vector>
 
 namespace gasched::util {
 namespace {
@@ -139,6 +140,42 @@ TEST(Cli, GetSizeRejectsAFlagWithoutValue) {
   const Cli cli = make({"prog", "--tasks", "--reps", "2"});
   EXPECT_THROW((void)cli.get_size("tasks", 1), std::runtime_error);
   EXPECT_EQ(cli.get_size("reps", 1), 2u);
+}
+
+TEST(Cli, DeclaredBooleanNeverTakesTheNextArgument) {
+  // `run_scenario --serial configs/sweep_grid.ini`: the config stays
+  // positional instead of becoming --serial's value.
+  const std::vector<const char*> argv = {"prog", "--serial",
+                                         "configs/sweep_grid.ini", "--csv",
+                                         "out.csv"};
+  const Cli cli(static_cast<int>(argv.size()), argv.data(), {"serial"});
+  ASSERT_EQ(cli.positional().size(), 1u);
+  EXPECT_EQ(cli.positional()[0], "configs/sweep_grid.ini");
+  EXPECT_TRUE(cli.get_bool("serial", false));
+  EXPECT_EQ(cli.get("csv", ""), "out.csv");
+  EXPECT_NO_THROW(cli.require_known({"serial", "csv"}));
+  // `--name=value` still sets a declared boolean.
+  const std::vector<const char*> off = {"prog", "--serial=off", "in.ini"};
+  const Cli cli_off(static_cast<int>(off.size()), off.data(), {"serial"});
+  EXPECT_FALSE(cli_off.get_bool("serial", true));
+  EXPECT_EQ(cli_off.positional().size(), 1u);
+}
+
+TEST(Cli, DeclaredBooleanRejectsOtherValuesNamingTheFlag) {
+  // `--full=ture` used to read as false and run at quick scale.
+  for (const char* arg : {"--full=ture", "--full=maybe", "--full="}) {
+    const std::vector<const char*> argv = {"prog", arg};
+    const Cli cli(static_cast<int>(argv.size()), argv.data(), {"full"});
+    try {
+      cli.require_known({"full"});
+      ADD_FAILURE() << "accepted " << arg;
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find("--full"), std::string::npos)
+          << e.what();
+    }
+  }
+  EXPECT_THROW((void)make({"p", "--serial=maybe"}).get_bool("serial", false),
+               std::runtime_error);
 }
 
 TEST(EnvString, MissingVariableIsNullopt) {

@@ -75,6 +75,51 @@ TEST(Config, GetSizeRejectsNonIntegerTextNamingTheKey) {
   }
 }
 
+TEST(Config, RejectsLeadingPlusHexAndTrailingTextNamingTheKey) {
+  // Each of these used to read as a number: stod/stoll took "+5" and
+  // "0x10" (hex for a double), so an INI key and a flag disagreed.
+  const auto cfg = Config::parse(
+      "[s]\nplus = +5\nhex = 0x10\nneg = -1\nword = ture\n");
+  for (const std::string key : {"s.plus", "s.hex"}) {
+    for (const auto& get : {+[](const Config& c, const std::string& k) {
+                              (void)c.get_int(k, 0);
+                            },
+                            +[](const Config& c, const std::string& k) {
+                              (void)c.get_double(k, 0.0);
+                            },
+                            +[](const Config& c, const std::string& k) {
+                              (void)c.get_size(k, 0);
+                            }}) {
+      try {
+        get(cfg, key);
+        ADD_FAILURE() << key << " was accepted";
+      } catch (const std::runtime_error& e) {
+        EXPECT_NE(std::string(e.what()).find(key), std::string::npos)
+            << e.what();
+      }
+    }
+  }
+  EXPECT_EQ(cfg.get_int("s.neg", 0), -1);
+  EXPECT_THROW(cfg.get_size("s.neg", 0), std::runtime_error);
+  EXPECT_THROW(cfg.get_bool("s.word", false), std::runtime_error);
+}
+
+TEST(Config, GetSizeReadsTheWholeUnsigned64BitRange) {
+  const auto cfg = Config::parse("max = 18446744073709551615\n");
+  EXPECT_EQ(cfg.get_size("max", 0), 18446744073709551615u);
+}
+
+TEST(Config, SectionViewStripsThePrefixAndKeepsOtherSectionsOut) {
+  const auto cfg = Config::parse(
+      "[scheduler]\nbatch_size = 77\n[scheduler2]\nbatch_size = 5\n"
+      "[workload]\ncount = 9\n");
+  const Config view = cfg.section("scheduler");
+  EXPECT_EQ(view.size(), 1u);
+  EXPECT_EQ(view.get_size("batch_size", 0), 77u);
+  EXPECT_FALSE(view.has("scheduler.batch_size"));
+  EXPECT_EQ(cfg.section("missing").size(), 0u);
+}
+
 TEST(Config, IgnoresCommentsAndBlankLines) {
   const auto cfg = Config::parse(
       "# comment\n"

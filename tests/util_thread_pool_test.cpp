@@ -7,8 +7,11 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdlib>
 #include <numeric>
+#include <optional>
 #include <stdexcept>
+#include <string>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -194,6 +197,56 @@ TEST(ThreadPool, TryRunOneDrainsQueuedJobs) {
 TEST(GlobalPool, IsSingleton) {
   EXPECT_EQ(&global_pool(), &global_pool());
   EXPECT_GE(global_pool().size(), 1u);
+}
+
+/// Sets GASCHED_THREADS for one scope, restoring the previous value.
+class ThreadsEnv {
+ public:
+  explicit ThreadsEnv(const char* value) {
+    if (const char* old = std::getenv("GASCHED_THREADS")) old_ = old;
+    ::setenv("GASCHED_THREADS", value, 1);
+  }
+  ~ThreadsEnv() {
+    if (old_) {
+      ::setenv("GASCHED_THREADS", old_->c_str(), 1);
+    } else {
+      ::unsetenv("GASCHED_THREADS");
+    }
+  }
+
+ private:
+  std::optional<std::string> old_;
+};
+
+TEST(GlobalPoolWidth, ReadsGaschedThreadsAsACount) {
+  // Reads the variable only; no pool is built at any of these widths.
+  {
+    const ThreadsEnv env("3");
+    EXPECT_EQ(global_pool_width(), 3u);
+  }
+  {
+    const ThreadsEnv env("0");
+    EXPECT_EQ(global_pool_width(), 0u);
+  }
+  {
+    const ThreadsEnv env("");
+    EXPECT_EQ(global_pool_width(), 0u);
+  }
+}
+
+TEST(GlobalPoolWidth, MalformedValueThrowsNamingTheVariable) {
+  // "3x" used to read as 3 and "-1" as the default width.
+  for (const char* bad : {"3x", "-1", "two", "+2"}) {
+    const ThreadsEnv env(bad);
+    try {
+      (void)global_pool_width();
+      ADD_FAILURE() << "GASCHED_THREADS=" << bad << " was accepted";
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find("GASCHED_THREADS"),
+                std::string::npos)
+          << e.what();
+    }
+  }
 }
 
 TEST(ForEachIndex, SerialPathVisitsInOrderOnTheCallersThread) {

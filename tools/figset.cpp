@@ -713,10 +713,8 @@ int cmd_merge(const util::Cli& cli,
 }  // namespace
 
 int main(int argc, char** argv) {
-  const util::Cli cli(argc, argv);
-  if (cli.get_bool("help", false) || cli.get_bool("h", false)) {
-    return usage(std::cout, 0);
-  }
+  const util::Cli cli(argc, argv, {"help", "h", "full", "serial", "resume",
+                                   "no-report", "markdown"});
   std::vector<std::string> positional = cli.positional();
   std::string command = "run";
   if (!positional.empty()) {
@@ -724,6 +722,16 @@ int main(int argc, char** argv) {
     positional.erase(positional.begin());
   }
   try {
+    if (cli.get_bool("help", false) || cli.get_bool("h", false)) {
+      return usage(std::cout, 0);
+    }
+    // A declared boolean never takes a value from the next argument, so
+    // `--serial 0` leaves a stray "0" here; it must not be ignored.
+    if (command != "merge" && !positional.empty()) {
+      std::cerr << "figset: unexpected argument '" << positional.front()
+                << "'\n";
+      return 2;
+    }
     if (command == "run") return cmd_run(cli);
     if (command == "list") return cmd_list(cli);
     if (command == "plot") return cmd_plot(cli);
